@@ -155,36 +155,6 @@ def _sigma_arg(text: str) -> float:
     return value
 
 
-def _shards_arg(text: str) -> int:
-    """argparse type for --shards: fabric shard count, 2..256."""
-    from .store.shards import MAX_SHARDS
-
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 2 <= value <= MAX_SHARDS:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be in [2, {MAX_SHARDS}], got {value}"
-        )
-    return value
-
-
-def _replicas_arg(text: str) -> int:
-    """argparse type for --replicas: copies per key (incl. primary), 1..256."""
-    from .store.shards import MAX_SHARDS
-
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 1 <= value <= MAX_SHARDS:
-        raise argparse.ArgumentTypeError(
-            f"replication factor must be in [1, {MAX_SHARDS}], got {value}"
-        )
-    return value
-
-
 def _chaos_arg(text: str) -> str:
     """argparse type for --chaos: validate the spec at the CLI boundary."""
     from .core.errors import CampaignError
@@ -229,12 +199,7 @@ def _store(args) -> CampaignStore | None:
     """The persistent campaign store of this invocation, if enabled."""
     if not getattr(args, "store_dir", None):
         return None
-    return CampaignStore(
-        args.store_dir,
-        refresh=getattr(args, "store_refresh", False),
-        shards=getattr(args, "shards", None),
-        replicas=getattr(args, "replicas", None),
-    )
+    return CampaignStore(args.store_dir, refresh=getattr(args, "store_refresh", False))
 
 
 def _print_store(store: CampaignStore | None) -> None:
@@ -666,58 +631,17 @@ def _cmd_store(args) -> int:
     if not getattr(args, "store_dir", None):
         print("error: the store command needs --store-dir", file=sys.stderr)
         return 2
-    if args.store_op == "rebalance":
-        return _store_rebalance(args)
     store = _store(args)
     artifacts = store.artifacts
     if args.store_op == "stats":
         print(json.dumps(artifacts.stats(), indent=2))
     elif args.store_op == "gc":
         print(json.dumps(artifacts.gc(), indent=2))
-    elif args.store_op == "scrub":
-        from .store.fabric import FabricStore
-
-        if not isinstance(artifacts, FabricStore):
-            print(
-                "error: store scrub needs a shard fabric; convert this store "
-                "first with 'store rebalance --shards N --replicas R'",
-                file=sys.stderr,
-            )
-            return 2
-        report = artifacts.scrub()
-        print(json.dumps(report, indent=2))
-        if not report["full_replication"]:
-            return 1
     else:  # verify
         defects = artifacts.verify()
         print(json.dumps({"ok": not defects, "defects": defects}, indent=2))
         if defects:
             return 1
-    return 0
-
-
-def _store_rebalance(args) -> int:
-    """Migrate a store's fabric geometry (or convert a legacy store)."""
-    from .store.fabric import FabricStore
-    from .store.shards import load_geometry
-
-    if args.shards is None:
-        print(
-            "error: store rebalance needs a target geometry: "
-            "--shards N [--replicas R]",
-            file=sys.stderr,
-        )
-        return 2
-    n_shards = args.shards
-    n_replicas = args.replicas if args.replicas is not None else 2
-    persisted = load_geometry(args.store_dir)
-    if persisted is None:
-        fabric, info = FabricStore.convert(args.store_dir, n_shards, n_replicas)
-        print(json.dumps({"converted": True, **info}, indent=2))
-        return 0
-    fabric = FabricStore(args.store_dir)  # open at the *current* geometry
-    info = fabric.rebalance(n_shards, n_replicas)
-    print(json.dumps({"converted": False, **info}, indent=2))
     return 0
 
 
@@ -1013,23 +937,6 @@ def main(argv: list[str] | None = None) -> int:
         "(cache busting without deleting the store)",
     )
     parser.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default=None,
-        metavar="N",
-        help="open --store-dir as a replicated shard fabric of N SQLite "
-        "shards (persisted in fabric.json; a later mismatch needs 'store "
-        "rebalance' -- see docs/store.md)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=_replicas_arg,
-        default=None,
-        metavar="R",
-        help="copies of every artifact across the fabric, primary included "
-        "(default 2 for a new fabric; capped at the shard count)",
-    )
-    parser.add_argument(
         "--result-json",
         default=None,
         metavar="FILE",
@@ -1144,10 +1051,9 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("store", help="inspect or maintain the --store-dir store")
     p.add_argument(
         "store_op",
-        choices=["stats", "gc", "verify", "scrub", "rebalance"],
-        help="stats/gc/verify work on any store; scrub runs the fabric's "
-        "anti-entropy repair pass; rebalance migrates to the --shards/"
-        "--replicas geometry (converting a legacy store in place)",
+        choices=["stats", "gc", "verify"],
+        help="stats: index and blob counts; gc: delete unreferenced blobs; "
+        "verify: rehash every artifact and list defects",
     )
     p.set_defaults(func=_cmd_store)
 

@@ -30,13 +30,6 @@ its own, mapped onto HTTP status codes by the serve layer:
   compute job finished (HTTP 504, retryable: the abandoned job may
   still land in the store).
 
-The replicated shard *fabric* (:mod:`repro.store.fabric`) adds two more:
-
-* :class:`ShardUnavailable` -- every replica of a key is unreachable
-  (HTTP 503 + ``Retry-After``, retryable: shards come back);
-* :class:`ReplicaDivergence` -- no copy of a key can be proven good
-  (not retryable until a scrub or recompute restores a trusted copy).
-
 :func:`is_retryable` classifies any exception for job-level retry loops
 and for the ``retryable`` flag of structured JSON error bodies.
 
@@ -93,32 +86,12 @@ class DeadlineExceeded(CampaignError, TimeoutError):
     publish to the store, so the request is worth retrying later."""
 
 
-class ShardUnavailable(CampaignError):
-    """Every replica of a shard-mapped key is unreachable (deleted,
-    locked, or unreadable shard databases).  Served as HTTP 503 with a
-    ``Retry-After`` hint -- retryable, because shards come back (a held
-    lock clears, a scrub re-replicates) and the fabric fails over the
-    moment one copy answers."""
-
-    def __init__(self, message: str, retry_after: float = 2.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class ReplicaDivergence(CampaignError):
-    """Replicas of one key disagree and no copy can be proven good (all
-    fail their content hash, or surviving copies hash differently).  Not
-    retryable: the same read replays the same divergence until a scrub
-    or a recompute re-establishes a trusted copy."""
-
-
 #: exception classes a job-level retry can plausibly outwait
 _RETRYABLE = (
     WorkerCrash,
     ChunkTimeout,
     ServiceOverloaded,
     DeadlineExceeded,
-    ShardUnavailable,
 )
 
 
@@ -130,9 +103,7 @@ def is_retryable(exc: BaseException) -> bool:
     clear as load drains.  Validation and integrity failures are
     deterministic -- retrying replays the same rejection.
     """
-    if isinstance(
-        exc, (InputValidationError, IntegrityError, CheckpointMismatch, ReplicaDivergence)
-    ):
+    if isinstance(exc, (InputValidationError, IntegrityError, CheckpointMismatch)):
         return False
     if isinstance(exc, _RETRYABLE):
         return True

@@ -410,11 +410,8 @@ def resolve_baseline(
     if spec == "auto":
         if store is None or design is None:
             return None
-        rows = getattr(store.artifacts, "rows", None)
-        if rows is None:
-            return None
         best = None
-        for row in rows(kind="netlist", design=design):
+        for row in store.artifacts.rows(kind="netlist", design=design):
             fp = (row.meta or {}).get("fingerprint")
             if fp and fp != exclude_fp:
                 best = row  # rows() orders by created_at: keep the latest

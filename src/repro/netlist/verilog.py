@@ -10,11 +10,16 @@ The dialect is the flat gate-level style 1990s ASIC tools exchanged:
 
 Net names that are not plain Verilog identifiers are emitted as escaped
 identifiers (``\\name`` terminated by whitespace), so arbitrary internal
-names like ``REG3_q[0]`` survive a round trip.
+names like ``REG3_q[0]`` survive a round trip.  A gate's tag (which
+selects its fault universe and power partition) rides along as a
+Verilog-2001 attribute, ``(* tag = "dp:ALU1" *)``, in front of the
+instance, so a written netlist parses back with the same
+:func:`~repro.store.fingerprint.netlist_fingerprint`.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .gates import GateType
@@ -48,6 +53,11 @@ def _escape(name: str) -> str:
     return name if _ID_RE.match(name) else f"\\{name} "
 
 
+def _tag_attr(tag: str) -> str:
+    # "/" is escaped (JSON allows "\/") so no tag can open a // or /* comment
+    return "(* tag = " + json.dumps(tag).replace("/", "\\/") + " *) "
+
+
 def write_verilog(netlist: Netlist) -> str:
     """Serialize ``netlist`` to the structural Verilog subset."""
     netlist.validate()
@@ -69,26 +79,33 @@ def write_verilog(netlist: Netlist) -> str:
             lines.append(f"  wire {nm[n]};")
     for g in netlist.gates:
         gname = _escape(g.name)
+        attr = _tag_attr(g.tag) if g.tag else ""
         if g.gtype in _PRIMITIVES:
             args = ", ".join([nm[g.output]] + [nm[i] for i in g.inputs])
-            lines.append(f"  {_PRIMITIVES[g.gtype]} {gname}({args});")
+            lines.append(f"  {attr}{_PRIMITIVES[g.gtype]} {gname}({args});")
         else:
             out_port, in_ports = _CELL_PORTS[g.gtype]
             conns = [f".{out_port}({nm[g.output]})"] + [
                 f".{p}({nm[i]})" for p, i in zip(in_ports, g.inputs)
             ]
-            lines.append(f"  {g.gtype.value} {gname}({', '.join(conns)});")
+            lines.append(f"  {attr}{g.gtype.value} {gname}({', '.join(conns)});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 
 
 _TOKEN_RE = re.compile(
-    r"""\\[^\s]+      # escaped identifier
+    r"""(?P<tag>\(\*\s*tag\s*=\s*"(?:[^"\\]|\\.)*"\s*\*\))   # tag attribute
+      | \\[^\s]+      # escaped identifier
       | [A-Za-z_][A-Za-z0-9_$]*
       | [().,;]
     """,
     re.VERBOSE,
 )
+_TAG_VALUE_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+class _Tag(str):
+    """A ``(* tag = "..." *)`` attribute token; the string is the tag."""
 
 
 def _tokenize(text: str) -> list[str]:
@@ -97,7 +114,12 @@ def _tokenize(text: str) -> list[str]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         tok = m.group(0)
-        if tok.startswith("\\"):
+        if m.group("tag"):
+            try:
+                tok = _Tag(json.loads(_TAG_VALUE_RE.search(tok).group(0)))
+            except ValueError:
+                raise NetlistError(f"bad tag attribute {tok!r}") from None
+        elif tok.startswith("\\"):
             tok = tok[1:]
         tokens.append(tok)
     return tokens
@@ -148,8 +170,16 @@ def parse_verilog(text: str) -> Netlist:
         return netlist.net_id(n) if netlist.has_net(n) else netlist.add_net(n)
 
     pending_outputs: list[str] = []
+    tag = None  # from a (* tag = "..." *) attribute; applies to the next instance
     while True:
         tok = p.next()
+        if isinstance(tok, _Tag):
+            if tag is not None:
+                raise NetlistError("two tag attributes on one instance")
+            tag = str(tok)
+            continue
+        if tag is not None and tok not in _PRIM_BY_NAME and tok not in _CELL_BY_NAME:
+            raise NetlistError(f"tag attribute before {tok!r}, not a gate instance")
         if tok == "endmodule":
             break
         if tok in ("input", "output", "wire"):
@@ -170,7 +200,10 @@ def parse_verilog(text: str) -> Netlist:
             p.expect(";")
             if not args:
                 raise NetlistError(f"primitive instance {inst!r} has no connections")
-            netlist.add_gate(gtype, net(args[0]), [net(a) for a in args[1:]], name=inst)
+            netlist.add_gate(
+                gtype, net(args[0]), [net(a) for a in args[1:]], name=inst, tag=tag or ""
+            )
+            tag = None
             continue
         if tok in _CELL_BY_NAME:
             gtype = _CELL_BY_NAME[tok]
@@ -195,8 +228,10 @@ def parse_verilog(text: str) -> Netlist:
             if missing:
                 raise NetlistError(f"instance {inst!r} missing ports {sorted(missing)}")
             netlist.add_gate(
-                gtype, net(conns[out_port]), [net(conns[pp]) for pp in in_ports], name=inst
+                gtype, net(conns[out_port]), [net(conns[pp]) for pp in in_ports],
+                name=inst, tag=tag or "",
             )
+            tag = None
             continue
         raise NetlistError(f"unknown gate or cell type {tok!r}")
 

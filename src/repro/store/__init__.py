@@ -6,18 +6,14 @@ with the pipeline layers):
 
 * :mod:`~repro.store.fingerprint` -- canonical stage keys;
 * :mod:`~repro.store.artifacts` -- SQLite-indexed blob store;
-* :mod:`~repro.store.shards` -- fingerprint-prefix shard placement;
-* :mod:`~repro.store.fabric` -- replicated shard fabric (failover,
-  read repair, anti-entropy scrub, rebalance);
 * :mod:`~repro.store.cache` -- campaign-level cache with provenance;
 * :mod:`~repro.store.query` -- filter cached campaigns;
 * :mod:`~repro.store.server` -- stdlib HTTP serve layer;
-* :mod:`~repro.store.client` -- retrying multi-endpoint remote client.
+* :mod:`~repro.store.client` -- retrying remote client.
 """
 
 from .artifacts import ArtifactCorrupt, ArtifactStore, StoreError, StoreLockError
 from .cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
-from .fabric import FabricStore
 from .fingerprint import (
     SCHEMA_VERSION,
     canonical_json,
@@ -25,15 +21,12 @@ from .fingerprint import (
     netlist_fingerprint,
     stage_key,
 )
-from .shards import ShardMap, load_geometry, resolve_geometry, save_geometry
 
 __all__ = [
     "ArtifactCorrupt",
     "ArtifactStore",
     "CampaignStore",
-    "FabricStore",
     "SCHEMA_VERSION",
-    "ShardMap",
     "StageProvenance",
     "StageTimer",
     "StoreError",
@@ -41,9 +34,6 @@ __all__ = [
     "canonical_json",
     "clean_campaign",
     "digest",
-    "load_geometry",
     "netlist_fingerprint",
-    "resolve_geometry",
-    "save_geometry",
     "stage_key",
 ]

@@ -25,12 +25,15 @@ Design points:
   :class:`StoreLockError`.
 * **Whole-pass maintenance locks.**  :meth:`ArtifactStore.gc` holds the
   exclusive lock for its *entire* mark-and-sweep pass and
-  :meth:`ArtifactStore.verify` (and the fabric scrub built on it) holds
-  a *shared* flock for its entire scan, so an in-flight publish can
-  never interleave with either: a publish's freshly written blob cannot
-  be swept as an orphan between the blob write and the index insert,
-  and a scrub can never mis-count a half-published artifact as a
-  missing replica.
+  :meth:`ArtifactStore.verify` holds a *shared* flock for its entire
+  scan, so an in-flight publish can never interleave with either: a
+  publish's freshly written blob cannot be swept as an orphan between
+  the blob write and the index insert, and a verify can never flag a
+  half-published artifact as a missing blob.
+* **Self-healing layout.**  Every write first recreates the root, the
+  blob tree and the index schema, so a store wiped mid-run (deleted
+  root or ``index.db``) fills up again instead of crashing the
+  campaign.  Every entry is recomputable from the netlist and seeds.
 """
 
 from __future__ import annotations
@@ -115,11 +118,8 @@ class ArtifactStore:
     def __init__(self, root: str | os.PathLike, lock_timeout: float = DEFAULT_LOCK_TIMEOUT):
         self.root = Path(root)
         self.lock_timeout = lock_timeout
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "objects").mkdir(exist_ok=True)
         self._db_path = self.root / "index.db"
-        with self._connect() as con:
-            con.executescript(_SCHEMA_SQL)
+        self._ensure_layout()
 
     # -------------------------------------------------------------- plumbing
     def _connect(self) -> sqlite3.Connection:
@@ -145,8 +145,9 @@ class ArtifactStore:
         os.replace(tmp, final)
         return sha, len(data)
 
-    def ensure_schema(self) -> None:
-        """(Re)create the index schema; heals a deleted/wiped shard DB."""
+    def _ensure_layout(self) -> None:
+        """(Re)create the root, the blob tree and the index schema."""
+        (self.root / "objects").mkdir(parents=True, exist_ok=True)
         with self._connect() as con:
             con.executescript(_SCHEMA_SQL)
 
@@ -159,7 +160,7 @@ class ArtifactStore:
     def reader(self, timeout: float | None = None) -> "_FileLock":
         """Context manager acquiring a *shared* lock on the store.
 
-        Shared holders (verify/scrub passes) coexist with each other and
+        Shared holders (verify passes) coexist with each other and
         with lock-free point reads, but exclude writers for the whole
         pass -- the fix for the gc/verify-vs-publish race: a publish
         that has written its blob but not yet inserted its index row can
@@ -188,6 +189,7 @@ class ArtifactStore:
         the timeout.
         """
         data = canonical_json(payload).encode("utf-8")
+        self._ensure_layout()
         with self.writer(lock_timeout):
             sha, size = self._write_blob(data)
             with self._connect() as con:
@@ -225,6 +227,7 @@ class ArtifactStore:
         if not rows:
             return 0
         now = time.time()
+        self._ensure_layout()
         with self.writer(lock_timeout):
             inserts = []
             for kind, key, payload, design, meta in rows:
@@ -375,20 +378,16 @@ class ArtifactStore:
         and point reads proceed, but a publish waits until the pass
         ends, so a half-published artifact is never flagged.
         """
-        with self.reader():
-            return self._verify_locked()
-
-    def _verify_locked(self) -> list[dict]:
-        """The verify scan body; caller holds (at least) the shared lock."""
         defects = []
-        for row in self.rows():
-            path = self._blob_path(row.blob_sha)
-            if not path.exists():
-                defects.append({"key": row.key, "kind": row.kind, "defect": "missing-blob"})
-                continue
-            actual = hashlib.sha256(path.read_bytes()).hexdigest()
-            if actual != row.blob_sha:
-                defects.append({"key": row.key, "kind": row.kind, "defect": "hash-mismatch"})
+        with self.reader():
+            for row in self.rows():
+                path = self._blob_path(row.blob_sha)
+                if not path.exists():
+                    defects.append({"key": row.key, "kind": row.kind, "defect": "missing-blob"})
+                    continue
+                actual = hashlib.sha256(path.read_bytes()).hexdigest()
+                if actual != row.blob_sha:
+                    defects.append({"key": row.key, "kind": row.kind, "defect": "hash-mismatch"})
         return defects
 
 
@@ -415,7 +414,7 @@ class _FileLock:
                 if time.monotonic() >= deadline:
                     os.close(self._fd)
                     self._fd = None
-                    holder = "writer" if self.shared else "writer or scrubber"
+                    holder = "writer" if self.shared else "writer or verifier"
                     raise StoreLockError(
                         f"another {holder} holds {self.path} "
                         f"(waited {self.timeout:.1f}s)"

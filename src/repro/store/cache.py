@@ -7,7 +7,7 @@ around :class:`~repro.store.artifacts.ArtifactStore` that
   and recording a structured
   :class:`~repro.core.integrity.IntegrityViolation` (the campaign falls
   back to recomputation -- corruption must never crash or, worse,
-  silently serve);
+  silently serve); a wiped root, index or schema is a plain miss too;
 * publishes freshly computed stage payloads -- but only *clean* ones:
   a campaign that recorded integrity violations or quarantined faults
   is never written, so audited-out results cannot be served stale;
@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import logging
 import os
+import sqlite3
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.errors import ReplicaDivergence, ShardUnavailable
 from ..core.integrity import STORE_CORRUPT_CHECK, IntegrityViolation
 from .artifacts import ArtifactCorrupt, ArtifactStore, StoreError
-from .fabric import FabricStore
-from .shards import resolve_geometry
 
 logger = logging.getLogger(__name__)
 
@@ -82,36 +80,18 @@ class StageProvenance:
 class CampaignStore:
     """Stage-result cache shared by one CLI invocation / serve process."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        refresh: bool = False,
-        shards: int | None = None,
-        replicas: int | None = None,
-    ):
-        # a root with a persisted fabric.json (or explicit --shards flags)
-        # opens as a replicated FabricStore; anything else stays the plain
-        # single-file ArtifactStore.  Both speak the same surface.
-        shard_map = resolve_geometry(root, shards, replicas)
-        if shard_map is None:
-            self.artifacts: ArtifactStore | FabricStore = ArtifactStore(root)
-        else:
-            self.artifacts = FabricStore(
-                root, n_shards=shard_map.n_shards, n_replicas=shard_map.n_replicas
-            )
+    def __init__(self, root: str | os.PathLike, refresh: bool = False):
+        self.artifacts = ArtifactStore(root)
         #: when True every lookup misses, so results are recomputed and
         #: republished (cache-busting without deleting the store)
         self.refresh = refresh
         self.provenance: list[StageProvenance] = []
         self.violations: list[IntegrityViolation] = []
 
-    @property
-    def is_fabric(self) -> bool:
-        return isinstance(self.artifacts, FabricStore)
-
     # ---------------------------------------------------------------- lookup
     def lookup(self, kind: str, key: str) -> dict | None:
-        """Fetch one stage payload; corruption degrades to a logged miss."""
+        """Fetch one stage payload; corruption or a wiped store degrades
+        to a logged miss."""
         if self.refresh:
             return None
         try:
@@ -130,21 +110,10 @@ class CampaignStore:
             self.violations.append(violation)
             logger.warning("store: %s", violation.describe())
             return None
-        except ReplicaDivergence as exc:
-            # every copy failed its CRC: the campaign recomputes and the
-            # republish repopulates the placement with a trusted copy
-            violation = IntegrityViolation(
-                check=STORE_CORRUPT_CHECK,
-                fault=key,
-                detail=f"every replica of the {kind} artifact diverged: {exc}",
-            )
-            self.violations.append(violation)
-            logger.warning("store: %s", violation.describe())
-            return None
-        except ShardUnavailable as exc:
-            # no replica reachable right now; a cache miss is the safe
-            # degradation -- recomputation does not need the store at all
-            logger.warning("store: fabric lookup degraded to a miss: %s", exc)
+        except sqlite3.OperationalError as exc:
+            # a deleted root, index or schema: every entry is recomputable,
+            # and the next publish recreates the layout
+            logger.warning("store: %s lookup degraded to a miss: %s", kind, exc)
             return None
 
     # --------------------------------------------------------------- publish
@@ -163,30 +132,16 @@ class CampaignStore:
                 kind, key, payload, design=design, meta=meta, wall_s=wall_s
             )
             return True
-        except (StoreError, ShardUnavailable) as exc:
+        except StoreError as exc:
             logger.warning("store: could not publish %s artifact: %s", kind, exc)
             return False
 
     def publish_many(self, rows: list[tuple], wall_s: float = 0.0) -> int:
-        """Batch-publish ``(kind, key, payload, design, meta)`` rows.
-
-        Uses the backend's single-transaction ``put_many`` when it has
-        one (the plain :class:`~repro.store.artifacts.ArtifactStore`);
-        replicated fabrics route row by row so each key still lands on
-        its own shard placement.  Best-effort like :meth:`publish`.
-        """
+        """Batch-publish ``(kind, key, payload, design, meta)`` rows in one
+        transaction.  Best-effort like :meth:`publish`."""
         try:
-            put_many = getattr(self.artifacts, "put_many", None)
-            if put_many is not None:
-                return put_many(rows, wall_s=wall_s)
-            n = 0
-            for kind, key, payload, design, meta in rows:
-                self.artifacts.put(
-                    kind, key, payload, design=design or "", meta=meta, wall_s=wall_s
-                )
-                n += 1
-            return n
-        except (StoreError, ShardUnavailable) as exc:
+            return self.artifacts.put_many(rows, wall_s=wall_s)
+        except StoreError as exc:
             logger.warning("store: batch publication degraded: %s", exc)
             return 0
 

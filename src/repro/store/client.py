@@ -1,49 +1,33 @@
-"""Retrying multi-endpoint HTTP client for the campaign service.
+"""Retrying HTTP client for the campaign service.
 
-The ROADMAP's remote-store client: several serve nodes share one cache,
-and the client treats the service's failure vocabulary as a protocol,
-not as exceptions to crash on.  Stdlib ``urllib`` only.
+The client treats the service's failure vocabulary as a protocol, not
+as exceptions to crash on.  Stdlib ``urllib`` only.
 
 * every request carries a **connect/read timeout**;
-* a client may hold **several endpoints** (a list of serve nodes over
-  one fabric).  Within a retry round the endpoints are tried in order:
-  a connection failure or retryable HTTP error **fails over** to the
-  next endpoint immediately (no backoff inside a round), so a
-  SIGKILLed node costs one connect attempt, not a request failure;
-* each endpoint has a tiny **circuit breaker**: ``cb_threshold``
-  consecutive failures open it for ``cb_cooldown`` seconds, during
-  which it is skipped entirely; when every endpoint is open they are
-  all probed anyway (half-open) rather than failing without trying;
-* with ``hedge_delay`` set, **GET**s are hedged: if the first endpoint
-  has not answered within the delay, the next is raced in parallel and
-  the first success wins -- tail latency against a wedged node is
-  capped near the hedge delay;
 * transient failures -- connection refused/reset, request timeouts,
   and any response whose structured body says ``"retryable": true``
-  (503 overload, 504 deadline, 5xx) -- are retried across rounds with
-  **exponential backoff plus deterministic-injectable jitter**;
+  (503 overload, 504 deadline, 5xx) -- are retried with **exponential
+  backoff plus deterministic-injectable jitter**;
 * a 503's **``Retry-After``** header is honored (capped) instead of the
   computed backoff, so a draining or saturated server paces its own
   retry traffic;
 * terminal failures raise :class:`RemoteStoreError` carrying the HTTP
   status and the parsed structured body, immediately -- a 400 is the
-  same answer from every replica, so no failover can fix it.
+  same answer on every attempt, so no retry can fix it.
 
-``sleep``, ``rand`` and ``clock`` are injectable so tests drive the
-retry schedule and breaker cool-downs without wall-clock waits.
+``sleep`` and ``rand`` are injectable so tests drive the retry schedule
+without wall-clock waits.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import random
 import socket
-import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..core.errors import CampaignError
 
@@ -53,11 +37,6 @@ DEFAULT_BACKOFF_S = 0.25
 DEFAULT_BACKOFF_CAP_S = 8.0
 DEFAULT_JITTER = 0.25
 DEFAULT_RETRY_AFTER_CAP_S = 30.0
-
-#: consecutive endpoint failures before its circuit opens
-DEFAULT_CB_THRESHOLD = 3
-#: seconds an open endpoint is skipped before being probed again
-DEFAULT_CB_COOLDOWN_S = 10.0
 
 
 class RemoteStoreError(CampaignError):
@@ -70,7 +49,7 @@ class RemoteStoreError(CampaignError):
 
 
 class _Retryable(Exception):
-    """Internal: one endpoint attempt failed in a retryable way."""
+    """Internal: one attempt failed in a retryable way."""
 
     def __init__(self, detail: str, retry_after: str | None = None,
                  status: int | None = None, payload: Any = None):
@@ -82,86 +61,30 @@ class _Retryable(Exception):
 
 
 class StoreClient:
-    """Retrying JSON client over one or more serve-node endpoints."""
+    """Retrying JSON client over one serve-node endpoint."""
 
     def __init__(
         self,
-        endpoints: str | Sequence[str],
+        endpoint: str,
         timeout: float = DEFAULT_TIMEOUT_S,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff: float = DEFAULT_BACKOFF_S,
         backoff_cap: float = DEFAULT_BACKOFF_CAP_S,
         jitter: float = DEFAULT_JITTER,
         retry_after_cap: float = DEFAULT_RETRY_AFTER_CAP_S,
-        cb_threshold: int = DEFAULT_CB_THRESHOLD,
-        cb_cooldown: float = DEFAULT_CB_COOLDOWN_S,
-        hedge_delay: float | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rand: Callable[[], float] = random.random,
-        clock: Callable[[], float] = time.monotonic,
     ):
-        if isinstance(endpoints, str):
-            endpoints = [endpoints]
-        if not endpoints:
-            raise CampaignError("StoreClient needs at least one endpoint")
-        self.endpoints = [e.rstrip("/") for e in endpoints]
+        self.base_url = endpoint.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.jitter = jitter
         self.retry_after_cap = retry_after_cap
-        self.cb_threshold = cb_threshold
-        self.cb_cooldown = cb_cooldown
-        self.hedge_delay = hedge_delay
         self._sleep = sleep
         self._rand = rand
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._fails = {e: 0 for e in self.endpoints}  # consecutive failures
-        self._open_until = {e: 0.0 for e in self.endpoints}
-        # ---- telemetry (read by tests and callers)
-        self.attempts = 0  # lifetime HTTP attempts
-        self.failovers = 0  # answers served by a non-first endpoint
-        self.hedged = 0  # hedge launches
-        self.hedge_wins = 0  # hedged request won by the later endpoint
-
-    @property
-    def base_url(self) -> str:
-        """The first (preferred) endpoint, for single-node callers."""
-        return self.endpoints[0]
-
-    # ------------------------------------------------------------ breakers
-    def _note_ok(self, endpoint: str) -> None:
-        with self._lock:
-            self._fails[endpoint] = 0
-            self._open_until[endpoint] = 0.0
-
-    def _note_fail(self, endpoint: str) -> None:
-        with self._lock:
-            self._fails[endpoint] += 1
-            if self._fails[endpoint] >= self.cb_threshold:
-                self._open_until[endpoint] = self._clock() + self.cb_cooldown
-
-    def _available(self) -> list[str]:
-        """Endpoints whose circuit is closed; all of them when every
-        circuit is open (half-open probing beats certain failure)."""
-        now = self._clock()
-        with self._lock:
-            closed = [e for e in self.endpoints if self._open_until[e] <= now]
-        return closed or list(self.endpoints)
-
-    def endpoint_state(self) -> dict[str, dict]:
-        now = self._clock()
-        with self._lock:
-            return {
-                e: {
-                    "consecutive_failures": self._fails[e],
-                    "open": self._open_until[e] > now,
-                    "retry_in_s": max(0.0, self._open_until[e] - now),
-                }
-                for e in self.endpoints
-            }
+        self.attempts = 0  # lifetime HTTP attempts (read by tests)
 
     # ------------------------------------------------------------ plumbing
     def _delay(self, attempt: int, retry_after: str | None) -> float:
@@ -173,23 +96,21 @@ class StoreClient:
         base = min(self.backoff * 2**attempt, self.backoff_cap)
         return base * (1.0 + self.jitter * self._rand())
 
-    def _try_endpoint(self, endpoint: str, path: str, method: str,
-                      body: bytes | None, content_type: str) -> Any:
-        """One HTTP attempt against one endpoint.
+    def _attempt(self, path: str, method: str, body: bytes | None,
+                 content_type: str) -> Any:
+        """One HTTP attempt; returns the parsed payload.
 
-        Returns the parsed payload; raises :class:`_Retryable` for
-        failures another endpoint or a later round may fix, and
-        :class:`RemoteStoreError` for terminal ones.
+        Raises :class:`_Retryable` for failures a later attempt may fix
+        and :class:`RemoteStoreError` for terminal ones.
         """
-        url = f"{endpoint}/{path.lstrip('/')}"
-        with self._lock:
-            self.attempts += 1
+        url = f"{self.base_url}/{path.lstrip('/')}"
+        self.attempts += 1
         req = urllib.request.Request(url, data=body, method=method)
         if body is not None:
             req.add_header("Content-Type", content_type)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                out = json.loads(resp.read())
+                return json.loads(resp.read())
         except urllib.error.HTTPError as exc:
             raw = exc.read()
             try:
@@ -199,131 +120,42 @@ class StoreClient:
                     "utf-8", errors="replace"), "retryable": exc.code >= 500}
             detail = f"HTTP {exc.code}: {payload.get('message', '')}"
             if not bool(payload.get("retryable", exc.code >= 500)):
-                # terminal: every replica would answer the same -- no
-                # failover, no retry, and the endpoint is not at fault
                 raise RemoteStoreError(
                     f"{method} {url} failed: {detail}",
                     status=exc.code, payload=payload,
                 ) from None
-            self._note_fail(endpoint)
             raise _Retryable(
                 detail, retry_after=exc.headers.get("Retry-After"),
                 status=exc.code, payload=payload,
             ) from None
         except (urllib.error.URLError, socket.timeout, ConnectionError, TimeoutError) as exc:
             reason = getattr(exc, "reason", exc)
-            self._note_fail(endpoint)
             raise _Retryable(f"{type(exc).__name__}: {reason}") from None
-        self._note_ok(endpoint)
-        return out
 
     def request(self, path: str, method: str = "GET", body: bytes | None = None,
                 content_type: str = "text/plain") -> Any:
-        """One JSON request with failover + retries; parsed payload."""
+        """One JSON request with retries; parsed payload."""
         last: _Retryable | None = None
         connection_only = True
         for attempt in range(self.max_retries + 1):
-            targets = self._available()
-            if (
-                self.hedge_delay is not None
-                and method == "GET"
-                and len(targets) > 1
-            ):
-                try:
-                    return self._round_hedged(targets, path, method, body, content_type)
-                except _Retryable as exc:
-                    last = exc
-                    connection_only = connection_only and exc.status is None
-            else:
-                for pos, endpoint in enumerate(targets):
-                    try:
-                        out = self._try_endpoint(endpoint, path, method, body, content_type)
-                    except _Retryable as exc:
-                        last = exc
-                        connection_only = connection_only and exc.status is None
-                        continue
-                    if pos > 0:
-                        with self._lock:
-                            self.failovers += 1
-                    return out
-            if attempt >= self.max_retries:
-                break
-            self._sleep(self._delay(attempt, last.retry_after if last else None))
+            try:
+                return self._attempt(path, method, body, content_type)
+            except _Retryable as exc:
+                last = exc
+                connection_only = connection_only and exc.status is None
+            if attempt < self.max_retries:
+                self._sleep(self._delay(attempt, last.retry_after))
         assert last is not None
-        where = self.endpoints[0] if len(self.endpoints) == 1 else (
-            f"all {len(self.endpoints)} endpoints"
-        )
+        url = f"{self.base_url}/{path.lstrip('/')}"
         if connection_only:
             raise RemoteStoreError(
-                f"{method} {where}/{path.lstrip('/')} unreachable after "
+                f"{method} {url} unreachable after "
                 f"{self.max_retries + 1} attempts: {last.detail}"
             )
         raise RemoteStoreError(
-            f"{method} {where}/{path.lstrip('/')} failed: {last.detail}",
+            f"{method} {url} failed: {last.detail}",
             status=last.status, payload=last.payload,
         )
-
-    def _round_hedged(self, targets: list[str], path: str, method: str,
-                      body: bytes | None, content_type: str) -> Any:
-        """One retry round as a hedged race across ``targets``.
-
-        The first endpoint is asked immediately; every ``hedge_delay``
-        seconds without an answer the next one joins the race.  First
-        success wins; a terminal error from any racer wins too (it is
-        the same answer everywhere).  All-failed raises the last
-        :class:`_Retryable` for the round loop to back off on.
-        """
-        results: queue.Queue = queue.Queue()
-
-        def run(endpoint: str) -> None:
-            try:
-                results.put(("ok", endpoint, self._try_endpoint(
-                    endpoint, path, method, body, content_type)))
-            except _Retryable as exc:
-                results.put(("retryable", endpoint, exc))
-            except RemoteStoreError as exc:
-                results.put(("terminal", endpoint, exc))
-
-        started = 0
-
-        def launch() -> None:
-            nonlocal started
-            threading.Thread(
-                target=run, args=(targets[started],), daemon=True,
-                name=f"client-hedge-{started}",
-            ).start()
-            started += 1
-
-        launch()
-        pending = 1
-        last: _Retryable | None = None
-        while pending:
-            try:
-                status, endpoint, value = results.get(
-                    timeout=self.hedge_delay if started < len(targets) else None
-                )
-            except queue.Empty:
-                with self._lock:
-                    self.hedged += 1
-                launch()
-                pending += 1
-                continue
-            pending -= 1
-            if status == "ok":
-                if endpoint != targets[0]:
-                    with self._lock:
-                        self.failovers += 1
-                        if started > 1:
-                            self.hedge_wins += 1
-                return value
-            if status == "terminal":
-                raise value
-            last = value
-            if pending == 0 and started < len(targets):
-                launch()
-                pending += 1
-        assert last is not None
-        raise last
 
     # --------------------------------------------------------- convenience
     def healthz(self) -> dict:

@@ -22,8 +22,6 @@ Endpoints::
     GET  /campaigns/<design>/calibrate  fleet-scale threshold ROC (compute
          ?instances=100000              hook required; coalesced per fleet
          &sigma_cap=0.05&seed=7 ...     configuration -- see docs/store.md)
-    GET  /fabric                        shard-fabric topology and health
-                                        (404 on a plain single-file store)
     POST /designs/validate              fail-fast validation of an uploaded
          ?format=bench|verilog          netlist (never reaches a worker)
 
@@ -50,7 +48,6 @@ from ..core.errors import (
     DeadlineExceeded,
     InputValidationError,
     ServiceOverloaded,
-    ShardUnavailable,
     is_retryable,
 )
 from .cache import CampaignStore
@@ -82,7 +79,7 @@ def http_status(exc: BaseException) -> int:
     """Map the failure taxonomy onto HTTP status codes."""
     if isinstance(exc, InputValidationError):
         return 400
-    if isinstance(exc, (ServiceOverloaded, ShardUnavailable)):
+    if isinstance(exc, ServiceOverloaded):
         return 503
     if isinstance(exc, (DeadlineExceeded, ChunkTimeout)):
         return 504
@@ -176,8 +173,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, svc.stats())
             elif parts == ["campaigns"]:
                 self._send(200, query_json(query_campaigns(svc.store)))
-            elif parts == ["fabric"]:
-                self._fabric()
             elif len(parts) in (2, 3) and parts[0] == "campaigns":
                 self._campaign(parts, params)
             else:
@@ -210,24 +205,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_payload(500, exc)
 
     # ------------------------------------------------------------ handlers
-    def _fabric(self) -> None:
-        artifacts = self.service.store.artifacts
-        stats_fn = getattr(artifacts, "shard_health", None)
-        if stats_fn is None:  # plain single-file store
-            self._error(
-                404, "NotFabric",
-                "this node serves a plain single-file store, not a shard fabric",
-            )
-            return
-        self._send(
-            200,
-            {
-                "shards": artifacts.map.n_shards,
-                "replicas": artifacts.map.n_replicas,
-                "health": artifacts.shard_health(),
-            },
-        )
-
     def _campaign(self, parts: list[str], params: dict[str, str]) -> None:
         svc = self.service
         design = parts[1]

@@ -292,11 +292,6 @@ class ServiceChaos:
       service's ``on_job`` hook), driving the supervisor's
       requeue-and-restart path instead of the in-compute retry path.
 
-    Shard-fabric loss is injected by the ``*_shard*`` methods below:
-    delete a shard's database, wedge it behind an exclusive SQLite
-    transaction, or damage one replica's blob bytes -- the fabric must
-    answer from a replica, quarantine the bad copy, and read-repair.
-
     All decisions are per-design and first-N-attempts only, tracked
     in-memory under a lock (the service runs its computes in threads of
     one process, unlike the multi-process campaign chaos above).
@@ -330,9 +325,6 @@ class ServiceChaos:
         self.hung = 0
         self.corrupted = 0
         self.workers_killed = 0
-        self.shards_deleted = 0
-        self.shards_locked = 0
-        self.shard_copies_corrupted = 0
 
     def wrap(self, compute: Callable[[str, float], dict]) -> Callable[[str, float], dict]:
         """Wrap a service compute hook with the configured injections."""
@@ -387,65 +379,6 @@ class ServiceChaos:
             f"chaos: worker thread died holding the job for {job.design!r} "
             f"(claim {n})"
         )
-
-    # ------------------------------------------------------------ shard loss
-    def delete_shard_db(self, fabric: Any, shard_id: int) -> Path:
-        """Delete one shard's SQLite index outright (a lost disk).
-
-        The next read through that shard raises ``no such table`` (the
-        file is recreated empty on connect); the fabric must fail over
-        to a replica and heal the schema on the next write.
-        """
-        path = Path(fabric.shards[shard_id].root) / "index.db"
-        path.unlink(missing_ok=True)
-        with self._lock:
-            self.shards_deleted += 1
-        return path
-
-    def lock_shard(self, fabric: Any, shard_id: int) -> Callable[[], None]:
-        """Wedge one shard behind an exclusive SQLite transaction.
-
-        Every other connection to that shard's database gets
-        ``database is locked`` until the returned release callable is
-        invoked -- the signature of a wedged writer process.  Reads
-        through the fabric must fail over to a replica after the
-        shard's (short) lock timeout.
-        """
-        import sqlite3
-
-        con = sqlite3.connect(fabric.shards[shard_id]._db_path, timeout=0.1)
-        con.execute("BEGIN EXCLUSIVE")
-        with self._lock:
-            self.shards_locked += 1
-
-        def release() -> None:
-            con.rollback()
-            con.close()
-
-        return release
-
-    def corrupt_shard_copy(self, fabric: Any, key: str, shard_id: int | None = None) -> bool:
-        """Damage one replica's blob bytes for ``key`` (default: primary).
-
-        The copy no longer hashes to its content address, so a read
-        through that shard must quarantine it and the fabric must serve
-        from (and read-repair onto) a surviving replica.
-        """
-        if shard_id is None:
-            shard_id = fabric.map.placement(key)[0]
-        shard = fabric.shards[shard_id]
-        row = shard.row(key)
-        if row is None:
-            return False
-        path = shard._blob_path(row.blob_sha)
-        data = bytearray(path.read_bytes())
-        if not data:
-            return False
-        data[len(data) // 2] ^= 0x20
-        path.write_bytes(bytes(data))
-        with self._lock:
-            self.shard_copies_corrupted += 1
-        return True
 
     @staticmethod
     def corrupt_report_blob(store: Any, design: str) -> bool:

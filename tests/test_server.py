@@ -489,7 +489,7 @@ def test_upload_endpoint(served):
 
 # ------------------------------------------------------------------ client
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list  # (status, payload, headers[, delay_s]) consumed per request
+    script: list  # (status, payload, headers) consumed per request
     hits: list
 
     def log_message(self, fmt, *args):
@@ -497,12 +497,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         self.hits.append(self.path)
-        entry = self.script.pop(0) if self.script else (200, {"ok": True}, {})
-        if len(entry) == 4:
-            status, payload, headers, delay = entry
-            time.sleep(delay)
-        else:
-            status, payload, headers = entry
+        status, payload, headers = (
+            self.script.pop(0) if self.script else (200, {"ok": True}, {})
+        )
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -576,113 +573,9 @@ def test_client_retries_connection_failures_then_raises():
     assert naps == [0.25, 0.5]  # exponential backoff between attempts
 
 
-# --------------------------------------------------- client multi-endpoint
-#: an endpoint that refuses connections instantly (port 9 is discard/unused)
-DEAD_ENDPOINT = "http://127.0.0.1:9"
-
-
-def test_client_fails_over_to_second_endpoint_without_backoff(scripted_server):
-    """A dead first endpoint costs one connect attempt inside the round --
-    never a sleep, never a request failure."""
-    base, handler = scripted_server([(200, {"design": "facet"}, {})])
-    naps: list[float] = []
-    client = StoreClient(
-        [DEAD_ENDPOINT, base], timeout=0.5, jitter=0.0, sleep=naps.append
-    )
-    assert client.campaign("facet") == {"design": "facet"}
-    assert naps == []  # failover is immediate, backoff is between rounds
-    assert client.attempts == 2 and len(handler.hits) == 1
-    assert client.failovers == 1
-
-
-def test_client_failover_ordering_on_retryable_http_error(scripted_server):
-    """A retryable 503 from the first endpoint fails over in-round; the
-    answering endpoint is the next one in declaration order."""
-    overloaded = {"error": "ServiceOverloaded", "message": "full", "retryable": True}
-    base_a, handler_a = scripted_server([(503, overloaded, {})])
-    base_b, handler_b = scripted_server([(200, {"design": "facet"}, {})])
-    naps: list[float] = []
-    client = StoreClient([base_a, base_b], jitter=0.0, sleep=naps.append)
-    assert client.campaign("facet") == {"design": "facet"}
-    assert naps == []
-    assert [len(handler_a.hits), len(handler_b.hits)] == [1, 1]
-    assert client.failovers == 1
-
-
-def test_client_terminal_error_never_fails_over(scripted_server):
-    """A 400 is the same answer from every replica: raise immediately,
-    second endpoint untouched, no endpoint blamed."""
-    bad = {"error": "InputValidationError", "message": "nope", "retryable": False}
-    base_a, handler_a = scripted_server([(400, bad, {})])
-    base_b, handler_b = scripted_server([])
-    client = StoreClient([base_a, base_b], sleep=lambda s: None)
-    with pytest.raises(RemoteStoreError) as exc_info:
-        client.campaign("facet")
-    assert exc_info.value.status == 400
-    assert client.attempts == 1
-    assert len(handler_a.hits) == 1 and len(handler_b.hits) == 0
-    assert client.endpoint_state()[base_a]["consecutive_failures"] == 0
-
-
-def test_client_circuit_breaker_skips_dead_endpoint_then_probes(scripted_server):
-    """cb_threshold consecutive failures open a dead endpoint's circuit
-    (it stops being tried at all); after cb_cooldown it is probed again."""
-    base, handler = scripted_server([(200, {"n": i}, {}) for i in range(8)])
-    now = [1000.0]
-    client = StoreClient(
-        [DEAD_ENDPOINT, base],
-        timeout=0.5,
-        jitter=0.0,
-        cb_threshold=2,
-        cb_cooldown=30.0,
-        sleep=lambda s: None,
-        clock=lambda: now[0],
-    )
-    client.request("stats")  # dead fails (1/2), failover
-    client.request("stats")  # dead fails (2/2) -> circuit opens
-    assert client.endpoint_state()[DEAD_ENDPOINT]["open"] is True
-    attempts_before = client.attempts
-    client.request("stats")  # dead endpoint skipped entirely
-    assert client.attempts == attempts_before + 1  # only the live endpoint
-    now[0] += 31.0  # cool-down elapses
-    assert client.endpoint_state()[DEAD_ENDPOINT]["open"] is False
-    attempts_before = client.attempts
-    client.request("stats")  # dead endpoint probed again, fails, failover
-    assert client.attempts == attempts_before + 2
-    assert len(handler.hits) == 4
-
-
-def test_client_all_circuits_open_still_probes(scripted_server):
-    """When every endpoint's circuit is open the client half-opens all of
-    them rather than failing a request without a single attempt."""
-    base, handler = scripted_server([(200, {"ok": True}, {})])
-    now = [0.0]
-    client = StoreClient(
-        [base], cb_threshold=1, cb_cooldown=60.0, clock=lambda: now[0],
-        sleep=lambda s: None,
-    )
-    client._note_fail(base.rstrip("/"))  # trip the only endpoint's breaker
-    assert client.endpoint_state()[base.rstrip("/")]["open"] is True
-    assert client.request("stats") == {"ok": True}  # half-open probe served
-
-
-def test_client_hedged_get_winner_selection(scripted_server):
-    """With hedge_delay set, a slow first endpoint is raced against the
-    next replica and the fastest good answer wins."""
-    base_slow, handler_slow = scripted_server([(200, {"who": "slow"}, {}, 1.0)])
-    base_fast, handler_fast = scripted_server([(200, {"who": "fast"}, {})])
-    client = StoreClient(
-        [base_slow, base_fast], hedge_delay=0.05, sleep=lambda s: None
-    )
-    assert client.request("stats") == {"who": "fast"}
-    assert client.hedged == 1 and client.hedge_wins == 1 and client.failovers == 1
-    assert len(handler_fast.hits) == 1
-
-
 def test_client_single_endpoint_base_url_compat():
     client = StoreClient("http://127.0.0.1:8357/")
     assert client.base_url == "http://127.0.0.1:8357"
-    assert client.endpoints == ["http://127.0.0.1:8357"]
 
 
 # ------------------------------------------------------- worker supervisor

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -169,6 +170,85 @@ def test_gc_never_deletes_referenced_blobs(tmp_path):
     assert store.verify() == []
 
 
+# --------------------------------------- gc/verify vs publish (shared lock)
+def _keys(n: int) -> list[str]:
+    """Realistic store keys: canonical sha-256 fingerprints."""
+    return [digest({"test-key": i}) for i in range(n)]
+
+
+def test_reader_lock_blocks_writers_for_the_whole_pass(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    store.put("report", _keys(1)[0], {"n": 0})
+    with store.reader():
+        # a publish cannot land mid-verify: the maintenance pass owns
+        # the store until it releases the shared lock
+        with pytest.raises(StoreLockError):
+            store.put("report", _keys(2)[1], {"n": 1})
+        # and gc (an exclusive whole-pass writer) cannot start either
+        with pytest.raises(StoreLockError):
+            store.gc()
+
+
+def test_reader_locks_are_shared(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    store.put("report", _keys(1)[0], {"n": 0})
+    with store.reader():
+        with store.reader():  # two scrubbers/verifiers coexist
+            assert store.verify() == []
+
+
+def test_writer_lock_blocks_scrub_readers(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    with store.writer():
+        with pytest.raises(StoreLockError):
+            with store.reader():
+                pass  # pragma: no cover - the acquire raises
+
+
+# ------------------------------------------------- a store wiped mid-run
+def _published(tmp_path) -> CampaignStore:
+    store = CampaignStore(tmp_path / "store")
+    assert store.publish("report", "k", {"v": 1}, design="facet")
+    assert store.lookup("report", "k") == {"v": 1}
+    return store
+
+
+def test_deleted_index_lookup_is_a_logged_miss(tmp_path, caplog):
+    store = _published(tmp_path)
+    (store.artifacts.root / "index.db").unlink()
+    with caplog.at_level("WARNING", logger="repro.store.cache"):
+        assert store.lookup("report", "k") is None
+    assert "degraded to a miss" in caplog.text
+    assert store.violations == []  # a lost index is not corruption
+
+
+def test_deleted_index_publish_recreates_the_schema(tmp_path):
+    store = _published(tmp_path)
+    (store.artifacts.root / "index.db").unlink()
+    assert store.publish("report", "k", {"v": 1}, design="facet")
+    assert store.lookup("report", "k") == {"v": 1}
+
+
+def test_wiped_root_lookup_is_a_logged_miss(tmp_path, caplog):
+    store = _published(tmp_path)
+    shutil.rmtree(store.artifacts.root)
+    with caplog.at_level("WARNING", logger="repro.store.cache"):
+        assert store.lookup("report", "k") is None
+    assert "degraded to a miss" in caplog.text
+    assert store.violations == []
+
+
+def test_wiped_root_publish_recreates_the_layout(tmp_path):
+    store = _published(tmp_path)
+    shutil.rmtree(store.artifacts.root)
+    assert store.publish("report", "k", {"v": 1}, design="facet")
+    shutil.rmtree(store.artifacts.root)
+    rows = [("fault-entry", "e", {"v": 2}, "facet", None)]
+    assert store.publish_many(rows) == 1
+    assert store.lookup("fault-entry", "e") == {"v": 2}
+    assert store.artifacts.verify() == []
+
+
 # ------------------------------------------------------- CLI cold/warm runs
 def test_cli_cold_warm_bit_identity(tmp_path, capsys):
     """The acceptance loop: a warm store-backed grade replays faultsim and
@@ -205,6 +285,74 @@ def test_cli_cold_warm_bit_identity(tmp_path, capsys):
     assert [v["check"] for v in again_store["violations"]] == ["store-blob-corrupt"]
     fs_stage = next(s for s in again_store["stages"] if s["stage"] == "faultsim")
     assert not fs_stage["hit"] and fs_stage["published"]  # recomputed + republished
+
+
+def _wipe_root(root: Path) -> None:
+    shutil.rmtree(root)
+
+
+def _delete_index(root: Path) -> None:
+    (root / "index.db").unlink(missing_ok=True)
+
+
+def _flip_every_blob(root: Path) -> None:
+    for path in (root / "objects").glob("*/*"):
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x40
+        path.write_bytes(bytes(data))
+
+
+#: store calls one ``--patterns 64 grade facet`` makes on an empty store:
+#: lookup/publish faultsim, publish_many fault entries, lookup/publish
+#: grading, lookup/publish report
+_GRADE_STORE_CALLS = 7
+
+_GRADE_ARGV = ["--patterns", "64", "grade", "facet"]
+
+
+@pytest.fixture(scope="module")
+def storeless_grade(tmp_path_factory) -> bytes:
+    out = tmp_path_factory.mktemp("storeless") / "result.json"
+    assert main(["--result-json", str(out), *_GRADE_ARGV]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage", [_wipe_root, _delete_index, _flip_every_blob],
+    ids=["rm-root", "rm-index", "flip-blobs"],
+)
+@pytest.mark.parametrize("call", range(_GRADE_STORE_CALLS))
+def test_damage_at_any_store_call_keeps_results_identical(
+    tmp_path, monkeypatch, capsys, storeless_grade, call, damage
+):
+    """The store is a recomputable cache: wiping or corrupting it just
+    before any lookup/publish of a cold campaign leaves the result report
+    byte-identical to a store-less run, and so does the warm rerun."""
+    root = tmp_path / "store"
+    seen = {"calls": 0, "damaged": False}
+
+    def damaging(method):
+        def wrapper(self, *args, **kwargs):
+            if seen["calls"] == call:
+                damage(root)
+                seen["damaged"] = True
+            seen["calls"] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("lookup", "publish", "publish_many"):
+            patch.setattr(CampaignStore, name, damaging(getattr(CampaignStore, name)))
+        cold = tmp_path / "cold.json"
+        argv = ["--store-dir", str(root), "--result-json", str(cold), *_GRADE_ARGV]
+        assert main(argv) == 0
+    assert seen == {"calls": _GRADE_STORE_CALLS, "damaged": True}
+    assert cold.read_bytes() == storeless_grade
+
+    warm = tmp_path / "warm.json"
+    assert main(["--store-dir", str(root), "--result-json", str(warm), *_GRADE_ARGV]) == 0
+    assert warm.read_bytes() == storeless_grade
 
 
 def test_store_refresh_forces_recompute(tmp_path, capsys):
