@@ -1,10 +1,10 @@
 """Serial-vs-parallel scaling of the fault-parallel engine.
 
 Times the two fan-out stages of the pipeline -- fault simulation and
-Monte-Carlo power grading -- at increasing ``n_jobs``, compares the
-cone-restricted engine against the unrestricted one on the same
-campaign, verifies the results stay bit-identical, and records the
-wall-clock table in ``benchmarks/results/parallel.txt``.  On a
+Monte-Carlo power grading -- at increasing ``n_jobs``, times the
+cone-restricted fault-sim engine alone and checks every verdict against
+the serial per-fault oracle, verifies the results stay bit-identical,
+and records the wall-clock table in ``benchmarks/results/parallel.txt``.  On a
 single-core host the parallel rows only show process overhead; the
 bit-identity assertions are the point there.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.grading import grade_sfr_faults
 from repro.core.pipeline import controller_fault_universe
 from repro.hls.system import NormalModeStimulus, hold_masks
-from repro.logic.faultsim import fault_simulate
+from repro.logic.faultsim import fault_simulate, run_golden, simulate_one_fault
 from repro.store.cache import CampaignStore
 from repro.store.fingerprint import netlist_fingerprint, stage_key
 from repro.tpg.tpgr import TPGR
@@ -27,13 +27,19 @@ from _config import MC_BATCH, MC_MAX_BATCHES, PATTERNS
 JOB_COUNTS = (1, 2, 4)
 
 
-def _fault_sim_once(system, n_jobs, store=None, cone_sim=True, audit_rate=None):
+def _campaign(system):
+    """Stimulus, sampling masks, observed nets and faults of the bench."""
     tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=0xACE1)
     data = {k: np.asarray(v) for k, v in tpgr.generate(PATTERNS).items()}
     stim = NormalModeStimulus(system, data, system.cycles_for(4))
     masks = hold_masks(system, stim)
     observe = [n for bus in system.output_buses.values() for n in bus]
     faults = [system.to_system_fault(s) for s in controller_fault_universe(system)]
+    return stim, masks, observe, faults
+
+
+def _fault_sim_once(system, n_jobs, store=None, audit_rate=None):
+    stim, masks, observe, faults = _campaign(system)
     store_key = None
     if store is not None:
         store_key = stage_key(
@@ -52,7 +58,6 @@ def _fault_sim_once(system, n_jobs, store=None, cone_sim=True, audit_rate=None):
         n_jobs=n_jobs,
         store=store,
         store_key=store_key,
-        cone_sim=cone_sim,
         **kwargs,
     )
     return time.perf_counter() - t0, result
@@ -175,35 +180,35 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
         print(msg)
         lines.append(f"  {msg}")
 
-    # Cone-restricted vs unrestricted engine on the same campaign.  Audits
-    # are disabled so the comparison times the engines themselves, not the
-    # (identical, serial) audit re-simulations both sides would share.
-    cone_on_s = min(
-        _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=True)[0]
-        for _ in range(3)
-    )
-    cone_result = _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=True)[1]
-    cone_off_s = min(
-        _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=False)[0]
-        for _ in range(3)
-    )
-    flat_result = _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=False)[1]
-    assert cone_result.verdicts == flat_result.verdicts == base_result.verdicts
-    assert cone_result.detect_cycle == flat_result.detect_cycle
+    # The cone-restricted engine alone (audits off, so the row times the
+    # engine, not the serial audit re-simulations), then every verdict
+    # and detect cycle checked against the serial per-fault oracle.
+    cone_s = min(_fault_sim_once(system, 1, audit_rate=0.0)[0] for _ in range(3))
+    cone_result = _fault_sim_once(system, 1, audit_rate=0.0)[1]
+    assert cone_result.verdicts == base_result.verdicts
     assert cone_result.cone is not None
+    stim, masks, observe, faults = _campaign(system)
+    t0 = time.perf_counter()
+    golden = run_golden(system.netlist, stim, observe)
+    for fault in faults:
+        verdict, cycle = simulate_one_fault(
+            system.netlist, fault, stim, observe, golden, masks
+        )
+        assert cone_result.verdicts[fault] is verdict, fault
+        assert cone_result.detect_cycle.get(fault, -1) == cycle, fault
+    oracle_s = time.perf_counter() - t0
     metrics["cone"] = {
-        "cone_wall_s": cone_on_s,
-        "flat_wall_s": cone_off_s,
-        "speedup": cone_off_s / cone_on_s,
+        "cone_wall_s": cone_s,
+        "oracle_wall_s": oracle_s,
         "evaluated_gate_fraction": cone_result.cone.evaluated_gate_fraction,
         "early_death_rate": cone_result.cone.early_death_rate,
     }
     lines += [
         "",
-        f"cone engine: flat {cone_off_s:.2f}s -> cone {cone_on_s:.2f}s "
-        f"({cone_off_s / cone_on_s:.2f}x, "
-        f"gate fraction {cone_result.cone.evaluated_gate_fraction:.2f}, "
-        f"early death {cone_result.cone.early_death_rate:.2f}, bit-identical)",
+        f"cone engine: {cone_s:.2f}s vs serial oracle {oracle_s:.2f}s "
+        f"(gate fraction {cone_result.cone.evaluated_gate_fraction:.2f}, "
+        f"early death {cone_result.cone.early_death_rate:.2f}, "
+        f"every verdict equals the oracle)",
     ]
 
     # Store replay: publish once cold, then measure the warm hit path and

@@ -278,13 +278,18 @@ def _result_report(
     return report
 
 
-def _build(args):
+def _system(args, name: str):
+    """Catalog design ``name`` built with this invocation's global knobs."""
     return cached_system(
-        args.design,
+        name,
         width=args.width,
         encoding_kind=args.encoding,
         output_style=args.output_style,
     )
+
+
+def _build(args):
+    return _system(args, args.design)
 
 
 def _baseline_spec(args, system):
@@ -299,13 +304,7 @@ def _baseline_spec(args, system):
     if not spec:
         return None
     if spec != system.rtl.name and spec in design_names():
-        other = cached_system(
-            spec,
-            width=args.width,
-            encoding_kind=args.encoding,
-            output_style=args.output_style,
-        )
-        return other.netlist
+        return _system(args, spec).netlist
     return spec
 
 
@@ -324,7 +323,6 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(
         n_patterns=args.patterns,
         n_jobs=args.jobs,
-        cone_sim=args.cone_sim,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         timeout=args.timeout,
@@ -440,7 +438,6 @@ def _fleet_config(args):
         sigma_meas=args.sigma_meas,
         yield_budget=args.yield_budget,
         seed=args.fleet_seed,
-        engine=args.fleet_engine,
     )
 
 
@@ -555,7 +552,7 @@ def _cmd_table2(args) -> int:
     store = _store(args)
     results = []
     for name in PAPER_DESIGNS:
-        system = cached_system(name, width=args.width)
+        system = _system(args, name)
         results.append(run_pipeline(system, _config(args), store=store))
     _print_store(store)
     print(render_table2(results))
@@ -564,12 +561,7 @@ def _cmd_table2(args) -> int:
 
 def _compute_campaign(args, store: CampaignStore, design: str, threshold: float) -> dict:
     """Full cache-aware grade flow for one design (the serve miss path)."""
-    system = cached_system(
-        design,
-        width=args.width,
-        encoding_kind=args.encoding,
-        output_style=args.output_style,
-    )
+    system = _system(args, design)
     config = _config(args)
     # "auto" replays from the most recent published version of this
     # design, so a near-duplicate upload hits warm per-fault entries.
@@ -602,12 +594,7 @@ def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) ->
     """
     from .fleet import FleetConfig, calibrate_fleet, calibrate_report_dict
 
-    system = cached_system(
-        design,
-        width=args.width,
-        encoding_kind=args.encoding,
-        output_style=args.output_style,
-    )
+    system = _system(args, design)
     config = _config(args)
     result = run_pipeline(system, config, store=store, baseline="auto")
     fleet, _campaign, _grading = calibrate_fleet(
@@ -836,15 +823,6 @@ def main(argv: list[str] | None = None) -> int:
         "see docs/performance.md)",
     )
     parser.add_argument(
-        "--cone-sim",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cone-restricted differential fault simulation: evaluate only "
-        "each fault's sequential fanout cone against the recorded golden "
-        "trace (verdicts are bit-identical either way; default: --cone-sim "
-        "-- see docs/performance.md)",
-    )
-    parser.add_argument(
         "--batched-grading",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -1011,14 +989,6 @@ def main(argv: list[str] | None = None) -> int:
         default=7,
         help="population sampling seed (default: 7; results are "
         "byte-identical for a fixed configuration)",
-    )
-    p.add_argument(
-        "--fleet-engine",
-        choices=["rowwise", "factored"],
-        default="rowwise",
-        help="'rowwise' materialises C[instances x rows] (the full "
-        "decomposition matmul); 'factored' precontracts the weight/"
-        "activity product (default: rowwise)",
     )
     p.add_argument(
         "--threshold",

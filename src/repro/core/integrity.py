@@ -9,7 +9,7 @@ This module makes campaign results self-verifying:
 * **Differential auditing.**  A deterministic, hash-selected fraction of
   faults (:func:`select_audit`, keyed only by the fault key, so the
   choice is identical for any job count or resume point) is re-evaluated
-  on an independent path: block-parallel fault-simulation verdicts are
+  on an independent path: cone-restricted fault-simulation verdicts are
   re-checked against the serial per-fault simulator, the compiled cycle
   simulator is spot-checked against the scalar event-driven engine, and
   batch-replay Monte-Carlo powers are recomputed through the

@@ -73,10 +73,6 @@ class FleetConfig:
     yield_budget: float = 0.01
     seed: int = 7
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    #: ``"rowwise"`` materialises C[instances x rows] (the issue's
-    #: formula, exercises the full decomposition); ``"factored"``
-    #: precontracts W.T @ A once and never materialises C
-    engine: str = "rowwise"
 
     def validate(self) -> None:
         if self.instances < 1:
@@ -95,8 +91,6 @@ class FleetConfig:
             )
         if list(self.thresholds) != sorted(set(self.thresholds)):
             raise CampaignError("thresholds must be strictly increasing")
-        if self.engine not in ("rowwise", "factored"):
-            raise CampaignError(f"unknown fleet engine {self.engine!r}")
 
     def params_dict(self) -> dict:
         """Canonical parameter dict (store keys, reports, fingerprints)."""
@@ -108,7 +102,6 @@ class FleetConfig:
             "yield_budget": self.yield_budget,
             "seed": self.seed,
             "thresholds": list(self.thresholds),
-            "engine": self.engine,
         }
 
 
@@ -275,8 +268,8 @@ def run_population(
 
     1. per-gate-type capacitance scales ``S = exp(sigma_cap * N)`` and
        leakage scales ``exp(sigma_leak * N)`` (log-normal, mean ~1);
-    2. dynamic power ``P = (S @ W.T) @ A`` (rowwise engine; the factored
-       engine contracts ``W.T @ A`` once) scaled to microwatts;
+    2. dynamic power ``P = (S @ W.T) @ A`` (materialising the per-instance
+       weights ``C = S @ W.T``) scaled to microwatts;
     3. tester measurements: total power and IDDQ, each with independent
        multiplicative noise; the reported dynamic power is their
        difference, so the leakage *mean* cancels and only its spread and
@@ -309,7 +302,6 @@ def run_population(
     n_cols = A.shape[1]
     ones = np.ones((1, W.shape[1]), dtype=np.float64)
     nominal = ((ones @ W.T) @ A)[0] * to_uw
-    WA = W.T @ A if config.engine == "factored" else None
 
     yield_fail = np.zeros(len(thresholds), dtype=np.int64)
     escapes = np.zeros((len(thresholds), n_cols - 1), dtype=np.int64)
@@ -325,10 +317,7 @@ def run_population(
         eps_iddq = rng.standard_normal(n)
 
         t0 = time.perf_counter()
-        if WA is not None:
-            P = (S @ WA) * to_uw
-        else:
-            P = ((S @ W.T) @ A) * to_uw
+        P = ((S @ W.T) @ A) * to_uw
         matmul_s += time.perf_counter() - t0
 
         leak = leak_scale @ L  # (n,) uW per instance

@@ -422,6 +422,57 @@ def monte_carlo_power(
     )
 
 
+class _TiledSim:
+    """Drive adapter replicating one stimulus across fault blocks.
+
+    Presents the ``n_patterns`` of the original stimulus while tiling every
+    drive across the ``n_blocks`` pattern blocks of a wide block-parallel
+    simulator, so any stimulus works with :class:`_FlatBlockKernel`
+    unmodified.
+    """
+
+    def __init__(self, sim: CycleSimulator, n_patterns: int, n_blocks: int):
+        self._sim = sim
+        self._reps = n_blocks
+        self.n_patterns = n_patterns
+        self.words = V.num_words(n_patterns)
+        self.mask = V.tail_mask(n_patterns)
+
+    def drive_words(self, net: int, zero: np.ndarray, one: np.ndarray) -> None:
+        self._sim.drive_words(
+            net,
+            np.tile(zero & self.mask, self._reps),
+            np.tile(one & self.mask, self._reps),
+        )
+
+    def drive(self, net: int, bits) -> None:
+        one = V.pack_bits(np.asarray(bits, dtype=np.uint8))
+        self.drive_words(net, ~one & self.mask, one & self.mask)
+
+    def drive_const(self, net: int, value: int) -> None:
+        zeros = np.zeros(self.words, dtype=self.mask.dtype)
+        if value:
+            self.drive_words(net, zeros, self.mask)
+        else:
+            self.drive_words(net, self.mask, zeros)
+
+    def drive_bus(self, nets: list[int], words) -> None:
+        """Drive a bus (LSB first), tiled across every fault block.
+
+        Mirrors :meth:`CycleSimulator.drive_bus`'s range guard: data that
+        does not fit the bus would silently alias to its low bits in
+        every block, so it is rejected loudly instead.
+        """
+        vals = np.asarray(words, dtype=np.int64)
+        if vals.size and (vals.min() < 0 or vals.max() >> len(nets)):
+            raise ValueError(
+                f"bus value out of range for {len(nets)}-bit bus: "
+                f"min={vals.min()}, max={vals.max()}"
+            )
+        for i, net in enumerate(nets):
+            self.drive(net, (vals >> i) & 1)
+
+
 class _FlatBlockKernel:
     """Per-chunk flat (full-netlist) block-parallel power kernel.
 
@@ -451,8 +502,6 @@ class _FlatBlockKernel:
         self.sim: CycleSimulator | None = None
 
     def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
-        from ..logic.faultsim import _TiledSim
-
         n_blocks = len(self.faults)
         if self.sim is None:
             wpb = stim.n_patterns // V.WORD_BITS

@@ -276,7 +276,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         svc = self.service
         fleet: dict = {}
-        known = set(self._CALIBRATE_INT) | set(self._CALIBRATE_SIGMA) | {"engine"}
+        known = set(self._CALIBRATE_INT) | set(self._CALIBRATE_SIGMA)
         unknown = set(params) - known
         if unknown:
             self._error(
@@ -325,16 +325,6 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                     return
                 fleet[name] = value
-        if "engine" in params:
-            if params["engine"] not in ("rowwise", "factored"):
-                self._error(
-                    400,
-                    "InputValidationError",
-                    f"bad engine {params['engine']!r}: must be 'rowwise' or "
-                    f"'factored'",
-                )
-                return
-            fleet["engine"] = params["engine"]
         report = svc.calibrate(design, fleet)
         if report is None:
             self._error(

@@ -210,3 +210,33 @@ def test_strict_chaos_run_aborts(capsys):
             ["--patterns", "64", "--audit-rate", "0.5", "--strict",
              "--chaos", "bitflip:1,seed:7", "classify", "facet"]
         )
+
+
+def test_table2_honours_encoding(monkeypatch, capsys):
+    """``table2`` builds every design with the global synthesis knobs
+    (``--encoding``/``--output-style``), like every other command."""
+    import repro.cli as cli
+    from repro.designs.catalog import PAPER_DESIGNS
+
+    built = []
+
+    class _Row:
+        def __init__(self, system):
+            self.system = system
+
+        def table2_row(self):
+            return {
+                "design": self.system.rtl.name,
+                "total_faults": 1,
+                "sfr_faults": 0,
+                "pct_sfr": 0.0,
+            }
+
+    def fake_pipeline(system, config, store=None):
+        built.append((system.rtl.name, system.controller.encoding.kind))
+        return _Row(system)
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_pipeline)
+    assert main(["--encoding", "onehot", "table2"]) == 0
+    assert built == [(name, "onehot") for name in PAPER_DESIGNS]
+    assert "Table 2" in capsys.readouterr().out

@@ -7,17 +7,19 @@ pure performance lever:
   brute-force multi-cycle reachability on randomized netlists, and every
   net that actually diverges in a faulted simulation lies inside the
   computed cone;
-* the behavioural layer -- cone-on and cone-off campaigns produce
-  bit-identical verdicts and detect cycles across designs, batch sizes
-  and job counts, each also matching the serial reference simulator.
+* the behavioural layer -- campaigns produce the verdicts and detect
+  cycles of the serial per-fault oracle (:func:`simulate_one_fault`)
+  for every fault, across designs, pattern counts, batch sizes and job
+  counts.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import controller_fault_universe
+from repro.hls.system import NormalModeStimulus, hold_masks
 from repro.logic.cones import FaultCone, chunk_by_cone, compute_cones
-from repro.logic.faults import enumerate_faults
+from repro.logic.faults import FaultSite, enumerate_faults
 from repro.logic.faultsim import (
     ConeStats,
     GoldenTrace,
@@ -28,6 +30,7 @@ from repro.logic.faultsim import (
 from repro.logic.simulator import CycleSimulator
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.tpg.tpgr import TPGR
 
 
 def _random_netlist(rng: np.random.Generator) -> Netlist:
@@ -167,41 +170,45 @@ class TestChunkByCone:
             )
 
 
+def _assert_matches_oracle(netlist, faults, stim, observe, masks, result):
+    golden = run_golden(netlist, stim, observe)
+    for fault in faults:
+        verdict, cycle = simulate_one_fault(netlist, fault, stim, observe, golden, masks)
+        assert result.verdicts[fault] is verdict, fault
+        assert result.detect_cycle.get(fault, -1) == cycle, fault
+
+
+def _campaign_setup(system, n_patterns):
+    """The pipeline's fault-simulation inputs at ``n_patterns``."""
+    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=0xACE1)
+    data = {k: np.asarray(v) for k, v in tpgr.generate(n_patterns).items()}
+    stim = NormalModeStimulus(system, data, system.cycles_for(3))
+    observe = [n for bus in system.output_buses.values() for n in bus]
+    faults = [system.to_system_fault(s) for s in controller_fault_universe(system)]
+    return stim, hold_masks(system, stim), observe, faults
+
+
 class TestConeEngineBitIdentity:
     @pytest.mark.parametrize("batch_faults,n_jobs", [(1, 1), (7, 1), (32, 2)])
     def test_matches_cone_off_and_serial(
         self, facet_faultsim_setup, batch_faults, n_jobs
     ):
         system, stim, masks, observe, faults = facet_faultsim_setup
-        on = fault_simulate(
+        res = fault_simulate(
             system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=batch_faults, n_jobs=n_jobs, cone_sim=True,
+            batch_faults=batch_faults, n_jobs=n_jobs, audit_rate=0.0,
         )
-        off = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=batch_faults, n_jobs=n_jobs, cone_sim=False,
-        )
-        assert on.verdicts == off.verdicts
-        assert on.detect_cycle == off.detect_cycle
-        golden = run_golden(system.netlist, stim, observe)
-        for fault in faults:
-            verdict, cycle = simulate_one_fault(
-                system.netlist, fault, stim, observe, golden, masks
-            )
-            assert on.verdicts[fault] is verdict
-            assert on.detect_cycle.get(fault, -1) == cycle
+        _assert_matches_oracle(system.netlist, faults, stim, observe, masks, res)
 
     @pytest.mark.parametrize("fixture", ["diffeq_system", "poly_system"])
     def test_other_designs_match(self, fixture, request):
-        from repro.core.pipeline import run_pipeline
-
         system = request.getfixturevalue(fixture)
-        on = run_pipeline(system, PipelineConfig(n_patterns=64, cone_sim=True))
-        off = run_pipeline(system, PipelineConfig(n_patterns=64, cone_sim=False))
-        assert [r.simulation for r in on.records] == [
-            r.simulation for r in off.records
-        ]
-        assert [r.category for r in on.records] == [r.category for r in off.records]
+        stim, masks, observe, faults = _campaign_setup(system, 64)
+        res = fault_simulate(
+            system.netlist, faults, stim, observe=observe, valid_masks=masks,
+            audit_rate=0.0,
+        )
+        _assert_matches_oracle(system.netlist, faults, stim, observe, masks, res)
 
     def test_cone_stats_populated(self, facet_faultsim_setup):
         system, stim, masks, observe, faults = facet_faultsim_setup
@@ -217,23 +224,58 @@ class TestConeEngineBitIdentity:
         payload = stats.to_json_dict()
         assert payload["gate_evals_full"] == stats.gate_evals_full
 
-    def test_odd_pattern_count_falls_back(self, facet_system):
-        """A pattern count that is not a multiple of 64 silently uses the
-        unrestricted engine (no cone stats, same verdicts)."""
-        from repro.core.pipeline import run_pipeline
+    @pytest.mark.parametrize("n_patterns", [48, 100, 130])
+    @pytest.mark.parametrize("fixture", ["facet_system", "diffeq_system"])
+    def test_odd_pattern_count_runs_cone_engine(self, fixture, n_patterns, request):
+        """A pattern count that is not a multiple of 64 pads each fault
+        block to a whole word: the cone engine still runs, the padding
+        bits never decide a verdict, and death pruning still fires."""
+        system = request.getfixturevalue(fixture)
+        stim, masks, observe, faults = _campaign_setup(system, n_patterns)
+        res = fault_simulate(
+            system.netlist, faults, stim, observe=observe, valid_masks=masks,
+            audit_rate=0.0,
+        )
+        assert isinstance(res.cone, ConeStats)
+        assert res.cone.faults == len(faults)
+        assert res.cone.dead > 0
+        _assert_matches_oracle(system.netlist, faults, stim, observe, masks, res)
 
-        on = run_pipeline(facet_system, PipelineConfig(n_patterns=48, cone_sim=True))
-        off = run_pipeline(facet_system, PipelineConfig(n_patterns=48, cone_sim=False))
-        assert [r.category for r in on.records] == [r.category for r in off.records]
+    def test_padding_does_not_block_death(self):
+        """A stuck-at force sets its block's padding bits, and they
+        latch into downstream cone flip-flops while the golden padding
+        stays X.  Only real patterns may decide death: q1 s-a-0 matches
+        the golden machine (q1 = q2 = 0) from cycle 1 and must retire."""
+
+        class _Stim:
+            n_cycles = 6
+
+            def __init__(self, n_patterns):
+                self.n_patterns = n_patterns
+
+            def apply(self, sim, cycle):
+                sim.drive_const(a, 0)
+
+        nl = Netlist(name="pad")
+        a = nl.add_net("a")
+        nl.mark_input(a)
+        c0, d, q1, q2, y = (nl.add_net(n) for n in ("c0", "d", "q1", "q2", "y"))
+        nl.add_gate(GateType.CONST0, c0, [])
+        nl.add_gate(GateType.AND, d, [a, c0])
+        nl.add_gate(GateType.DFF, q1, [d])
+        nl.add_gate(GateType.DFF, q2, [q1])
+        nl.add_gate(GateType.OR, y, [q2, a])
+        nl.mark_output(y)
+        nl.validate()
+        dff = next(i for i, g in enumerate(nl.gates) if g.output == q1)
+        fault = FaultSite(dff, -1, q1, 0)
+        stim = _Stim(100)
+        res = fault_simulate(nl, [fault], stim, audit_rate=0.0)
+        assert res.cone.dead == 1
+        _assert_matches_oracle(nl, [fault], stim, list(nl.outputs), None, res)
 
 
 class TestKnobNeutrality:
-    def test_cone_sim_not_in_fingerprint(self):
-        on = PipelineConfig(cone_sim=True).fingerprint_params()
-        off = PipelineConfig(cone_sim=False).fingerprint_params()
-        assert on == off
-        assert "cone_sim" not in on
-
     def test_golden_trace_is_drop_in_for_list(self):
         z = np.zeros((1, 1), dtype=np.uint64)
         trace = GoldenTrace(observed=[(z, z), (z, z)])

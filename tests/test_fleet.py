@@ -3,7 +3,7 @@
 Covers the three layers and their contracts: the activity artifact (the
 per-fault integer counters and their store round trip), the population
 kernel (sigma=0 reproduces the scalar grading verdicts; ROC monotone;
-deterministic JSON; engine equivalence), and the integration surface
+deterministic JSON; the factored product), and the integration surface
 (calibrate end-to-end with warm-store zero-simulation replay, the serve
 endpoint's validation boundary, and the CLI subcommand).
 """
@@ -190,7 +190,7 @@ class TestFleetConfig:
             {"thresholds": (0.05, 0.05)},
             {"thresholds": (0.0, 0.05)},
             {"thresholds": ()},
-            {"engine": "gpu"},
+            {"sigma_leak": 1.0},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -287,22 +287,13 @@ class TestPopulationKernel:
         if chosen["met_budget"]:
             assert chosen["yield_loss"] <= result.params["yield_budget"]
 
-    def test_engines_agree_on_counts(
-        self, facet_estimator, facet_activity, matrices, facet_seeded_grading
-    ):
-        rowwise = self._run(
-            facet_estimator, facet_activity, matrices, facet_seeded_grading
-        )
-        factored = self._run(
-            facet_estimator,
-            facet_activity,
-            matrices,
-            facet_seeded_grading,
-            engine="factored",
-        )
-        assert factored.yield_fail == rowwise.yield_fail
-        assert factored.escapes == rowwise.escapes
-        assert factored.chosen == rowwise.chosen
+    def test_factored_product_matches_rowwise(self, matrices):
+        """Precontracting ``W.T @ A`` gives the kernel's per-instance
+        powers: matrix products associate, up to float rounding."""
+        decomp, A = matrices
+        W = decomp.stack()
+        S = np.exp(0.05 * np.random.default_rng(3).standard_normal((4, W.shape[1])))
+        np.testing.assert_allclose((S @ W.T) @ A, S @ (W.T @ A), rtol=1e-12)
 
     def test_json_is_deterministic_and_round_trips(
         self, facet_estimator, facet_activity, matrices, facet_seeded_grading
@@ -430,13 +421,11 @@ class TestCalibrateEndpoint:
         base, _svc = fleet_server(compute_calibrate=compute_calibrate)
         status, body = _fetch(
             f"{base}/campaigns/facet/calibrate"
-            "?instances=5000&sigma_cap=0.1&engine=factored"
+            "?instances=5000&sigma_cap=0.1"
         )
         assert status == 200
         assert body["design"] == "facet"
-        assert seen == [
-            ("facet", {"instances": 5000, "sigma_cap": 0.1, "engine": "factored"})
-        ]
+        assert seen == [("facet", {"instances": 5000, "sigma_cap": 0.1})]
 
     def test_identical_requests_coalesce_to_one_compute(self, fleet_server):
         calls = []
@@ -463,6 +452,7 @@ class TestCalibrateEndpoint:
             "sigma_cap=lots",
             "seed=-1",
             "engine=gpu",
+            "engine=factored",  # the fleet has one engine; no such knob
             "threshold=0.05",  # campaign knob, not a fleet knob
             "bogus=1",
         ],

@@ -14,8 +14,9 @@ import pytest
 from repro.core.grading import grade_sfr_faults
 from repro.core.parallel import ParallelExecutor, resolve_n_jobs
 from repro.hls.system import NormalModeStimulus
-from repro.logic.faultsim import _TiledSim, fault_simulate
+from repro.logic.faultsim import fault_simulate
 from repro.logic.simulator import CycleSimulator, compile_netlist
+from repro.power.montecarlo import _TiledSim
 
 
 def _square(context, item):
