@@ -268,8 +268,10 @@ def _result_report(
         result, grading, system=system, params=params, command=command
     )
     published = False
-    if clean_campaign(result.campaign) and (
-        grading is None or clean_campaign(grading.campaign)
+    if (
+        clean_campaign(result.campaign)
+        and clean_campaign(result.classify_campaign)
+        and (grading is None or clean_campaign(grading.campaign))
     ):
         published = store.publish(
             "report", key, report, design=result.design, meta={"command": command}
@@ -341,11 +343,16 @@ def _cmd_classify(args) -> int:
         system, config, store=store, baseline=_baseline_spec(args, system)
     )
     _print_campaign(result.campaign, "fault-sim campaign")
+    _print_campaign(result.classify_campaign, "classify campaign")
     _print_incremental(result)
     report = _result_report(store, system, config, result, command="classify")
     _print_store(store)
     _write_result_json(args, report)
-    _write_report_json(args, {"faultsim": result.campaign}, store=store)
+    _write_report_json(
+        args,
+        {"faultsim": result.campaign, "classify": result.classify_campaign},
+        store=store,
+    )
     print(system.rtl.summary())
     print("fault buckets:", result.counts())
     row = result.table2_row()
@@ -367,6 +374,7 @@ def _cmd_grade(args) -> int:
         system, config, store=store, baseline=_baseline_spec(args, system)
     )
     _print_campaign(result.campaign, "fault-sim campaign")
+    _print_campaign(result.classify_campaign, "classify campaign")
     _print_incremental(result)
     chaos_engine = None
     if args.chaos:
@@ -415,7 +423,13 @@ def _cmd_grade(args) -> int:
     _print_store(store)
     _write_result_json(args, report)
     _write_report_json(
-        args, {"faultsim": result.campaign, "grading": grading.campaign}, store=store
+        args,
+        {
+            "faultsim": result.campaign,
+            "classify": result.classify_campaign,
+            "grading": grading.campaign,
+        },
+        store=store,
     )
     print(render_table1(grading, pick_representative(grading)))
     print()
@@ -452,6 +466,7 @@ def _cmd_calibrate(args) -> int:
         system, config, store=store, baseline=_baseline_spec(args, system)
     )
     _print_campaign(result.campaign, "fault-sim campaign")
+    _print_campaign(result.classify_campaign, "classify campaign")
     _print_incremental(result)
     fleet, campaign, grading = calibrate_fleet(
         system,
@@ -476,6 +491,7 @@ def _cmd_calibrate(args) -> int:
         args,
         {
             "faultsim": result.campaign,
+            "classify": result.classify_campaign,
             "activity": campaign.campaign,
             "grading": grading.campaign,
         },

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ..hls.rtl import HOLD_STATE, RTLDesign, cs_state
 from ..logic.faults import FaultSite
@@ -28,9 +31,13 @@ from .effects import (
     Scenario,
     diff_traces,
     faulty_control_trace,
+    faulty_control_values,
     golden_control_trace,
     make_scenarios,
+    trace_from_values,
+    trace_values,
 )
+from .integrity import IntegrityGuard, IntegrityViolation
 from .symbolic import ReplayResult, ValueTable, compare_replays, replay
 
 
@@ -277,7 +284,7 @@ class FaultClassification:
 
 
 class Classifier:
-    """Caches golden traces/replays and classifies faults one by one."""
+    """Caches golden traces/replays and classifies faults in batches."""
 
     def __init__(
         self,
@@ -300,49 +307,56 @@ class Classifier:
             hold_cycles = rtl.schedule.n_steps + 2 * n_states + 2
         self.hold_cycles = hold_cycles
         self.scenarios = make_scenarios(rtl, iteration_counts, hold_cycles)
-        self._golden: list[tuple[Scenario, ControlTrace, ValueTable, ReplayResult, GoldenTimeline]] = []
-        for sc in self.scenarios:
-            trace = golden_control_trace(ctrl, sc)
-            table = ValueTable()
-            greplay = replay(rtl, trace, table)
-            timeline = GoldenTimeline(rtl, trace, greplay)
-            self._golden.append((sc, trace, table, greplay, timeline))
 
-    def _cond_divergence_reason(
+    @cached_property
+    def _golden(
         self,
-        sc: Scenario,
-        fault: FaultSite,
-        ftrace: ControlTrace,
-        greplay: ReplayResult,
-        freplay: ReplayResult,
-    ) -> str:
-        """Guard against the comparator-corruption blind spot.
+    ) -> list[tuple[Scenario, ControlTrace, ValueTable, ReplayResult, GoldenTimeline]]:
+        """Per-scenario golden trace, value table, replay and timeline.
+
+        Built on first use, so a run whose classifications all replay
+        from the store never simulates the controller."""
+        golden = []
+        for sc in self.scenarios:
+            trace = golden_control_trace(self.ctrl, sc)
+            table = ValueTable()
+            greplay = replay(self.rtl, trace, table)
+            timeline = GoldenTimeline(self.rtl, trace, greplay)
+            golden.append((sc, trace, table, greplay, timeline))
+        return golden
+
+    @cached_property
+    def _golden_values(self) -> list[np.ndarray]:
+        """The golden traces as ``(n_cycles, n_lines, 1)`` int8 columns."""
+        return [
+            trace_values(self.ctrl, trace)[:, :, None] for _sc, trace, *_ in self._golden
+        ]
+
+    def _cond_mismatch(
+        self, sc: Scenario, greplay: ReplayResult, freplay: ReplayResult
+    ) -> set[int]:
+        """Cycles at which the comparator-corruption blind spot may bite.
 
         The faulty controller was simulated under the fault-free ``cond``
         waveform.  If the faulty *datapath* would drive different
         comparator values at non-decision cycles (e.g. an extra load
         corrupting the comparator's operand register during HOLD), that
         assumption may be wrong: a faulty controller could sample ``cond``
-        anywhere.  Probe it: rerun the faulty controller with ``cond``
-        inverted at exactly those cycles; any behavioural difference means
-        the control flow can diverge on real silicon -> conservative SFI.
+        anywhere.  The returned cycles are probed by rerunning the faulty
+        controller with ``cond`` inverted at exactly those cycles; any
+        behavioural difference means the control flow can diverge on real
+        silicon -> conservative SFI.
         """
         if not self.rtl.cond_fu:
-            return ""
+            return set()
         decision = {c for c, _ in greplay.cond_decisions}
-        mismatch = {
+        return {
             cycle
             for cycle in range(1, sc.n_cycles)
             if cycle not in decision
             and greplay.fu_history[cycle].get(self.rtl.cond_fu)
             != freplay.fu_history[cycle].get(self.rtl.cond_fu)
         }
-        if not mismatch:
-            return ""
-        probe = faulty_control_trace(self.ctrl, sc, fault, cond_flips=mismatch)
-        if probe.lines != ftrace.lines:
-            return "comparator corrupted and faulty controller is cond-sensitive"
-        return ""
 
     def _tail_is_periodic(self, ftrace: ControlTrace) -> bool:
         """True if the faulty control-word stream has settled into a cycle
@@ -364,33 +378,144 @@ class Classifier:
         return False
 
     def classify(self, fault: FaultSite) -> FaultClassification:
-        all_effects: list[LabeledEffect] = []
-        any_effect = False
-        equivalent = True
-        reason = ""
-        for sc, gtrace, table, greplay, timeline in self._golden:
-            ftrace = faulty_control_trace(self.ctrl, sc, fault)
-            effects = diff_traces(gtrace, ftrace)
-            if not effects:
+        return self.classify_all([fault])[0]
+
+    def classify_all(
+        self,
+        faults: list[FaultSite],
+        audit: dict[FaultSite, str] | None = None,
+        guard: IntegrityGuard | None = None,
+    ) -> list[FaultClassification]:
+        """Classify every fault with one controller simulation per scenario.
+
+        Each distinct fault owns one word of the pattern axis
+        (:func:`~repro.core.effects.faulty_control_values`); the control
+        planes of all faults are diffed against golden in numpy, and only
+        faults with a control-line effect reach the RT-level oracle.  The
+        ``cond``-sensitivity probes of one scenario run as one more batched
+        simulation with per-fault ``cond`` words.
+
+        ``audit`` maps faults to report keys: each one's traces (and
+        probes) are re-derived on the per-fault oracle
+        :func:`~repro.core.effects.faulty_control_trace`, and a mismatch is
+        flagged on ``guard`` (which aborts when strict; without a guard
+        the first mismatch raises).  Results follow
+        the order of ``faults``; duplicates share one classification.
+        """
+        unique = list(dict.fromkeys(faults))
+        if not unique:
+            return []
+        audit = audit or {}
+        if guard is None:
+            guard = IntegrityGuard(strict=True)
+        states = [_FaultState() for _ in unique]
+        for (sc, gtrace, table, greplay, timeline), gvalues in zip(
+            self._golden, self._golden_values
+        ):
+            values = faulty_control_values(self.ctrl, sc, unique)
+            self._audit(sc, unique, values, audit, guard)
+            # Cycle 0 and golden-X lines are never compared (diff_traces).
+            care = gvalues >= 0
+            care[0] = False
+            differs = ((values != gvalues) & care).any(axis=(0, 1))
+            probes: list[tuple[int, set[int]]] = []
+            traces: dict[int, ControlTrace] = {}
+            for i in np.flatnonzero(differs).tolist():
+                state = states[i]
+                ftrace = traces[i] = trace_from_values(self.ctrl, sc, values[:, :, i])
+                effects = diff_traces(gtrace, ftrace)
+                state.any_effect = True
+                freplay = replay(self.rtl, ftrace, table)
+                cmp = compare_replays(greplay, freplay)
+                if not cmp.equivalent:
+                    state.refute(f"{cmp.reason} ({sc.iterations} iteration(s))")
+                elif state.equivalent:
+                    mismatch = self._cond_mismatch(sc, greplay, freplay)
+                    if mismatch:
+                        probes.append((i, mismatch))
+                    elif not self._tail_is_periodic(ftrace):
+                        state.refute("faulty control stream not periodic at scenario end")
+                state.effects.extend(
+                    label_effects(self.rtl, timeline, ftrace, freplay, effects)
+                )
+            if not probes:
                 continue
-            any_effect = True
-            freplay = replay(self.rtl, ftrace, table)
-            cmp = compare_replays(greplay, freplay)
-            if not cmp.equivalent:
-                equivalent = False
-                reason = reason or f"{cmp.reason} ({sc.iterations} iteration(s))"
-            elif equivalent:
-                diverge = self._cond_divergence_reason(sc, fault, ftrace, greplay, freplay)
-                if diverge:
-                    equivalent = False
-                    reason = reason or diverge
-                elif not self._tail_is_periodic(ftrace):
-                    equivalent = False
-                    reason = reason or "faulty control stream not periodic at scenario end"
-            all_effects.extend(label_effects(self.rtl, timeline, ftrace, freplay, effects))
-        if not any_effect:
-            return FaultClassification(fault, "CFR", [], "no control line effect in any scenario")
-        category = "SFR" if equivalent else "SFI"
-        if category == "SFR":
-            reason = "all observed outputs and loop decisions match fault-free"
-        return FaultClassification(fault, category, all_effects, reason)
+            probed = [unique[i] for i, _ in probes]
+            flips = [mismatch for _, mismatch in probes]
+            pvalues = faulty_control_values(self.ctrl, sc, probed, cond_flips=flips)
+            self._audit(sc, probed, pvalues, audit, guard, flips)
+            for j, (i, _) in enumerate(probes):
+                if not np.array_equal(pvalues[:, :, j], values[:, :, i]):
+                    states[i].refute(
+                        "comparator corrupted and faulty controller is cond-sensitive"
+                    )
+                elif not self._tail_is_periodic(traces[i]):
+                    states[i].refute("faulty control stream not periodic at scenario end")
+        by_fault = {f: st.result(f) for f, st in zip(unique, states)}
+        return [by_fault[f] for f in faults]
+
+    def _audit(
+        self,
+        sc: Scenario,
+        faults: list[FaultSite],
+        values: np.ndarray,
+        audit: dict[FaultSite, str],
+        guard: IntegrityGuard,
+        cond_flips: list[set[int]] | None = None,
+    ) -> None:
+        """Re-derive the audited faults' traces on the per-fault oracle."""
+        for i, fault in enumerate(faults):
+            key = audit.get(fault)
+            if key is None:
+                continue
+            flips = cond_flips[i] if cond_flips is not None else None
+            oracle = trace_values(
+                self.ctrl, faulty_control_trace(self.ctrl, sc, fault, cond_flips=flips)
+            )
+            if np.array_equal(oracle, values[:, :, i]):
+                continue
+            cycle = int(np.flatnonzero((oracle != values[:, :, i]).any(axis=1))[0])
+            guard.flag(
+                IntegrityViolation(
+                    check="classify-trace-differential",
+                    fault=key,
+                    site=fault.describe(self.ctrl.netlist),
+                    detail=(
+                        f"batched control trace ({sc.iterations} iteration(s)"
+                        f"{', cond probe' if flips else ''}) diverges from the "
+                        f"per-fault oracle"
+                    ),
+                    cycle=cycle,
+                    expected=str(oracle[cycle].tolist()),
+                    actual=str(values[cycle, :, i].tolist()),
+                )
+            )
+
+
+@dataclass
+class _FaultState:
+    """Running verdict of one fault across the classifier's scenarios."""
+
+    any_effect: bool = False
+    equivalent: bool = True
+    reason: str = ""
+    effects: list[LabeledEffect] = field(default_factory=list)
+
+    def refute(self, reason: str) -> None:
+        """Mark the fault SFI; the first reason found is the one reported."""
+        self.equivalent = False
+        self.reason = self.reason or reason
+
+    def result(self, fault: FaultSite) -> FaultClassification:
+        if not self.any_effect:
+            return FaultClassification(
+                fault, "CFR", [], "no control line effect in any scenario"
+            )
+        if self.equivalent:
+            return FaultClassification(
+                fault,
+                "SFR",
+                self.effects,
+                "all observed outputs and loop decisions match fault-free",
+            )
+        return FaultClassification(fault, "SFI", self.effects, self.reason)

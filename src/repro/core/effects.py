@@ -8,16 +8,28 @@ high, a chosen number of loop iterations worth of ``cond`` values) and
 diffs the faulty control lines against the fault-free ones, producing the
 paper's "control line effects": a change of a single control line in a
 single control step (Section 3).
+
+Two paths produce faulty traces.  :func:`faulty_control_values` runs
+*every* fault of a campaign through one simulation per scenario: fault
+``i`` owns word ``i`` of the pattern axis (``CycleSimulator`` fault
+blocks), every pattern sees the same scenario inputs, so bit 0 of each
+word is that fault's whole machine.  :func:`faulty_control_trace` runs
+one fault on its own 1-pattern simulator; it is the per-fault oracle the
+integrity audit re-derives sampled traces on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..hls.rtl import HOLD_STATE, RTLDesign, cs_state
 from ..logic.faults import FaultSite
 from ..logic.simulator import CycleSimulator
 from ..synth.controller import SynthesizedController
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,74 @@ def faulty_control_trace(
     cycles -- used to probe whether a faulty controller is sensitive to
     comparator values the fault itself corrupted."""
     return _run_controller(ctrl, scenario, fault, cond_flips=cond_flips)
+
+
+def faulty_control_values(
+    ctrl: SynthesizedController,
+    scenario: Scenario,
+    faults: list[FaultSite],
+    cond_flips: list[set[int]] | None = None,
+) -> np.ndarray:
+    """Control-line values of every fault in one controller simulation.
+
+    Returns an int8 array ``(n_cycles, n_lines, n_faults)`` (lines in
+    ``ctrl.output_nets`` order, -1 == X).  Fault ``i`` is injected into
+    word ``i`` only; ``cond_flips[i]`` inverts the ``cond`` waveform of
+    that word alone, so per-fault probes batch the same way.
+    """
+    n = len(faults)
+    names = list(ctrl.output_nets)
+    if n == 0:
+        return np.zeros((scenario.n_cycles, len(names), 0), dtype=np.int8)
+    sim = CycleSimulator(
+        ctrl.netlist,
+        64 * n,
+        faults=list(faults),
+        fault_blocks=[(i, i + 1) for i in range(n)],
+    )
+    out_nets = np.array([ctrl.output_nets[name] for name in names], dtype=np.int64)
+    has_cond = "cond" in ctrl.input_nets
+    flipped = np.zeros((scenario.n_cycles, n), dtype=bool)
+    if has_cond and cond_flips is not None:
+        for i, flips in enumerate(cond_flips):
+            for cycle in flips:
+                if 0 <= cycle < scenario.n_cycles:
+                    flipped[cycle, i] = True
+    values = np.empty((scenario.n_cycles, len(names), n), dtype=np.int8)
+    for cycle in range(scenario.n_cycles):
+        sim.drive_const(ctrl.input_nets["reset"], 1 if cycle == 0 else 0)
+        sim.drive_const(ctrl.input_nets["start"], scenario.start_at(cycle))
+        if has_cond:
+            cond = scenario.cond_at(cycle) ^ flipped[cycle]
+            one = np.where(cond, _ALL_ONES, np.uint64(0))
+            sim.drive_words(ctrl.input_nets["cond"], ~one, one)
+        sim.settle()
+        # Every bit of a word is the same machine: bit 0 stands for all.
+        is_zero = (sim.Z[out_nets] & np.uint64(1)).astype(bool)
+        is_one = (sim.O[out_nets] & np.uint64(1)).astype(bool)
+        values[cycle] = np.where(is_one, 1, np.where(is_zero, 0, -1))
+        sim.latch()
+    return values
+
+
+def trace_from_values(
+    ctrl: SynthesizedController, scenario: Scenario, column: np.ndarray
+) -> ControlTrace:
+    """The :class:`ControlTrace` of one ``(n_cycles, n_lines)`` value column."""
+    names = list(ctrl.output_nets)
+    return ControlTrace(
+        scenario=scenario,
+        lines=[dict(zip(names, row)) for row in column.tolist()],
+        states=[scenario.golden_state(c) for c in range(scenario.n_cycles)],
+    )
+
+
+def trace_values(ctrl: SynthesizedController, trace: ControlTrace) -> np.ndarray:
+    """Inverse of :func:`trace_from_values`: a trace as an int8 column."""
+    names = list(ctrl.output_nets)
+    return np.array(
+        [[row[name] for name in names] for row in trace.lines], dtype=np.int8
+    ).reshape(len(trace.lines), len(names))
 
 
 def diff_traces(golden: ControlTrace, faulty: ControlTrace) -> list[ControlLineEffect]:

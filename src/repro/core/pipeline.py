@@ -33,7 +33,12 @@ from ..tpg.tpgr import TPGR
 from .checkpoint import campaign_fingerprint, fault_key, open_journal
 from .classify import Classifier, FaultClassification
 from .errors import validate_config, validate_netlist, validate_stimulus
-from .integrity import DEFAULT_AUDIT_RATE, IntegrityGuard, check_sfr_is_cfi
+from .integrity import (
+    DEFAULT_AUDIT_RATE,
+    IntegrityGuard,
+    check_sfr_is_cfi,
+    select_audit,
+)
 from .parallel import RunReport
 
 
@@ -123,6 +128,9 @@ class PipelineResult:
     records: list[FaultRecord] = field(default_factory=list)
     #: resilience summary of the fault-simulation fan-out
     campaign: RunReport | None = None
+    #: classification of the undetected faults: how many were classified,
+    #: replayed, audited on the per-fault oracle and quarantined
+    classify_campaign: RunReport | None = None
     #: incremental-recompute plan summary when a ``baseline`` replayed
     #: part of the campaign (see :mod:`repro.incremental`); None for
     #: cold and plain warm-cache runs
@@ -167,6 +175,128 @@ def controller_fault_universe(system: System) -> list[FaultSite]:
     sites = enumerate_faults(ctrl_netlist)
     reps, _ = collapse_faults(ctrl_netlist, sites)
     return reps
+
+
+def _classify_undetected(
+    system: System,
+    config: PipelineConfig,
+    classifier: Classifier,
+    result: PipelineResult,
+    plan,
+    store: CampaignStore | None,
+) -> RunReport:
+    """Steps 3-4 over the undetected records, in place.
+
+    With ``store`` set, the whole campaign is one ``classify`` stage keyed
+    by the controller fingerprint, the classifier context and the
+    classified fault keys: a hit replays every classification.  On a
+    miss, classifications the incremental ``plan`` may transfer replay
+    from their per-fault entries, and the rest go through one
+    :meth:`~repro.core.classify.Classifier.classify_all` call; a sampled
+    fraction (``config.audit_rate``) is re-derived on the per-fault oracle
+    and a mismatch quarantines the fault.  Clean campaigns publish the
+    stage (a dirty fault-simulation campaign publishes nothing either).
+    """
+    from ..incremental.faultkeys import classifier_context_digest, golden_trace_digest
+    from ..incremental.replay import classification_from_json, classification_to_json
+
+    pending = [r for r in result.records if r.simulation is Verdict.UNDETECTED]
+    report = RunReport(n_items=len(pending))
+    guard = IntegrityGuard(strict=config.strict)
+    keys = [fault_key(r.site) for r in pending]
+    key = ctx_digest = ctrl_fp = None
+    if store is not None or plan is not None:
+        ctx_digest = classifier_context_digest(
+            system.rtl, config.iteration_counts, classifier.hold_cycles
+        )
+        ctrl_fp = netlist_fingerprint(system.controller.netlist)
+    timer = StageTimer().__enter__()
+    cached = None
+    if store is not None:
+        key = stage_key("classify", ctrl_fp, {"context": ctx_digest, "faults": keys})
+        cached = store.lookup("classify", key)
+        if cached is not None and set(cached.get("classifications", ())) != set(keys):
+            cached = None
+    if cached is not None:
+        for record, k in zip(pending, keys):
+            record.classification = classification_from_json(
+                cached["classifications"][k], record.site
+            )
+    else:
+        todo = pending
+        if plan is not None:
+            traces_digest = golden_trace_digest(classifier)
+            todo = []
+            for record in pending:
+                entry = plan.reusable.get(record.system_site)
+                if entry is not None and plan.classification_ok(
+                    entry, ctx_digest, traces_digest, ctrl_fp
+                ):
+                    record.classification = classification_from_json(
+                        entry.classification, record.site
+                    )
+                else:
+                    todo.append(record)
+            report.replayed = len(pending) - len(todo)
+        todo_keys = {r.site: fault_key(r.system_site) for r in todo}
+        audit_keys = set(select_audit(todo_keys.values(), config.audit_rate))
+        audit = {site: k for site, k in todo_keys.items() if k in audit_keys}
+        classified = classifier.classify_all(
+            [r.site for r in todo], audit=audit, guard=guard
+        )
+        for record, classification in zip(todo, classified):
+            record.classification = classification
+        report.completed = len(todo)
+        report.audited = len(audit)
+    for record in pending:
+        if record.classification.category == "SFR":
+            check_sfr_is_cfi(guard, fault_key(record.system_site), record)
+    bad = {v.fault for v in guard.violations}
+    for record in pending:
+        record.quarantined = fault_key(record.system_site) in bad
+    guard.attach(report)
+    timer.__exit__(None, None, None)
+    if store is not None:
+        if cached is not None:
+            row = store.artifacts.row(key)
+            store.record(
+                StageProvenance(
+                    stage="classify",
+                    key=key,
+                    hit=True,
+                    wall_s=timer.wall_s,
+                    saved_s=row.wall_s if row is not None else 0.0,
+                )
+            )
+        else:
+            payload = {
+                "classifications": {
+                    k: classification_to_json(r.classification)
+                    for k, r in zip(keys, pending)
+                }
+            }
+            published = (
+                clean_campaign(report)
+                and clean_campaign(result.campaign)
+                and store.publish(
+                    "classify",
+                    key,
+                    payload,
+                    design=system.rtl.name,
+                    meta={"faults": len(pending)},
+                    wall_s=timer.wall_s,
+                )
+            )
+            store.record(
+                StageProvenance(
+                    stage="classify",
+                    key=key,
+                    hit=False,
+                    wall_s=timer.wall_s,
+                    published=published,
+                )
+            )
+    return report
 
 
 def run_pipeline(
@@ -377,44 +507,18 @@ def run_pipeline(
         iteration_counts=config.iteration_counts,
     )
     result = PipelineResult(design=system.rtl.name, campaign=sim_result.campaign)
-    guard = IntegrityGuard(strict=config.strict)
-    ctx_digest = traces_digest = ctrl_fp = None
     if plan is not None:
-        from ..incremental.faultkeys import (
-            classifier_context_digest,
-            golden_trace_digest,
-        )
-
-        ctx_digest = classifier_context_digest(
-            system.rtl, config.iteration_counts, classifier.hold_cycles
-        )
-        traces_digest = golden_trace_digest(classifier)
-        ctrl_fp = netlist_fingerprint(system.controller.netlist)
         result.incremental = plan.summary()
         result.incremental_plan = plan
     for site, sys_site in zip(universe, system_sites):
-        verdict = sim_result.verdicts[sys_site]
-        record = FaultRecord(site=site, system_site=sys_site, simulation=verdict)
-        if verdict is Verdict.UNDETECTED:
-            record.classification = None
-            if plan is not None:
-                entry = plan.reusable.get(sys_site)
-                if entry is not None and plan.classification_ok(
-                    entry, ctx_digest, traces_digest, ctrl_fp
-                ):
-                    from ..incremental.replay import classification_from_json
-
-                    record.classification = classification_from_json(
-                        entry.classification, site
-                    )
-            if record.classification is None:
-                record.classification = classifier.classify(site)
-            if record.classification.category == "SFR" and not check_sfr_is_cfi(
-                guard, fault_key(sys_site), record
-            ):
-                record.quarantined = True
-        result.records.append(record)
-    guard.attach(result.campaign)
+        result.records.append(
+            FaultRecord(
+                site=site, system_site=sys_site, simulation=sim_result.verdicts[sys_site]
+            )
+        )
+    result.classify_campaign = _classify_undetected(
+        system, config, classifier, result, plan, store
+    )
 
     # Publish per-fault entries for this design so it can serve as a
     # future baseline.  Skipped when the stage replayed from its own
@@ -426,7 +530,11 @@ def run_pipeline(
             p.stage == "faultsim" and p.key == faultsim_store_key and p.hit
             for p in store.provenance
         )
-        if not stage_was_hit and clean_campaign(result.campaign):
+        if (
+            not stage_was_hit
+            and clean_campaign(result.campaign)
+            and clean_campaign(result.classify_campaign)
+        ):
             from ..incremental.replay import publish_incremental
 
             computed_wall = next(

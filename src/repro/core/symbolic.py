@@ -117,11 +117,12 @@ def replay(rtl: RTLDesign, trace: ControlTrace, table: ValueTable) -> ReplayResu
         if len(mux.sources) == 1:
             return source_id(mux.sources[0])
         index = _mux_index(mux, controls)
+        if index >= 0:
+            # Select codes past the last source alias source 0 (padding).
+            return source_id(mux.sources[index if index < len(mux.sources) else 0])
         padded = list(mux.sources) + [mux.sources[0]] * (
             (1 << mux.n_sel_bits) - len(mux.sources)
         )
-        if index >= 0:
-            return source_id(padded[index])
         ids = {source_id(s) for s in padded}
         if len(ids) == 1:
             return ids.pop()

@@ -16,7 +16,7 @@ defined by sampling the data outputs at those times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,13 @@ class System:
     ctrl_net_map: dict[str, int] | None = None
     #: standalone-controller gate index -> system gate index
     ctrl_gate_map: dict[int, int] | None = None
+
+    def __getstate__(self) -> dict:
+        # Only the fields travel: memos attached to the object (the
+        # Monte-Carlo batch lists) regenerate from their seeds and must
+        # never ride into pickled pool contexts.
+        names = {f.name for f in fields(self)}
+        return {k: v for k, v in self.__dict__.items() if k in names}
 
     def to_system_fault(self, site):
         """Translate a fault site enumerated on the standalone controller

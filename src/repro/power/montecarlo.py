@@ -16,8 +16,8 @@ batch as a packed :class:`NormalModeStimulus` exactly once; passing the
 list to ``monte_carlo_power`` (via ``batches=``) replays it without
 regenerating or re-packing data, with results bit-identical to the
 generate-per-call path for the same seed and batch size.
-(``shared_batches`` memoizes that list per system object, so pool workers
-regenerate it locally instead of receiving it pickled.)
+(``shared_batches`` memoizes that list on the system object, so pool
+workers regenerate it locally instead of receiving it pickled.)
 
 ``monte_carlo_power_block`` is the fault-parallel campaign kernel: each
 fault of a chunk owns one pattern block of a single wide block-parallel
@@ -271,15 +271,6 @@ def precompute_batches(
     ]
 
 
-# Precomputed batch lists, memoized per live System object (the compile-
-# cache idiom: id()-keyed, evicted by a weakref finalizer).  Campaign
-# workers regenerate their batches from the seed through this cache, so
-# the parallel context pickled to each pool never carries the packed
-# batch stimuli -- only the knobs.  Regeneration is bit-identical by
-# construction (one RNG stream from one seed).
-_BATCH_CACHE: dict[int, dict[tuple, list[NormalModeStimulus]]] = {}
-
-
 def shared_batches(
     system: System,
     seed: int = MC_DEFAULT_SEED,
@@ -288,12 +279,18 @@ def shared_batches(
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
 ) -> list[NormalModeStimulus]:
-    """:func:`precompute_batches`, memoized per system object and knobs."""
-    key = id(system)
-    per_system = _BATCH_CACHE.get(key)
-    if per_system is None:
-        per_system = _BATCH_CACHE[key] = {}
-        weakref.finalize(system, _BATCH_CACHE.pop, key, None)
+    """:func:`precompute_batches`, memoized per system object and knobs.
+
+    Campaign workers regenerate their batches from the seed through this
+    memo, so the parallel context pickled to each pool never carries the
+    packed batch stimuli -- only the knobs (regeneration is bit-identical
+    by construction: one RNG stream from one seed).  The memo lives on
+    the system itself: every batch references its system, so a global
+    table would keep each system -- and its golden-batch entries --
+    alive for the life of the process.  ``System`` pickles its fields
+    only, so the memo stays behind.
+    """
+    per_system = system.__dict__.setdefault("_mc_batches", {})
     params = (seed, batch_patterns, max_batches, iterations_window, hold_cycles)
     batches = per_system.get(params)
     if batches is None:

@@ -17,6 +17,9 @@ around :class:`~repro.store.artifacts.ArtifactStore` that
 Stage payload shapes (``kind`` -> canonical-JSON dict):
 
 * ``faultsim``: ``{"verdicts": {fault_key: [verdict_value, cycle]}}``
+* ``classify``: ``{"classifications": {fault_key: classification_json}}``
+  over one campaign's undetected controller faults, keyed by the
+  controller fingerprint (see :mod:`repro.core.pipeline`)
 * ``grading``: ``{"baseline": mc_json, "faults": {fault_key: mc_json}}``
 * ``report``: the full result report of one ``classify``/``grade`` run
   (see :func:`repro.core.report.build_result_report`)

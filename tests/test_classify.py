@@ -15,7 +15,7 @@ def classifier(diffeq_system):
 @pytest.fixture(scope="module")
 def classifications(diffeq_system, classifier):
     universe = controller_fault_universe(diffeq_system)
-    return [classifier.classify(site) for site in universe]
+    return classifier.classify_all(universe)
 
 
 class TestCategories:
@@ -127,3 +127,174 @@ class TestOracleSoundness:
         )
         detected = [f for f, v in res.verdicts.items() if v is Verdict.DETECTED]
         assert detected == []
+
+
+def _as_json(c):
+    from repro.incremental.replay import classification_to_json
+
+    return classification_to_json(c)
+
+
+class TestClassifyAll:
+    def test_empty(self, classifier):
+        assert classifier.classify_all([]) == []
+
+    def test_duplicates_and_order(self, diffeq_system, classifier, classifications):
+        universe = controller_fault_universe(diffeq_system)
+        want = {site: _as_json(c) for site, c in zip(universe, classifications)}
+        picked = universe[::5]
+        shuffled = list(reversed(picked)) + picked[:10]
+        got = classifier.classify_all(shuffled)
+        assert [c.fault for c in got] == shuffled
+        for site, c in zip(shuffled, got):
+            assert _as_json(c) == want[site]
+
+    def test_cond_probe_runs_on_diffeq(self, diffeq_system, classifier, monkeypatch):
+        """The batched cond-sensitivity probe is exercised by the universe."""
+        import repro.core.classify as classify_mod
+
+        calls = []
+        real = classify_mod.faulty_control_values
+
+        def spy(ctrl, sc, faults, cond_flips=None):
+            if cond_flips is not None:
+                calls.append(len(faults))
+            return real(ctrl, sc, faults, cond_flips)
+
+        monkeypatch.setattr(classify_mod, "faulty_control_values", spy)
+        classifier.classify_all(controller_fault_universe(diffeq_system))
+        assert calls and all(n > 0 for n in calls)
+
+
+class TestClassifyAudit:
+    @staticmethod
+    def _corrupting(monkeypatch, victim):
+        """Flip one control line of ``victim``'s batched trace."""
+        import repro.core.classify as classify_mod
+
+        real = classify_mod.faulty_control_values
+
+        def corrupt(ctrl, sc, faults, cond_flips=None):
+            values = real(ctrl, sc, faults, cond_flips)
+            if victim in faults:
+                i = faults.index(victim)
+                values[5, 0, i] = 1 - max(values[5, 0, i], 0)
+            return values
+
+        monkeypatch.setattr(classify_mod, "faulty_control_values", corrupt)
+
+    def test_clean_audit_flags_nothing(self, diffeq_system, classifier):
+        from repro.core.integrity import IntegrityGuard
+
+        universe = controller_fault_universe(diffeq_system)[:40]
+        guard = IntegrityGuard()
+        audit = {site: f"k{i}" for i, site in enumerate(universe)}
+        classifier.classify_all(universe, audit=audit, guard=guard)
+        assert guard.violations == []
+
+    def test_mismatch_is_flagged(self, diffeq_system, classifier, monkeypatch):
+        from repro.core.integrity import IntegrityGuard
+
+        universe = controller_fault_universe(diffeq_system)[:20]
+        victim = universe[3]
+        self._corrupting(monkeypatch, victim)
+        guard = IntegrityGuard()
+        classifier.classify_all(universe, audit={victim: "victim"}, guard=guard)
+        assert {v.fault for v in guard.violations} == {"victim"}
+        assert guard.violations[0].check == "classify-trace-differential"
+        assert guard.violations[0].cycle == 5
+
+    def test_strict_aborts(self, diffeq_system, classifier, monkeypatch):
+        from repro.core.errors import IntegrityError
+        from repro.core.integrity import IntegrityGuard
+
+        universe = controller_fault_universe(diffeq_system)[:20]
+        self._corrupting(monkeypatch, universe[0])
+        with pytest.raises(IntegrityError):
+            classifier.classify_all(
+                universe,
+                audit={universe[0]: "victim"},
+                guard=IntegrityGuard(strict=True),
+            )
+
+    def test_pipeline_quarantines_audited_mismatch(self, facet_system, monkeypatch):
+        from repro.core.checkpoint import fault_key
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+        from repro.logic.faultsim import Verdict
+
+        clean = run_pipeline(facet_system, PipelineConfig(n_patterns=128))
+        victim = next(
+            r for r in clean.records if r.simulation is Verdict.UNDETECTED
+        )
+        self._corrupting(monkeypatch, victim.site)
+        result = run_pipeline(
+            facet_system, PipelineConfig(n_patterns=128, audit_rate=0.999999)
+        )
+        report = result.classify_campaign
+        assert report.audited == report.completed == report.n_items
+        assert {v.fault for v in report.violations} == {fault_key(victim.system_site)}
+        quarantined = [r for r in result.records if r.quarantined]
+        assert [r.site for r in quarantined] == [victim.site]
+
+
+def _serial_reference(clf: Classifier, fault: FaultSite):
+    """The per-fault classification loop on the 1-pattern oracle.
+
+    One fault at a time: the oracle trace per scenario, the replay
+    verdict, then the cond probe rerun on the oracle and the periodicity
+    guard -- the reference ``classify_all`` must reproduce exactly."""
+    from repro.core.classify import FaultClassification, label_effects
+    from repro.core.effects import diff_traces, faulty_control_trace
+    from repro.core.symbolic import compare_replays, replay
+
+    effects, any_effect, reason = [], False, ""
+    for sc, gtrace, table, greplay, timeline in clf._golden:
+        ftrace = faulty_control_trace(clf.ctrl, sc, fault)
+        diff = diff_traces(gtrace, ftrace)
+        if not diff:
+            continue
+        any_effect = True
+        freplay = replay(clf.rtl, ftrace, table)
+        cmp = compare_replays(greplay, freplay)
+        if not cmp.equivalent:
+            reason = reason or f"{cmp.reason} ({sc.iterations} iteration(s))"
+        elif not reason:
+            flips = clf._cond_mismatch(sc, greplay, freplay)
+            probe = flips and faulty_control_trace(clf.ctrl, sc, fault, cond_flips=flips)
+            if probe and probe.lines != ftrace.lines:
+                reason = "comparator corrupted and faulty controller is cond-sensitive"
+            elif not clf._tail_is_periodic(ftrace):
+                reason = "faulty control stream not periodic at scenario end"
+        effects.extend(label_effects(clf.rtl, timeline, ftrace, freplay, diff))
+    if not any_effect:
+        return FaultClassification(fault, "CFR", [], "no control line effect in any scenario")
+    if not reason:
+        return FaultClassification(
+            fault, "SFR", effects, "all observed outputs and loop decisions match fault-free"
+        )
+    return FaultClassification(fault, "SFI", effects, reason)
+
+
+class TestAgainstSerialReference:
+    @pytest.mark.parametrize("probe_everywhere", [False, True])
+    def test_batched_equals_serial_oracle_loop(
+        self, diffeq_system, monkeypatch, probe_everywhere
+    ):
+        """``probe_everywhere`` widens the cond probe to every non-decision
+        cycle, so the divergent probe branch fires for real faults."""
+        if probe_everywhere:
+
+            def everywhere(self, sc, greplay, freplay):
+                decision = {c for c, _ in greplay.cond_decisions}
+                return set(range(1, sc.n_cycles)) - decision
+
+            monkeypatch.setattr(Classifier, "_cond_mismatch", everywhere)
+        faults = controller_fault_universe(diffeq_system)[::3]
+        batched = Classifier(diffeq_system.rtl, diffeq_system.controller)
+        serial = Classifier(diffeq_system.rtl, diffeq_system.controller)
+        got = batched.classify_all(faults)
+        want = [_serial_reference(serial, f) for f in faults]
+        assert [_as_json(c) for c in got] == [_as_json(c) for c in want]
+        if probe_everywhere:
+            reasons = {c.reason for c in want}
+            assert "comparator corrupted and faulty controller is cond-sensitive" in reasons

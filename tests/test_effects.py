@@ -1,5 +1,6 @@
 """Unit tests for control-line effect extraction."""
 
+import numpy as np
 import pytest
 
 from repro.core.effects import (
@@ -7,8 +8,10 @@ from repro.core.effects import (
     Scenario,
     diff_traces,
     faulty_control_trace,
+    faulty_control_values,
     golden_control_trace,
     make_scenarios,
+    trace_values,
 )
 from repro.hls.rtl import HOLD_STATE, RESET_STATE
 from repro.logic.faults import FaultSite
@@ -95,3 +98,62 @@ class TestTraces:
         sc = make_scenarios(diffeq_system.rtl)[0]
         golden = golden_control_trace(ctrl, sc)
         assert diff_traces(golden, golden) == []
+
+
+class TestBatchedKernel:
+    """One simulation per scenario for every fault vs the per-fault oracle."""
+
+    @staticmethod
+    def _scenarios(system):
+        from repro.core.classify import Classifier
+
+        return Classifier(system.rtl, system.controller).scenarios
+
+    @pytest.mark.parametrize(
+        "design,stride", [("facet", 1), ("poly", 1), ("diffeq", 4)]
+    )
+    def test_traces_match_oracle(self, design, stride, request):
+        from repro.core.pipeline import controller_fault_universe
+
+        system = request.getfixturevalue(f"{design}_system")
+        faults = controller_fault_universe(system)[::stride]
+        assert len(faults) >= 60
+        ctrl = system.controller
+        for sc in self._scenarios(system):
+            batched = faulty_control_values(ctrl, sc, faults)
+            assert batched.shape == (sc.n_cycles, len(ctrl.output_nets), len(faults))
+            for i, fault in enumerate(faults):
+                want = trace_values(ctrl, faulty_control_trace(ctrl, sc, fault))
+                np.testing.assert_array_equal(batched[:, :, i], want, err_msg=str(fault))
+
+    def test_per_fault_cond_flips_match_oracle(self, diffeq_system):
+        """Every fault gets its own seeded ``cond`` flip set in one run."""
+        import random
+
+        from repro.core.pipeline import controller_fault_universe
+
+        ctrl = diffeq_system.controller
+        faults = controller_fault_universe(diffeq_system)[::3]
+        rng = random.Random(1234)
+        for sc in self._scenarios(diffeq_system):
+            flips = [
+                set(rng.sample(range(1, sc.n_cycles), rng.randint(0, 6)))
+                for _ in faults
+            ]
+            batched = faulty_control_values(ctrl, sc, faults, cond_flips=flips)
+            unflipped = faulty_control_values(ctrl, sc, faults)
+            diverged = 0
+            for i, (fault, cycles) in enumerate(zip(faults, flips)):
+                want = trace_values(
+                    ctrl, faulty_control_trace(ctrl, sc, fault, cond_flips=cycles)
+                )
+                np.testing.assert_array_equal(
+                    batched[:, :, i], want, err_msg=f"{fault} {sorted(cycles)}"
+                )
+                diverged += not np.array_equal(want, unflipped[:, :, i])
+            assert diverged, "no flip set changed any trace; the probe is untested"
+
+    def test_empty_fault_list(self, facet_system):
+        sc = self._scenarios(facet_system)[0]
+        values = faulty_control_values(facet_system.controller, sc, [])
+        assert values.shape == (sc.n_cycles, len(facet_system.controller.output_nets), 0)

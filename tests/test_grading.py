@@ -310,3 +310,43 @@ class TestBatchedGradingBitIdentity:
             == 0
         )
         assert batched.read_bytes() == serial.read_bytes()
+
+
+class TestMonteCarloCacheLifetime:
+    """The Monte-Carlo memos must die with their system."""
+
+    def test_system_and_golden_batches_are_freed(self):
+        import gc
+        import pickle
+        import weakref
+
+        import repro.power.montecarlo as mc
+        from repro.designs.catalog import build_rtl
+        from repro.core.pipeline import controller_fault_universe
+        from repro.hls.system import build_system
+
+        gc.collect()
+        golden_before = len(mc._GOLDEN_CACHE)
+        system = build_system(build_rtl("facet"))
+        faults = [system.to_system_fault(s) for s in controller_fault_universe(system)][:3]
+        kwargs = dict(batch_patterns=64, max_batches=3)
+        batches = shared_batches(system, **kwargs)
+        assert shared_batches(system, **kwargs) is batches
+        monte_carlo_power_block(
+            system,
+            PowerEstimator(system.netlist),
+            faults,
+            batches=batches,
+            cone_power=True,
+            **kwargs,
+        )
+        assert len(mc._GOLDEN_CACHE) > golden_before
+        # the memo stays out of pickled pool contexts
+        assert "_mc_batches" in vars(system)
+        assert "_mc_batches" not in vars(pickle.loads(pickle.dumps(system)))
+
+        ref = weakref.ref(system)
+        del system, faults, batches
+        gc.collect()
+        assert ref() is None
+        assert len(mc._GOLDEN_CACHE) == golden_before

@@ -251,8 +251,8 @@ def test_wiped_root_publish_recreates_the_layout(tmp_path):
 
 # ------------------------------------------------------- CLI cold/warm runs
 def test_cli_cold_warm_bit_identity(tmp_path, capsys):
-    """The acceptance loop: a warm store-backed grade replays faultsim and
-    Monte-Carlo results from the store, reports a full stage hit ratio,
+    """The acceptance loop: a warm store-backed grade replays faultsim,
+    classification and Monte-Carlo results from the store, reports a full stage hit ratio,
     and writes a byte-identical deterministic result report."""
     store_dir = str(tmp_path / "store")
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
@@ -262,13 +262,19 @@ def test_cli_cold_warm_bit_identity(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--result-json", str(warm), "--report-json", str(warm_rep), "grade", "facet"]) == 0
     out = capsys.readouterr().out
-    assert "store: 3/3 stage hits" in out
+    assert "store: 4/4 stage hits" in out
     assert cold.read_bytes() == warm.read_bytes()
     warm_store = json.loads(warm_rep.read_text())["store"]
     assert warm_store["hit_ratio"] == 1.0
-    assert [s["stage"] for s in warm_store["stages"]] == ["faultsim", "grading", "report"]
+    assert [s["stage"] for s in warm_store["stages"]] == [
+        "faultsim",
+        "classify",
+        "grading",
+        "report",
+    ]
     assert all(s["hit"] for s in warm_store["stages"])
-    # the cold run published all three stages
+    assert json.loads(warm_rep.read_text())["campaigns"]["classify"]["computed"] == 0
+    # the cold run published all four stages
     cold_store = json.loads(cold_rep.read_text())["store"]
     assert all(s["published"] and not s["hit"] for s in cold_store["stages"])
 
@@ -303,9 +309,9 @@ def _flip_every_blob(root: Path) -> None:
 
 
 #: store calls one ``--patterns 64 grade facet`` makes on an empty store:
-#: lookup/publish faultsim, publish_many fault entries, lookup/publish
-#: grading, lookup/publish report
-_GRADE_STORE_CALLS = 7
+#: lookup/publish faultsim, lookup/publish classify, publish_many fault
+#: entries, lookup/publish grading, lookup/publish report
+_GRADE_STORE_CALLS = 9
 
 _GRADE_ARGV = ["--patterns", "64", "grade", "facet"]
 
@@ -366,7 +372,7 @@ def test_store_refresh_forces_recompute(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--store-refresh", "classify", "facet"]) == 0
     out = capsys.readouterr().out
-    assert "0/2 stage hits" in out  # faultsim + report both recomputed
+    assert "0/3 stage hits" in out  # faultsim, classify and report recomputed
 
 
 def test_cli_store_maintenance_commands(tmp_path, capsys):
