@@ -122,14 +122,13 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
             }
         )
 
-    # Grading kernel: the serial per-fault reference vs the block-parallel
-    # kernel, flat and cone-restricted, all bit-identical by contract.
+    # Grading kernel: the serial per-fault reference vs the cone-restricted
+    # block-parallel kernel, bit-identical by contract.
     n_sfr = len(pipelines["diffeq"].sfr_records)
     kernel_rows = {}
     for label, kwargs in (
         ("serial", dict(batched=False)),
-        ("batched_flat", dict(batched=True, cone_power=False)),
-        ("batched_cone", dict(batched=True, cone_power=True)),
+        ("batched", dict(batched=True)),
     ):
         t0 = time.perf_counter()
         grading = grade_sfr_faults(
@@ -152,14 +151,11 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
         for s in metrics["stages"]
         if s["stage"] == "fault_sim" and s["n_jobs"] == 1
     )
-    grading_fps = kernel_rows["batched_cone"]["faults_per_s"]
+    grading_fps = kernel_rows["batched"]["faults_per_s"]
     ratio = fault_sim_fps / grading_fps
     metrics["grading_kernel"] = {
         **{f"{k}_{f}": v[f] for k, v in kernel_rows.items() for f in v},
-        "speedup_flat": kernel_rows["serial"]["wall_s"]
-        / kernel_rows["batched_flat"]["wall_s"],
-        "speedup_cone": kernel_rows["serial"]["wall_s"]
-        / kernel_rows["batched_cone"]["wall_s"],
+        "speedup": kernel_rows["serial"]["wall_s"] / kernel_rows["batched"]["wall_s"],
         "fault_sim_faults_per_s": fault_sim_fps,
         "fault_sim_to_grading_ratio": ratio,
     }

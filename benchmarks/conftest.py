@@ -72,18 +72,18 @@ def estimators(systems):
 
 
 @pytest.fixture(scope="session")
-def activities(systems, pipelines, estimators):
-    """Per-design activity campaigns (same MC knobs as ``gradings``).
+def gradings(systems, pipelines, estimators):
+    """Scalar SFR grades: the session's single Monte-Carlo run per design.
 
-    Same seed, batch size, and budget as the grading fixture, so the
-    per-fault powers recovered from the activity counters are
-    bit-identical to the scalar grades.
+    Each grade captures its activity traces, which the ``activities``
+    fixture reuses, so no fault is simulated twice across the bench suite.
     """
     return {
-        name: activity_campaign(
+        name: grade_sfr_faults(
             systems[name],
             pipelines[name],
             estimator=estimators[name],
+            threshold=0.05,
             batch_patterns=MC_BATCH,
             max_batches=MC_MAX_BATCHES,
         )
@@ -92,21 +92,18 @@ def activities(systems, pipelines, estimators):
 
 
 @pytest.fixture(scope="session")
-def gradings(systems, pipelines, activities):
-    """Scalar SFR grades, replayed from the activity campaigns.
-
-    The activity fixture is the session's single Monte-Carlo run; the
-    grades here are seeded from its results, so no fault is simulated
-    twice across the bench suite.
-    """
+def activities(systems, pipelines, estimators, gradings):
+    """Per-design activity campaigns: the grading campaigns' captured
+    traces (same seed, batch size and budget), so the per-fault powers
+    recovered from the counters are bit-identical to the scalar grades."""
     return {
-        name: grade_sfr_faults(
+        name: activity_campaign(
             systems[name],
             pipelines[name],
-            threshold=0.05,
+            estimator=estimators[name],
             batch_patterns=MC_BATCH,
             max_batches=MC_MAX_BATCHES,
-            seed_results=activities[name].grading_seed_results(),
+            grading=gradings[name],
         )
         for name in systems
     }

@@ -415,7 +415,6 @@ def _cmd_grade(args) -> int:
         chaos=chaos_engine,
         store=store,
         batched=args.batched_grading,
-        cone_power=args.cone_power,
         seed_results=seeds,
     )
     _print_campaign(grading.campaign, "grading campaign")
@@ -480,7 +479,6 @@ def _cmd_calibrate(args) -> int:
         resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
-        cone_power=args.cone_power,
         store=store,
     )
     _print_campaign(campaign.campaign, "activity campaign")
@@ -595,7 +593,6 @@ def _compute_campaign(args, store: CampaignStore, design: str, threshold: float)
         strict=args.strict,
         store=store,
         batched=args.batched_grading,
-        cone_power=args.cone_power,
     )
     return _result_report(store, system, config, result, grading, command="grade")
 
@@ -624,7 +621,6 @@ def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) ->
         resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
-        cone_power=args.cone_power,
         store=store,
     )
     return calibrate_report_dict(fleet)
@@ -846,15 +842,6 @@ def main(argv: list[str] | None = None) -> int:
         "chunk owns one pattern block of a single wide simulation per "
         "batch (powers are bit-identical either way; default: "
         "--batched-grading -- see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--cone-power",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cone-restricted batched grading: simulate only each chunk's "
-        "union fault cone per batch and splice every other counter from "
-        "one fault-free reference run (bit-identical; default: "
-        "--cone-power -- see docs/performance.md)",
     )
     parser.add_argument(
         "--checkpoint-dir",

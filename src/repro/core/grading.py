@@ -30,6 +30,8 @@ from ..power.montecarlo import (
     monte_carlo_power,
     monte_carlo_power_block,
     shared_batches,
+    traced_json_dict,
+    verify_trace,
 )
 from ..store.cache import CampaignStore, StageProvenance, StageTimer
 from ..store.fingerprint import netlist_fingerprint, stage_key
@@ -98,6 +100,11 @@ class GradingResult:
     graded: list[GradedFault] = field(default_factory=list)
     #: resilience summary of the Monte-Carlo fan-out
     campaign: RunReport | None = None
+    #: every Monte-Carlo result with its activity trace, keyed by campaign
+    #: fault key in SFR record order (baseline under ``_BASELINE_KEY``
+    #: first) -- only when this call simulated all of them: ``None`` after
+    #: a store replay, a journal resume or a seeded grade
+    captured: dict[str, MonteCarloResult] | None = field(default=None, repr=False)
 
     def detected_flags(self) -> list[bool]:
         return [power_detected(g.pct_change, self.threshold) for g in self.graded]
@@ -130,7 +137,7 @@ def _grade_worker(context, fault):
     regenerates the packed batch stimuli locally through the
     :func:`~repro.power.montecarlo.shared_batches` memo (bit-identical by
     construction: one RNG stream from one seed), so the pool never pickles
-    the batch list itself.
+    the batch list itself.  Every result carries its activity trace.
     """
     system, estimator, seed, batch_patterns, max_batches, iterations_window = context
     batches = shared_batches(
@@ -147,6 +154,7 @@ def _grade_worker(context, fault):
         max_batches=max_batches,
         iterations_window=iterations_window,
         batches=batches,
+        capture_activity=True,
     )
 
 
@@ -154,18 +162,10 @@ def _grade_chunk_worker(context, chunk):
     """Monte-Carlo a whole fault chunk through the block-parallel kernel.
 
     One wide simulation per Monte-Carlo batch for every still-unconverged
-    fault of the chunk; per-fault results are bit-identical to
-    :func:`_grade_worker` on the same knobs.
+    fault of the chunk; per-fault results (activity traces included) are
+    bit-identical to :func:`_grade_worker` on the same knobs.
     """
-    (
-        system,
-        estimator,
-        seed,
-        batch_patterns,
-        max_batches,
-        iterations_window,
-        cone_power,
-    ) = context
+    system, estimator, seed, batch_patterns, max_batches, iterations_window = context
     batches = shared_batches(
         system,
         seed=seed,
@@ -180,8 +180,116 @@ def _grade_chunk_worker(context, chunk):
         max_batches=max_batches,
         iterations_window=iterations_window,
         batches=batches,
-        cone_power=cone_power,
+        capture_activity=True,
     )
+
+
+def simulate_campaign(
+    context: tuple,
+    sites: list,
+    on_result,
+    n_jobs: int = 1,
+    timeout: float | None = None,
+    max_retries: int = 2,
+    batched: bool = True,
+    chaos=None,
+) -> RunReport:
+    """Monte-Carlo every fault site of one campaign; ``on_result(site, mc)``
+    receives each result (activity trace attached) as its chunk finishes.
+
+    ``context`` is the worker context ``(system, estimator, seed,
+    batch_patterns, max_batches, iterations_window)``.  With ``batched``
+    the faults go in block-parallel chunks: order-preserving, balanced
+    over the job count, :data:`_GRADE_CHUNK_FAULTS` blocks for
+    numpy-dispatch amortization, and capped so the ``len(chunk) *
+    batch_patterns``-wide worker simulator stays within
+    :data:`_GRADE_MAX_WORDS`.  Campaigns whose ``batch_patterns`` is not
+    a multiple of 64 run per fault, as does ``batched=False``.
+    """
+    batch_patterns = context[3]
+    use_block = batched and batch_patterns % V.WORD_BITS == 0
+    if use_block:
+        jobs = max(1, resolve_n_jobs(n_jobs))
+        wpb = batch_patterns // V.WORD_BITS
+        size = max(
+            1, min(-(-len(sites) // jobs), _GRADE_CHUNK_FAULTS, _GRADE_MAX_WORDS // wpb)
+        )
+        items = [sites[i : i + size] for i in range(0, len(sites), size)]
+        worker = _grade_chunk_worker
+
+        def _collect(chunk_items, chunk_results) -> None:
+            for chunk, mcs in zip(chunk_items, chunk_results):
+                for site, mc in zip(chunk, mcs):
+                    on_result(site, mc)
+
+    else:
+        items = sites
+        worker = _grade_worker
+
+        def _collect(chunk_items, chunk_results) -> None:
+            for site, mc in zip(chunk_items, chunk_results):
+                on_result(site, mc)
+
+    run_context = context
+    if chaos is not None:
+        worker, run_context = chaos.wrap(worker, context)
+    executor = ParallelExecutor(
+        n_jobs,
+        chunk_size=1 if use_block else None,
+        timeout=timeout,
+        max_retries=max_retries,
+    )
+    executor.run(worker, items, run_context, on_chunk=_collect)
+    assert executor.last_report is not None
+    return executor.last_report
+
+
+def grading_stage_key(
+    stage: str, system: System, pipeline_result: PipelineResult, mc_params: dict
+) -> str:
+    """Store key of a ``grading`` or ``activity`` stage: both views of one
+    campaign share the netlist content, SFR universe and Monte-Carlo knobs."""
+    sfr_keys = [fault_key(r.system_site) for r in pipeline_result.sfr_records]
+    return stage_key(
+        stage,
+        netlist_fingerprint(system.netlist),
+        {"design": pipeline_result.design, "faults": sfr_keys, "mc": mc_params},
+    )
+
+
+def verify_traces(estimator: PowerEstimator, results: dict[str, MonteCarloResult]) -> None:
+    """Every trace of a campaign must recover its scalar power exactly."""
+    for k, mc in results.items():
+        verify_trace(estimator, k, mc)
+
+
+def publish_activity(
+    store: CampaignStore,
+    key: str,
+    design: str,
+    results: dict[str, MonteCarloResult],
+    wall_s: float,
+) -> bool:
+    """Publish a verified campaign (baseline under ``_BASELINE_KEY``) as
+    the ``activity`` stage and record its provenance."""
+    faults = {k: mc for k, mc in results.items() if k != _BASELINE_KEY}
+    published = store.publish(
+        "activity",
+        key,
+        {
+            "baseline": traced_json_dict(results[_BASELINE_KEY]),
+            "faults": {k: traced_json_dict(mc) for k, mc in faults.items()},
+        },
+        design=design,
+        meta={"faults": len(faults)},
+        wall_s=wall_s,
+    )
+    store.record(
+        StageProvenance(
+            stage="activity", key=key, hit=False, wall_s=wall_s, published=published
+        )
+    )
+    return published
 
 
 def grade_sfr_faults(
@@ -203,7 +311,6 @@ def grade_sfr_faults(
     chaos=None,
     store: CampaignStore | None = None,
     batched: bool = True,
-    cone_power: bool = True,
     seed_results: dict[str, "MonteCarloResult"] | None = None,
 ) -> GradingResult:
     """Monte-Carlo grade every SFR fault of a pipeline result.
@@ -212,11 +319,9 @@ def grade_sfr_faults(
     and replayed for the fault-free baseline and every SFR fault.  Faults
     are graded in block-parallel chunks by default (``batched=True``):
     each fault of a chunk owns one pattern block of a single wide
-    simulator, so every Monte-Carlo batch is one compiled-netlist pass
-    for the whole chunk instead of one simulator per fault per batch,
-    and ``cone_power=True`` additionally restricts each batch to the
-    chunk's union fault cone (fault power = golden power + cone counter
-    delta).  Both are pure performance levers -- powers, convergence
+    cone-restricted simulator, so every Monte-Carlo batch is one pass
+    over the chunk's union fault cone instead of one simulator per fault
+    per batch.  This is a pure performance lever -- powers, convergence
     histories, journals and store fingerprints are bit-identical to the
     per-fault path (``batched=False``), which is retained as the
     differential-audit reference; campaigns whose ``batch_patterns`` is
@@ -226,6 +331,12 @@ def grade_sfr_faults(
     per-fault result are journaled as they complete, and a rerun with
     ``resume=True`` replays journaled powers bit-identically instead of
     recomputing them.
+
+    Every simulated result carries its per-batch integer activity trace
+    (:class:`~repro.power.montecarlo.ActivityTrace`); when this call
+    simulated the baseline and every fault, the results are kept on
+    :attr:`GradingResult.captured` -- the fleet calibration's activity
+    campaign (:mod:`repro.fleet.activity`) is this same campaign.
 
     Integrity layer (see :mod:`repro.core.integrity`): the fault-free
     baseline must be finite, positive and below the estimator's
@@ -243,16 +354,21 @@ def grade_sfr_faults(
     With ``store`` set (see :mod:`repro.store`), a previously published
     grading campaign with the same netlist content, fault universe and
     Monte-Carlo knobs replays baseline and per-fault powers from the
-    persistent store (bit-identical grades, no simulation); a freshly
+    persistent store (bit-identical grades, no simulation).  A freshly
     computed campaign is published back only when its report is free of
-    integrity violations, and the crash-recovery journal is then retired.
+    integrity violations, and the crash-recovery journal is then
+    retired.  With its traces captured, the campaign is published twice:
+    as the scalar ``grading`` stage and, every trace verified against its
+    scalar power first, as the ``activity`` stage a later fleet
+    calibration replays.
 
     ``seed_results`` optionally pre-loads per-fault Monte-Carlo results
     (keyed by campaign fault key, baseline included) computed elsewhere,
     e.g. replayed from a structurally-identical baseline campaign by the
     incremental planner (see :mod:`repro.incremental`).  Journal entries
     win over seeds; seeded faults are counted as ``resumed`` and skip
-    simulation bit-identically to a journal replay.
+    simulation bit-identically to a journal replay.  Journal entries and
+    seeds carry no traces, so such a campaign publishes ``grading`` only.
     """
     validate_netlist(system.netlist)
     if not 0 < threshold < 1:
@@ -280,10 +396,8 @@ def grade_sfr_faults(
     journal = None
     stage_timer: StageTimer | None = None
     if store is not None:
-        grading_store_key = stage_key(
-            "grading",
-            netlist_fingerprint(system.netlist),
-            {"design": pipeline_result.design, "faults": sfr_keys, "mc": mc_params},
+        grading_store_key = grading_stage_key(
+            "grading", system, pipeline_result, mc_params
         )
         cached = store.lookup("grading", grading_store_key)
         if (
@@ -334,16 +448,7 @@ def grade_sfr_faults(
         audit_keys = set(select_audit(sfr_keys, audit_rate))
         if chaos is not None:
             chaos.set_flip_targets(sorted(audit_keys))
-        context = None
-        if todo or _BASELINE_KEY not in mc_by_key:
-            context = (
-                system,
-                estimator,
-                seed,
-                batch_patterns,
-                max_batches,
-                iterations_window,
-            )
+        context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
         if _BASELINE_KEY in mc_by_key:
             base = mc_by_key[_BASELINE_KEY]
         else:
@@ -360,8 +465,6 @@ def grade_sfr_faults(
             f"{ceiling_uw:.6g} uW); a poisoned baseline poisons every grade"
         )
     if not store_hit and todo:
-        todo_sites = [r.system_site for r in todo]
-        use_block = batched and batch_patterns % V.WORD_BITS == 0
 
         def _journal_fault(site, mc) -> None:
             key = fault_key(site)
@@ -371,53 +474,16 @@ def grade_sfr_faults(
             if journal is not None:
                 journal.record(key, mc.to_json_dict())
 
-        if use_block:
-            # Block-parallel kernel: order-preserving fault chunks, each
-            # graded in one wide simulation per Monte-Carlo batch.  Chunk
-            # width balances the job count, targets _GRADE_CHUNK_FAULTS
-            # blocks for numpy-dispatch amortization, and is capped so
-            # the ``len(chunk) * batch_patterns``-wide worker simulator
-            # stays within _GRADE_MAX_WORDS.
-            jobs = max(1, resolve_n_jobs(n_jobs))
-            wpb = batch_patterns // V.WORD_BITS
-            size = max(
-                1,
-                min(
-                    -(-len(todo_sites) // jobs),
-                    _GRADE_CHUNK_FAULTS,
-                    _GRADE_MAX_WORDS // wpb,
-                ),
-            )
-            items = [
-                todo_sites[i : i + size]
-                for i in range(0, len(todo_sites), size)
-            ]
-            worker, run_context = _grade_chunk_worker, (*context, cone_power)
-
-            def _journal_chunk(chunk_items, chunk_results) -> None:
-                for sites, mcs in zip(chunk_items, chunk_results):
-                    for site, mc in zip(sites, mcs):
-                        _journal_fault(site, mc)
-
-        else:
-            items = todo_sites
-            worker, run_context = _grade_worker, context
-
-            def _journal_chunk(sites, results) -> None:
-                for site, mc in zip(sites, results):
-                    _journal_fault(site, mc)
-
-        if chaos is not None:
-            worker, run_context = chaos.wrap(worker, run_context)
-        executor = ParallelExecutor(
-            n_jobs,
-            chunk_size=1 if use_block else None,
+        report = simulate_campaign(
+            context,
+            [r.system_site for r in todo],
+            _journal_fault,
+            n_jobs=n_jobs,
             timeout=timeout,
             max_retries=max_retries,
+            batched=batched,
+            chaos=chaos,
         )
-        executor.run(worker, items, run_context, on_chunk=_journal_chunk)
-        assert executor.last_report is not None
-        report = executor.last_report
         report.n_items = len(records)
         report.completed = len(todo)
         report.resumed = len(records) - len(todo)
@@ -481,11 +547,18 @@ def grade_sfr_faults(
             GradedFault(record=record, power_uw=mc.power_uw, pct_change=pct, group=group)
         )
     guard.attach(report, audited=len(audited))
+    captured = None
+    if not store_hit and all(
+        mc.activity is not None for mc in [base, *mc_by_key.values()]
+    ):
+        captured = {_BASELINE_KEY: base, **{k: mc_by_key[k] for k in sfr_keys}}
     if store is not None and not store_hit:
         assert stage_timer is not None and grading_store_key is not None
         stage_timer.__exit__(None, None, None)
         published = False
         if not report.violations:
+            if captured is not None:
+                verify_traces(estimator, captured)
             published = store.publish(
                 "grading",
                 grading_store_key,
@@ -508,6 +581,14 @@ def grade_sfr_faults(
                 published=published,
             )
         )
+        if published and captured is not None:
+            publish_activity(
+                store,
+                grading_stage_key("activity", system, pipeline_result, mc_params),
+                pipeline_result.design,
+                captured,
+                stage_timer.wall_s,
+            )
     # Figure 7 ordering: select-only faults first, then load-line faults,
     # each sorted by increasing power.
     graded.sort(key=lambda g: (g.group != "select", g.power_uw))
@@ -517,6 +598,7 @@ def grade_sfr_faults(
         threshold=threshold,
         graded=graded,
         campaign=report,
+        captured=captured,
     )
 
 

@@ -8,11 +8,11 @@ a manufactured fleet of any size through a single chunked matmul::
 
 Layers:
 
-* :mod:`repro.fleet.activity` -- capture + store the per-fault integer
-  activity matrices (one block-parallel Monte-Carlo campaign);
+* :mod:`repro.fleet.activity` -- the per-fault integer activity
+  matrices: the grading campaign's captured traces, or their store replay;
 * :mod:`repro.fleet.population` -- sample process/tester spread and
   sweep the threshold ROC over the matmul;
-* :mod:`repro.fleet.calibrate` -- glue: activity -> seeded grading ->
+* :mod:`repro.fleet.calibrate` -- glue: grading -> activity ->
   bit-identity cross-check -> population kernel -> store artifact.
 """
 

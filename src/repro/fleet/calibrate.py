@@ -1,12 +1,14 @@
-"""End-to-end fleet calibration: activity -> grading -> population ROC.
+"""End-to-end fleet calibration: grading -> activity -> population ROC.
 
 One call ties the three layers together and enforces the identity the
 whole construction rests on: the scalar powers the grading path reports
 must be *bit-identical* to the powers recovered from the activity
-campaign's integer counters (they are the same simulations -- grading is
-seeded from the campaign and replays, never re-simulates).  The
-population matmul then prices the fleet off those same counters, so at
-zero sigma its verdicts reproduce the scalar grading verdicts.
+campaign's integer counters (they are the same simulations -- the
+activity campaign is the grading campaign's captured traces, or their
+store replay).  The population matmul then prices the fleet off those
+same counters, so at zero sigma its verdicts reproduce the scalar
+grading verdicts.  Faults the grading campaign quarantined stay out of
+the fleet, and a campaign with integrity violations publishes nothing.
 
 Fleet results are store artifacts of their own (stage ``"fleet"``),
 keyed by the activity campaign's identity plus the fleet configuration:
@@ -35,7 +37,7 @@ from ..power.montecarlo import (
 )
 from ..store.cache import CampaignStore, StageProvenance, StageTimer
 from ..store.fingerprint import netlist_fingerprint, stage_key
-from .activity import ActivityCampaign, activity_campaign, recovered_power_uw
+from .activity import ActivityCampaign, activity_campaign
 from .population import FleetConfig, FleetResult, activity_matrix, run_population
 
 
@@ -59,24 +61,21 @@ def fleet_store_key(
     )
 
 
-def _check_bit_identity(
-    estimator: PowerEstimator,
-    campaign: ActivityCampaign,
-    grading: GradingResult,
-) -> None:
+def _check_bit_identity(campaign: ActivityCampaign, grading: GradingResult) -> None:
     """Grading powers and activity-recovered powers must agree exactly.
 
     This is the sigma=0 anchor of the whole fleet model: the integer
     counters are the measurement, the scalar grade is a pure function of
-    them.  Any divergence -- a tampered artifact, a seeding bug, a
-    drifted float pipeline -- invalidates every ROC point, so it aborts.
+    them.  ``activity_campaign`` has already checked that every trace
+    recovers its own result's power, so comparing those powers with the
+    grades compares the counters with them.  Any divergence -- a tampered
+    artifact, a drifted float pipeline -- invalidates every ROC point, so
+    it aborts.
     """
-    assert campaign.baseline.activity is not None
-    recovered = recovered_power_uw(estimator, campaign.baseline.activity)
-    if recovered != grading.fault_free_uw:
+    if campaign.baseline.power_uw != grading.fault_free_uw:
         raise IntegrityError(
-            f"activity baseline recovers {recovered!r} uW but grading "
-            f"reports {grading.fault_free_uw!r} uW; the campaigns diverged"
+            f"activity baseline recovers {campaign.baseline.power_uw!r} uW but "
+            f"grading reports {grading.fault_free_uw!r} uW; the campaigns diverged"
         )
     for g in grading.graded:
         key = fault_key(g.record.system_site)
@@ -85,11 +84,9 @@ def _check_bit_identity(
             raise IntegrityError(
                 f"graded fault {key!r} is missing from the activity campaign"
             )
-        assert mc.activity is not None
-        recovered = recovered_power_uw(estimator, mc.activity)
-        if recovered != g.power_uw:
+        if mc.power_uw != g.power_uw:
             raise IntegrityError(
-                f"activity counters of {key!r} recover {recovered!r} uW but "
+                f"activity counters of {key!r} recover {mc.power_uw!r} uW but "
                 f"grading reports {g.power_uw!r} uW; the campaigns diverged"
             )
 
@@ -111,33 +108,20 @@ def calibrate_fleet(
     resume: bool = False,
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
-    cone_power: bool = True,
     store: CampaignStore | None = None,
 ) -> tuple[FleetResult, ActivityCampaign, GradingResult]:
     """Calibrate one design's fleet threshold; returns (fleet, activity, grading).
 
-    Runs (or replays from ``store``) the activity campaign, feeds its
-    results into the scalar grading path as seeds (zero re-simulation),
-    cross-checks the two bit-identically, then runs (or replays) the
-    population kernel.  ``threshold`` only parameterises the embedded
-    scalar grading report; the fleet sweeps ``config.thresholds``.
+    Runs (or replays from ``store``) the grading campaign, takes its
+    captured activity traces (or replays the ``activity`` stage, or --
+    after a grade that captured none -- computes them), cross-checks the
+    two bit-identically, then runs (or replays) the population kernel
+    over the faults that survived grading.  ``threshold`` only
+    parameterises the embedded scalar grading report; the fleet sweeps
+    ``config.thresholds``.
     """
     config.validate()
     estimator = estimator or PowerEstimator(system.netlist)
-    campaign = activity_campaign(
-        system,
-        pipeline_result,
-        estimator=estimator,
-        seed=seed,
-        batch_patterns=batch_patterns,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-        n_jobs=n_jobs,
-        timeout=timeout,
-        max_retries=max_retries,
-        cone_power=cone_power,
-        store=store,
-    )
     grading = grade_sfr_faults(
         system,
         pipeline_result,
@@ -155,13 +139,28 @@ def calibrate_fleet(
         audit_rate=audit_rate,
         strict=strict,
         store=store,
-        seed_results=campaign.grading_seed_results(),
     )
-    _check_bit_identity(estimator, campaign, grading)
+    campaign = activity_campaign(
+        system,
+        pipeline_result,
+        estimator=estimator,
+        seed=seed,
+        batch_patterns=batch_patterns,
+        max_batches=max_batches,
+        iterations_window=iterations_window,
+        n_jobs=n_jobs,
+        timeout=timeout,
+        max_retries=max_retries,
+        store=store,
+        grading=grading,
+    )
+    _check_bit_identity(campaign, grading)
+    survivors = {fault_key(g.record.system_site) for g in grading.graded}
+    fault_keys = [k for k in campaign.fault_keys if k in survivors]
 
     mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     key: str | None = None
-    if store is not None:
+    if store is not None and not grading.campaign.violations:
         key = fleet_store_key(system, pipeline_result, mc_params, config)
         cached = store.lookup("fleet", key)
         if cached is not None and cached.get("params") == config.params_dict():
@@ -178,12 +177,12 @@ def calibrate_fleet(
 
     stage_timer = StageTimer().__enter__()
     decomp = estimator.cap_decomposition(tag_prefix=DATAPATH_TAG)
-    A = activity_matrix(campaign, estimator)
+    A = activity_matrix(campaign, estimator, fault_keys)
     result = run_population(
         estimator,
         decomp,
         A,
-        campaign.fault_keys,
+        fault_keys,
         config,
         p_ref_uw=grading.fault_free_uw,
         design=pipeline_result.design,
@@ -195,7 +194,7 @@ def calibrate_fleet(
             key,
             result.to_json_dict(),
             design=pipeline_result.design,
-            meta={"instances": config.instances, "faults": len(campaign.fault_keys)},
+            meta={"instances": config.instances, "faults": len(fault_keys)},
             wall_s=stage_timer.wall_s,
         )
         store.record(

@@ -106,21 +106,25 @@ class FleetConfig:
 
 
 def activity_matrix(
-    campaign: ActivityCampaign, estimator: PowerEstimator
+    campaign: ActivityCampaign,
+    estimator: PowerEstimator,
+    fault_keys: list[str] | None = None,
 ) -> np.ndarray:
     """Stack the campaign's mean activities into ``A[rows x (1+faults)]``.
 
     Row layout matches :meth:`CapDecomposition.stack`: per-net toggle
     rows, per-DFFE load rows, then one constant row (always 1.0 -- the
     plain-DFF clock burns every cycle-pattern).  Column 0 is the
-    fault-free machine, then one column per fault in campaign order.
+    fault-free machine, then one column per fault of ``fault_keys``
+    (default: every campaign fault, in campaign order).
     Entries are mean transitions per cycle-pattern, so the product
     against fF-per-transition weights is fF switched per cycle-pattern
     -- no further normalisation needed downstream.
     """
     n_nets = estimator.netlist.num_nets
     n_dffe = len(estimator.dffe_gates)
-    results = [campaign.baseline] + [campaign.by_key[k] for k in campaign.fault_keys]
+    keys = campaign.fault_keys if fault_keys is None else fault_keys
+    results = [campaign.baseline] + [campaign.by_key[k] for k in keys]
     A = np.empty((n_nets + n_dffe + 1, len(results)), dtype=np.float64)
     for j, mc in enumerate(results):
         assert mc.activity is not None

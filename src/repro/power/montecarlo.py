@@ -24,12 +24,12 @@ fault of a chunk owns one pattern block of a single wide block-parallel
 simulator, every Monte-Carlo batch is one compiled-netlist pass for the
 whole chunk, per-fault convergence is tracked exactly as the serial loop
 does, and converged faults are compacted out of the next batch's
-simulator.  With ``cone_power=True`` each batch additionally applies the
-cone restriction: one fault-free reference run per batch supplies the
-toggle counts of every net outside a fault's sequential fanout cone
-(those nets provably never diverge -- see docs/performance.md), and only
-the chunk's union cone is simulated.  Either way the per-fault
-``MonteCarloResult`` is bit-identical to ``monte_carlo_power``.
+simulator.  Each batch applies the cone restriction: one fault-free
+reference run per batch supplies the toggle counts of every net outside
+a fault's sequential fanout cone (those nets provably never diverge --
+see docs/performance.md), and only the chunk's union cone is simulated.
+The per-fault ``MonteCarloResult`` is bit-identical to
+``monte_carlo_power``.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class ActivityTrace:
     what makes recovery bit-identical: replaying
     ``power_from_counts`` per batch and averaging visits the very same
     float operands in the very same order as the original campaign
-    (see :func:`repro.fleet.activity.recovered_power_uw`).
+    (see :func:`recovered_power_uw`).
     """
 
     toggles: np.ndarray  # (batches, num_nets) int64
@@ -190,7 +190,7 @@ class MonteCarloResult:
     #: per-batch integer counters (only with ``capture_activity=True``);
     #: deliberately excluded from the JSON forms below so journals, the
     #: grading store artifact and checkpoints are unchanged -- activity
-    #: persists through its own store artifact (:mod:`repro.fleet`).
+    #: persists through its own store artifact (:func:`traced_json_dict`).
     activity: "ActivityTrace | None" = field(
         default=None, compare=False, repr=False
     )
@@ -234,6 +234,80 @@ class MonteCarloResult:
     @classmethod
     def from_json(cls, text: str) -> "MonteCarloResult":
         return cls.from_json_dict(json.loads(text))
+
+
+def traced_json_dict(mc: MonteCarloResult) -> dict:
+    """JSON form of a result *with* its activity trace (``activity`` stage)."""
+    assert mc.activity is not None
+    return {"mc": mc.to_json_dict(), "activity": mc.activity.to_json_dict()}
+
+
+def traced_from_json_dict(data: dict) -> MonteCarloResult:
+    mc = MonteCarloResult.from_json_dict(data["mc"])
+    mc.activity = ActivityTrace.from_json_dict(data["activity"])
+    return mc
+
+
+def recovered_power_uw(
+    estimator: PowerEstimator,
+    trace: ActivityTrace,
+    tag_prefix: str | None = DATAPATH_TAG,
+) -> float:
+    """Scalar Monte-Carlo power recomputed from stored integer counters.
+
+    Replays :meth:`~repro.power.estimator.PowerEstimator.power_from_counts`
+    per batch and averages -- the very same float operands in the very
+    same order as the original campaign, so the result is *bit-identical*
+    to the ``power_uw`` the simulation reported (the per-batch integers
+    are the sufficient statistic; every downstream float is a pure
+    function of them).
+    """
+    totals = []
+    for b in range(trace.batches):
+        estimator._check_counters(
+            trace.toggles[b], trace.load_events[b], trace.cycles, trace.patterns
+        )
+        totals.append(
+            estimator.power_from_counts(
+                trace.toggles[b],
+                trace.load_events[b],
+                trace.cycles,
+                trace.patterns,
+                tag_prefix,
+            ).total_uw
+        )
+    return float(np.mean(totals))
+
+
+def verify_trace(estimator: PowerEstimator, key: str, mc: MonteCarloResult) -> None:
+    """One result's counters must reproduce its scalar power exactly.
+
+    Runs on every freshly captured result before it is published (a
+    disagreement means the capture path diverged from the float pipeline
+    -- a bug) and on every store replay (a disagreement means a
+    tampered-but-well-formed blob).
+    """
+    if mc.activity is None:
+        raise IntegrityError(f"activity campaign result {key!r} carries no trace")
+    trace = mc.activity
+    n_nets = estimator.netlist.num_nets
+    n_dffe = len(estimator.dffe_gates)
+    if trace.toggles.shape != (mc.batches, n_nets) or trace.load_events.shape != (
+        mc.batches,
+        n_dffe,
+    ):
+        raise IntegrityError(
+            f"activity trace of {key!r} has shape "
+            f"{trace.toggles.shape}/{trace.load_events.shape}; expected "
+            f"({mc.batches}, {n_nets}) / ({mc.batches}, {n_dffe})"
+        )
+    recovered = recovered_power_uw(estimator, trace)
+    if recovered != mc.power_uw:
+        raise IntegrityError(
+            f"activity counters of {key!r} recover {recovered!r} uW but the "
+            f"campaign recorded {mc.power_uw!r} uW; the integer trace and "
+            f"the scalar grade must be the same measurement"
+        )
 
 
 def random_data(system: System, rng: np.random.Generator, n_patterns: int) -> dict[str, np.ndarray]:
@@ -419,113 +493,6 @@ def monte_carlo_power(
     )
 
 
-class _TiledSim:
-    """Drive adapter replicating one stimulus across fault blocks.
-
-    Presents the ``n_patterns`` of the original stimulus while tiling every
-    drive across the ``n_blocks`` pattern blocks of a wide block-parallel
-    simulator, so any stimulus works with :class:`_FlatBlockKernel`
-    unmodified.
-    """
-
-    def __init__(self, sim: CycleSimulator, n_patterns: int, n_blocks: int):
-        self._sim = sim
-        self._reps = n_blocks
-        self.n_patterns = n_patterns
-        self.words = V.num_words(n_patterns)
-        self.mask = V.tail_mask(n_patterns)
-
-    def drive_words(self, net: int, zero: np.ndarray, one: np.ndarray) -> None:
-        self._sim.drive_words(
-            net,
-            np.tile(zero & self.mask, self._reps),
-            np.tile(one & self.mask, self._reps),
-        )
-
-    def drive(self, net: int, bits) -> None:
-        one = V.pack_bits(np.asarray(bits, dtype=np.uint8))
-        self.drive_words(net, ~one & self.mask, one & self.mask)
-
-    def drive_const(self, net: int, value: int) -> None:
-        zeros = np.zeros(self.words, dtype=self.mask.dtype)
-        if value:
-            self.drive_words(net, zeros, self.mask)
-        else:
-            self.drive_words(net, self.mask, zeros)
-
-    def drive_bus(self, nets: list[int], words) -> None:
-        """Drive a bus (LSB first), tiled across every fault block.
-
-        Mirrors :meth:`CycleSimulator.drive_bus`'s range guard: data that
-        does not fit the bus would silently alias to its low bits in
-        every block, so it is rejected loudly instead.
-        """
-        vals = np.asarray(words, dtype=np.int64)
-        if vals.size and (vals.min() < 0 or vals.max() >> len(nets)):
-            raise ValueError(
-                f"bus value out of range for {len(nets)}-bit bus: "
-                f"min={vals.min()}, max={vals.max()}"
-            )
-        for i, net in enumerate(nets):
-            self.drive(net, (vals >> i) & 1)
-
-
-class _FlatBlockKernel:
-    """Per-chunk flat (full-netlist) block-parallel power kernel.
-
-    Fault ``b`` owns pattern block ``b`` of a simulator ``len(faults)``
-    times wider than one batch; stem forces and branch poisons are
-    confined to their block, and the per-block toggle/load counters make
-    each block's power exactly what a standalone faulted simulator over
-    the same batch reports.  One instance serves every batch of an
-    unchanged live-fault set (state and counters reset between batches,
-    matching the fresh-simulator-per-batch serial semantics); the driver
-    rebuilds a narrower kernel when convergence compacts faults out.
-    """
-
-    def __init__(
-        self,
-        system: System,
-        estimator: PowerEstimator,
-        faults: list[FaultSite],
-        capture: bool = False,
-    ):
-        self.system = system
-        self.estimator = estimator
-        self.faults = list(faults)
-        self.capture = capture
-        #: per-block counter snapshot of the last ``run`` (capture mode)
-        self.last_counts: tuple[np.ndarray, np.ndarray] | None = None
-        self.sim: CycleSimulator | None = None
-
-    def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
-        n_blocks = len(self.faults)
-        if self.sim is None:
-            wpb = stim.n_patterns // V.WORD_BITS
-            blocks = [(b * wpb, (b + 1) * wpb) for b in range(n_blocks)]
-            self.sim = CycleSimulator(
-                self.system.netlist,
-                n_blocks * stim.n_patterns,
-                faults=self.faults,
-                fault_blocks=blocks,
-                count_toggles=True,
-                toggle_blocks=n_blocks,
-            )
-            self.tiled = _TiledSim(self.sim, stim.n_patterns, n_blocks)
-        else:
-            self.sim.reset_state()
-            self.sim._toggles_rows[:] = 0
-            self.sim.load_events[:] = 0
-        sim = self.sim
-        for cycle in range(stim.n_cycles):
-            stim.apply(self.tiled, cycle)
-            sim.settle()
-            sim.latch()
-        if self.capture:
-            self.last_counts = sim.counter_snapshot()
-        return self.estimator.power_blocks(sim, tag_prefix=tag_prefix)
-
-
 @dataclass
 class _GoldenBatch:
     """Fault-free reference of one batch: per-cycle planes + counters."""
@@ -572,10 +539,11 @@ class _ConeBlockKernel:
     per batch (memoized across chunks) supplies every other counter; the
     chunk simulates just its union cone on the block-parallel
     :class:`~repro.logic.faultsim._ConeSim`, counting toggles per block
-    over the union nets.  Counters are exact integers either way, so the
-    resulting powers are bit-identical to the flat kernel's.  Like
-    :class:`_FlatBlockKernel`, one instance serves every batch of an
-    unchanged live-fault set.
+    over the union nets.  Counters are exact integers, so the resulting
+    powers are bit-identical to a standalone faulted simulation's.  One
+    instance serves every batch of an unchanged live-fault set (state
+    reset and counters zeroed between batches); a narrower kernel is
+    built when convergence compacts faults out.
     """
 
     def __init__(
@@ -688,7 +656,6 @@ def monte_carlo_power_block(
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
     batches: list[NormalModeStimulus] | None = None,
-    cone_power: bool = True,
     capture_activity: bool = False,
 ) -> list[MonteCarloResult]:
     """Monte-Carlo power of a whole fault chunk in block-parallel passes.
@@ -698,7 +665,7 @@ def monte_carlo_power_block(
     same ``power_uw``, ``batches``, ``patterns`` and ``history``.  Each
     batch is one wide simulation over the still-unconverged faults
     (converged faults are compacted out, exactly mirroring the serial
-    loop's early return), flat or cone-restricted per ``cone_power``.
+    loop's early return), restricted to the chunk's union fault cone.
     With ``capture_activity=True`` each result also carries its
     :class:`ActivityTrace` of per-batch integer counters (the counters
     the kernels already accumulate -- capture only snapshots them).
@@ -753,7 +720,7 @@ def monte_carlo_power_block(
         def batch_stim(batch: int) -> NormalModeStimulus:
             return batches[batch - 1]
 
-    cones = compute_cones(system.netlist, faults) if cone_power else None
+    cones = compute_cones(system.netlist, faults)
     n_faults = len(faults)
     totals: list[list[float]] = [[] for _ in range(n_faults)]
     history: list[list[float]] = [[] for _ in range(n_faults)]
@@ -783,10 +750,8 @@ def monte_carlo_power_block(
             # still-unconverged fault; an unchanged live set reuses the
             # previous batch's simulator (state reset, counters zeroed).
             live_faults = [faults[i] for i in live]
-            kernel = (
-                _ConeBlockKernel(system, estimator, live_faults, cones, capture_activity)
-                if cone_power
-                else _FlatBlockKernel(system, estimator, live_faults, capture_activity)
+            kernel = _ConeBlockKernel(
+                system, estimator, live_faults, cones, capture_activity
             )
             kernel_live = list(live)
         powers = kernel.run(stim, DATAPATH_TAG)

@@ -20,8 +20,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.checkpoint import fault_key
-from repro.core.errors import CampaignError
-from repro.core.grading import grade_sfr_faults, power_detected
+from repro.core.errors import CampaignError, IntegrityError
+import repro.core.grading as grading_mod
+from repro.core.grading import _BASELINE_KEY, grade_sfr_faults, power_detected
 from repro.fleet import (
     FleetConfig,
     FleetResult,
@@ -34,7 +35,7 @@ from repro.fleet import (
     run_population,
 )
 from repro.power.estimator import PowerEstimator
-from repro.power.montecarlo import DATAPATH_TAG, ActivityTrace
+from repro.power.montecarlo import DATAPATH_TAG, ActivityTrace, MonteCarloResult
 from repro.store.cache import CampaignStore
 from repro.store.server import make_server
 
@@ -61,7 +62,7 @@ def facet_seeded_grading(facet_system, facet_pipeline, facet_estimator, facet_ac
         facet_pipeline,
         estimator=facet_estimator,
         threshold=0.05,
-        seed_results=facet_activity.grading_seed_results(),
+        seed_results={_BASELINE_KEY: facet_activity.baseline, **facet_activity.by_key},
         **MC,
     )
 
@@ -344,6 +345,211 @@ def test_calibrate_end_to_end_with_warm_store(
     assert report["command"] == "calibrate"
     assert report["design"] == "facet"
     assert len(report["roc"]) == len(config.thresholds)
+
+
+def _stage_rows(store: CampaignStore) -> dict[str, int]:
+    kinds = [row.kind for row in store.artifacts.rows()]
+    return {kind: kinds.count(kind) for kind in ("grading", "activity", "fleet")}
+
+
+class TestOneCampaign:
+    """``grade`` runs the one Monte-Carlo campaign; ``calibrate`` replays it."""
+
+    def test_grade_captures_what_the_activity_campaign_computes(
+        self, facet_system, facet_pipeline, facet_estimator, facet_activity
+    ):
+        graded = grade_sfr_faults(
+            facet_system, facet_pipeline, estimator=facet_estimator, **MC
+        )
+        assert graded.captured is not None
+        assert list(graded.captured) == [_BASELINE_KEY, *facet_activity.fault_keys]
+        for key, mc in graded.captured.items():
+            ref = facet_activity.baseline if key == _BASELINE_KEY else facet_activity.by_key[key]
+            assert mc.power_uw == ref.power_uw
+            np.testing.assert_array_equal(mc.activity.toggles, ref.activity.toggles)
+            np.testing.assert_array_equal(mc.activity.load_events, ref.activity.load_events)
+        # the captured campaign is the activity campaign: nothing re-simulated
+        campaign = activity_campaign(
+            facet_system, facet_pipeline, estimator=facet_estimator, grading=graded, **MC
+        )
+        assert campaign.campaign.completed == 0
+        assert campaign.by_key == facet_activity.by_key
+
+    def test_clean_grade_publishes_both_stages(
+        self, facet_system, facet_pipeline, facet_estimator, tmp_path
+    ):
+        store = CampaignStore(tmp_path / "store")
+        grade_sfr_faults(
+            facet_system, facet_pipeline, estimator=facet_estimator, store=store, **MC
+        )
+        assert _stage_rows(store) == {"grading": 1, "activity": 1, "fleet": 0}
+        _fleet, campaign, grading = calibrate_fleet(
+            facet_system,
+            facet_pipeline,
+            FleetConfig(instances=500),
+            estimator=facet_estimator,
+            store=store,
+            **MC,
+        )
+        assert campaign.store_hit and campaign.campaign.completed == 0
+        assert grading.campaign.completed == 0 and grading.captured is None
+
+    def test_tampered_activity_replay_is_rejected(
+        self, facet_system, facet_pipeline, facet_estimator, tmp_path, monkeypatch
+    ):
+        """A well-formed ``activity`` blob whose counters no longer recover
+        the recorded power aborts the calibration."""
+        store = CampaignStore(tmp_path / "store")
+        grade_sfr_faults(
+            facet_system, facet_pipeline, estimator=facet_estimator, store=store, **MC
+        )
+        lookup = CampaignStore.lookup
+
+        def tampered(self, kind, key):
+            payload = lookup(self, kind, key)
+            if kind == "activity" and payload is not None:
+                counts = payload["baseline"]["activity"]["toggles"][0]
+                counts[:] = [n + 1 for n in counts]
+            return payload
+
+        monkeypatch.setattr(CampaignStore, "lookup", tampered)
+        with pytest.raises(IntegrityError, match="recover"):
+            calibrate_fleet(
+                facet_system,
+                facet_pipeline,
+                FleetConfig(instances=500),
+                estimator=facet_estimator,
+                store=store,
+                **MC,
+            )
+
+    def test_audit_quarantined_grade_publishes_nothing(
+        self, facet_system, facet_pipeline, facet_estimator, tmp_path, monkeypatch
+    ):
+        """A fault the differential audit quarantines keeps the grading,
+        activity and fleet stages out of the store, and out of the fleet."""
+        keys = [fault_key(r.system_site) for r in facet_pipeline.sfr_records]
+        victim = facet_pipeline.sfr_records[0].system_site
+        reference = grading_mod.monte_carlo_power
+
+        def skewed(*args, **kwargs):
+            mc = reference(*args, **kwargs)
+            if kwargs.get("fault") == victim and kwargs.get("batches") is None:
+                mc.power_uw *= 1.5  # the audit's recomputation disagrees
+            return mc
+
+        monkeypatch.setattr(grading_mod, "monte_carlo_power", skewed)
+        store = CampaignStore(tmp_path / "store")
+        fleet, campaign, grading = calibrate_fleet(
+            facet_system,
+            facet_pipeline,
+            FleetConfig(instances=500),
+            estimator=facet_estimator,
+            store=store,
+            audit_rate=1.0,
+            **MC,
+        )
+        assert [v.fault for v in grading.campaign.violations] == [fault_key(victim)]
+        assert fleet.fault_keys == keys[1:]
+        assert campaign.fault_keys == keys
+        assert _stage_rows(store) == {"grading": 0, "activity": 0, "fleet": 0}
+
+    def test_chaos_tampered_grade_publishes_neither_stage(
+        self, facet_system, facet_pipeline, facet_estimator, tmp_path
+    ):
+        from repro.testing.chaos import ChaosEngine
+
+        store = CampaignStore(tmp_path / "store")
+        graded = grade_sfr_faults(
+            facet_system,
+            facet_pipeline,
+            estimator=facet_estimator,
+            store=store,
+            chaos=ChaosEngine.from_spec("bitflip:1,seed:7"),
+            **MC,
+        )
+        assert graded.campaign.violations
+        assert _stage_rows(store) == {"grading": 0, "activity": 0, "fleet": 0}
+
+    def test_journal_resumed_grade_leaves_activity_to_calibrate(
+        self, facet_system, facet_pipeline, facet_estimator, facet_activity, tmp_path
+    ):
+        """Journal entries hold scalars only: a resumed grade publishes
+        ``grading`` alone, and the next calibrate computes the activity
+        campaign itself, once."""
+        ckpt = str(tmp_path / "ckpt")
+        grade_sfr_faults(
+            facet_system, facet_pipeline, estimator=facet_estimator, checkpoint_dir=ckpt, **MC
+        )
+        store = CampaignStore(tmp_path / "store")
+        resumed = grade_sfr_faults(
+            facet_system,
+            facet_pipeline,
+            estimator=facet_estimator,
+            checkpoint_dir=ckpt,
+            resume=True,
+            store=store,
+            **MC,
+        )
+        assert resumed.campaign.completed == 0 and resumed.captured is None
+        assert _stage_rows(store) == {"grading": 1, "activity": 0, "fleet": 0}
+        config = FleetConfig(instances=500)
+        for computed in (len(facet_activity.fault_keys), 0):
+            _fleet, campaign, _grading = calibrate_fleet(
+                facet_system,
+                facet_pipeline,
+                config,
+                estimator=facet_estimator,
+                store=store,
+                **MC,
+            )
+            assert campaign.campaign.completed == computed
+            assert campaign.by_key == facet_activity.by_key
+            assert _stage_rows(store) == {"grading": 1, "activity": 1, "fleet": 1}
+
+    def test_seeded_grade_publishes_grading_only(
+        self, facet_system, facet_pipeline, facet_estimator, facet_activity, tmp_path
+    ):
+        """Seeds replayed from a scalar ``grading`` blob (the incremental
+        rename path) carry no traces."""
+        seeds = {
+            k: MonteCarloResult.from_json_dict(mc.to_json_dict())
+            for k, mc in [(_BASELINE_KEY, facet_activity.baseline), *facet_activity.by_key.items()]
+        }
+        store = CampaignStore(tmp_path / "store")
+        seeded = grade_sfr_faults(
+            facet_system,
+            facet_pipeline,
+            estimator=facet_estimator,
+            store=store,
+            seed_results=seeds,
+            **MC,
+        )
+        assert seeded.captured is None
+        assert _stage_rows(store) == {"grading": 1, "activity": 0, "fleet": 0}
+
+
+def test_cli_calibrate_after_grade_runs_no_monte_carlo(tmp_path):
+    """``grade`` then ``calibrate`` on one store: the calibrate replays
+    both stages and reports byte-identically to a store-less calibrate and
+    to one on an empty store."""
+    base = ["--patterns", "64"]
+
+    def calibrate(name: str, *store_args: str) -> bytes:
+        out, rep = tmp_path / f"{name}.json", tmp_path / f"{name}-rep.json"
+        argv = [*base, *store_args, "--result-json", str(out), "--report-json", str(rep)]
+        assert main([*argv, "calibrate", "facet"]) == 0
+        return out.read_bytes()
+
+    storeless = calibrate("storeless")
+    empty = calibrate("empty", "--store-dir", str(tmp_path / "empty"))
+    shared = ["--store-dir", str(tmp_path / "shared")]
+    assert main([*base, *shared, "grade", "facet"]) == 0
+    after_grade = calibrate("after-grade", *shared)
+    assert storeless == empty == after_grade
+    campaigns = json.loads((tmp_path / "after-grade-rep.json").read_text())["campaigns"]
+    assert campaigns["activity"]["computed"] == 0
+    assert campaigns["grading"]["computed"] == 0
 
 
 def test_cli_calibrate_cold_then_warm(tmp_path, capsys):

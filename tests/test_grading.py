@@ -1,5 +1,6 @@
 """Tests for Monte-Carlo power grading of SFR faults."""
 
+import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_mod
@@ -157,8 +158,10 @@ class TestBlockKernelBitIdentity:
     """monte_carlo_power_block vs the serial per-fault reference."""
 
     @pytest.mark.parametrize("design", ["facet", "diffeq", "poly"])
-    @pytest.mark.parametrize("cone_power", [False, True])
-    def test_matches_serial_per_fault(self, design, cone_power, request):
+    @pytest.mark.parametrize("capture_activity", [False, True])
+    def test_matches_serial_per_fault(self, design, capture_activity, request):
+        """Powers, histories and (when captured) every per-batch counter
+        equal the serial loop's: capturing the traces changes nothing."""
         system = request.getfixturevalue(f"{design}_system")
         pipeline = request.getfixturevalue(f"{design}_pipeline")
         faults = [r.system_site for r in pipeline.sfr_records][:6]
@@ -167,13 +170,29 @@ class TestBlockKernelBitIdentity:
         kwargs = dict(batch_patterns=64, max_batches=4)
         batches = shared_batches(system, **kwargs)
         block = monte_carlo_power_block(
-            system, est, faults, batches=batches, cone_power=cone_power, **kwargs
+            system,
+            est,
+            faults,
+            batches=batches,
+            capture_activity=capture_activity,
+            **kwargs,
         )
         for fault, got in zip(faults, block):
             ref = monte_carlo_power(
-                system, est, fault=fault, batches=batches, **kwargs
+                system,
+                est,
+                fault=fault,
+                batches=batches,
+                capture_activity=capture_activity,
+                **kwargs,
             )
             _assert_mc_equal(got, ref)
+            assert (got.activity is None) == (not capture_activity)
+            if capture_activity:
+                np.testing.assert_array_equal(got.activity.toggles, ref.activity.toggles)
+                np.testing.assert_array_equal(
+                    got.activity.load_events, ref.activity.load_events
+                )
 
     @pytest.mark.parametrize("rel_tol", [0.5, 1e-12])
     def test_early_and_late_convergence(self, facet_system, facet_pipeline, rel_tol):
@@ -183,9 +202,7 @@ class TestBlockKernelBitIdentity:
         faults = [r.system_site for r in facet_pipeline.sfr_records][:4]
         est = PowerEstimator(facet_system.netlist)
         kwargs = dict(batch_patterns=64, max_batches=5, rel_tol=rel_tol)
-        block = monte_carlo_power_block(
-            facet_system, est, faults, cone_power=True, **kwargs
-        )
+        block = monte_carlo_power_block(facet_system, est, faults, **kwargs)
         for fault, got in zip(faults, block):
             ref = monte_carlo_power(facet_system, est, fault=fault, **kwargs)
             _assert_mc_equal(got, ref)
@@ -220,17 +237,13 @@ class TestBatchedGradingBitIdentity:
             batched=False,
         )
 
-    @pytest.mark.parametrize("cone_power", [False, True])
-    def test_batched_matches_serial(
-        self, facet_system, facet_pipeline, serial_grading, cone_power
-    ):
+    def test_batched_matches_serial(self, facet_system, facet_pipeline, serial_grading):
         batched = grade_sfr_faults(
             facet_system,
             facet_pipeline,
             batch_patterns=64,
             max_batches=3,
             batched=True,
-            cone_power=cone_power,
         )
         _assert_grading_equal(serial_grading, batched)
 
@@ -337,7 +350,6 @@ class TestMonteCarloCacheLifetime:
             PowerEstimator(system.netlist),
             faults,
             batches=batches,
-            cone_power=True,
             **kwargs,
         )
         assert len(mc._GOLDEN_CACHE) > golden_before

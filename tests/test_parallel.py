@@ -16,7 +16,6 @@ from repro.core.parallel import ParallelExecutor, resolve_n_jobs
 from repro.hls.system import NormalModeStimulus
 from repro.logic.faultsim import fault_simulate
 from repro.logic.simulator import CycleSimulator, compile_netlist
-from repro.power.montecarlo import _TiledSim
 
 
 def _square(context, item):
@@ -165,15 +164,3 @@ class TestDriveBusWidth:
         }
         with pytest.raises(ValueError, match="exceeds"):
             NormalModeStimulus(system, data, system.cycles_for(2))
-
-    def test_tiled_drive_bus_rejects_out_of_range(self, facet_system):
-        """The block-parallel drive adapter mirrors the simulator's guard:
-        out-of-range bus data used to alias silently into every block."""
-        wide = CycleSimulator(facet_system.netlist, 2 * 64)
-        tiled = _TiledSim(wide, 64, 2)
-        bus = next(iter(facet_system.input_buses.values()))
-        too_wide = np.full(64, 1 << len(bus), dtype=np.int64)
-        with pytest.raises(ValueError, match="out of range"):
-            tiled.drive_bus(list(bus), too_wide)
-        with pytest.raises(ValueError, match="out of range"):
-            tiled.drive_bus(list(bus), np.full(64, -1, dtype=np.int64))

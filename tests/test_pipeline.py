@@ -71,6 +71,20 @@ def default_pipelines(facet_system, poly_system, diffeq_system):
     }
 
 
+@pytest.fixture(scope="module")
+def beyond_table2_pipelines():
+    """biquad and ewf, the catalog designs outside Table 2, at defaults
+    (ewf, the largest controller, takes about 15 s)."""
+    from repro.designs.catalog import build_rtl
+    from repro.hls.system import build_system
+
+    return {
+        name: (system, run_pipeline(system, PipelineConfig()))
+        for name in ("biquad", "ewf")
+        for system in [build_system(build_rtl(name))]
+    }
+
+
 class TestScienceAtDefaults:
     """Pins the reproduced Table 2 and every fault bucket at defaults.
 
@@ -119,16 +133,22 @@ class TestPaperShapeClaims:
             sfi = sum(v for k, v in counts.items() if k.startswith("SFI"))
             assert sfi > counts.get("SFR", 0)
 
-    def test_sfr_faults_never_detected_by_logic_test(self, default_pipelines):
-        """Soundness cross-check: no SFR fault of any Table-2 design is
-        detected by an integrated random test independent of the TPGR
-        campaign that screened it."""
+    def test_sfr_faults_never_detected_by_logic_test(
+        self, default_pipelines, beyond_table2_pipelines
+    ):
+        """Soundness cross-check: no SFR fault of any catalog design (the
+        Table-2 three, biquad and ewf, all at defaults) is detected by an
+        integrated random test independent of the TPGR campaign that
+        screened it."""
         import numpy as np
 
+        from repro.designs.catalog import design_names
         from repro.hls.system import NormalModeStimulus, hold_masks
         from repro.logic.faultsim import fault_simulate
 
-        for system, result in default_pipelines.values():
+        pipelines = {**default_pipelines, **beyond_table2_pipelines}
+        assert sorted(pipelines) == sorted(design_names())
+        for system, result in pipelines.values():
             sfr = [r.system_site for r in result.sfr_records]
             assert sfr
             assert all(r.simulation is Verdict.UNDETECTED for r in result.sfr_records)

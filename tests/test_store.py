@@ -274,7 +274,8 @@ def test_cli_cold_warm_bit_identity(tmp_path, capsys):
     ]
     assert all(s["hit"] for s in warm_store["stages"])
     assert json.loads(warm_rep.read_text())["campaigns"]["classify"]["computed"] == 0
-    # the cold run published all four stages
+    # the cold run published all five stages (grading and activity are
+    # two views of its one Monte-Carlo campaign)
     cold_store = json.loads(cold_rep.read_text())["store"]
     assert all(s["published"] and not s["hit"] for s in cold_store["stages"])
 
@@ -310,8 +311,8 @@ def _flip_every_blob(root: Path) -> None:
 
 #: store calls one ``--patterns 64 grade facet`` makes on an empty store:
 #: lookup/publish faultsim, lookup/publish classify, publish_many fault
-#: entries, lookup/publish grading, lookup/publish report
-_GRADE_STORE_CALLS = 9
+#: entries, lookup/publish grading, publish activity, lookup/publish report
+_GRADE_STORE_CALLS = 10
 
 _GRADE_ARGV = ["--patterns", "64", "grade", "facet"]
 
