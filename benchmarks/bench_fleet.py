@@ -10,7 +10,6 @@ population kernel at a fixed instance count, verifies the sigma=0 anchor
 records the matmul throughput into ``BENCH_fleet.json``.
 """
 
-from repro.core.checkpoint import fault_key
 from repro.core.report import render_table
 from repro.fleet import (
     FleetConfig,
@@ -18,6 +17,7 @@ from repro.fleet import (
     recovered_power_uw,
     run_population,
 )
+from repro.logic.faults import fault_key
 from repro.power.montecarlo import DATAPATH_TAG
 
 #: fleet size per design; large enough that the matmul dominates the

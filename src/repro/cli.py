@@ -168,7 +168,7 @@ def _chaos_arg(text: str) -> str:
 
 
 def _print_campaign(campaign, title: str) -> None:
-    """Surface retries/crashes/resumes whenever anything non-trivial ran."""
+    """Surface retries/crashes/seeds whenever anything non-trivial ran."""
     if campaign is not None and (
         campaign.resumed or campaign.audited or campaign.has_incidents()
     ):
@@ -230,7 +230,7 @@ def _result_report(
         mc_campaign_params,
     )
 
-    from .core.checkpoint import fault_key
+    from .logic.faults import fault_key
 
     # The fault list pins the campaign identity: fingerprints are
     # permutation-invariant (v2), but report payloads carry index-based
@@ -325,8 +325,6 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(
         n_patterns=args.patterns,
         n_jobs=args.jobs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         timeout=args.timeout,
         max_retries=args.max_retries,
         audit_rate=args.audit_rate,
@@ -408,13 +406,10 @@ def _cmd_grade(args) -> int:
         n_jobs=args.jobs,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
         chaos=chaos_engine,
         store=store,
-        batched=args.batched_grading,
         seed_results=seeds,
     )
     _print_campaign(grading.campaign, "grading campaign")
@@ -475,8 +470,6 @@ def _cmd_calibrate(args) -> int:
         n_jobs=args.jobs,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
         store=store,
@@ -587,12 +580,9 @@ def _compute_campaign(args, store: CampaignStore, design: str, threshold: float)
         n_jobs=args.jobs,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
         store=store,
-        batched=args.batched_grading,
     )
     return _result_report(store, system, config, result, grading, command="grade")
 
@@ -617,8 +607,6 @@ def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) ->
         n_jobs=args.jobs,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
         store=store,
@@ -662,8 +650,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import os
-
     from .store.server import make_server, serve_forever
 
     store = _store(args)
@@ -673,12 +659,9 @@ def _cmd_serve(args) -> int:
     compute = None
     compute_calibrate = None
     if not args.no_compute:
-        # Journal compute jobs under the store by default so a job-level
-        # retry after a mid-request worker crash *resumes* the campaign
-        # from its checkpoint instead of restarting it.
-        if args.checkpoint_dir is None:
-            args.checkpoint_dir = os.path.join(args.store_dir, "serve-ckpt")
-            args.resume = True
+        # Compute jobs publish every finished stage to the store, so a
+        # job-level retry after a mid-request worker crash replays them
+        # and recomputes only the stage that was in flight.
 
         def compute(design: str, threshold: float) -> dict:
             return _compute_campaign(args, store, design, threshold)
@@ -835,28 +818,6 @@ def main(argv: list[str] | None = None) -> int:
         "see docs/performance.md)",
     )
     parser.add_argument(
-        "--batched-grading",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="block-parallel Monte-Carlo grading kernel: every fault of a "
-        "chunk owns one pattern block of a single wide simulation per "
-        "batch (powers are bit-identical either way; default: "
-        "--batched-grading -- see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="journal per-fault results to DIR so a killed campaign can be "
-        "resumed (see docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted campaign from its --checkpoint-dir "
-        "journal, skipping already-completed faults bit-identically",
-    )
-    parser.add_argument(
         "--timeout",
         type=_positive_float,
         default=None,
@@ -908,8 +869,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIR",
         help="content-addressed result store: completed stages are published "
-        "to DIR and replayed bit-identically by later runs, query and serve "
-        "(see docs/store.md)",
+        "to DIR and replayed bit-identically by later runs, query and serve; "
+        "rerunning a killed command with the same DIR recomputes only the "
+        "stage that was in flight (see docs/store.md)",
     )
     parser.add_argument(
         "--store-refresh",
@@ -922,7 +884,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="FILE",
         help="write the deterministic result report (canonical JSON, "
-        "byte-identical across cold, resumed and store-replayed runs) to FILE",
+        "byte-identical across cold and store-replayed runs) to FILE",
     )
     parser.add_argument("--encoding", default="binary", choices=["binary", "gray", "onehot"])
     parser.add_argument(

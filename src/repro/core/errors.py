@@ -10,8 +10,6 @@ shapes, each with its own exception so callers can react precisely:
   segfault) and recovery was exhausted or disabled;
 * :class:`ChunkTimeout` -- a chunk of work exceeded its per-chunk budget
   on every allowed attempt;
-* :class:`CheckpointMismatch` -- a checkpoint file does not belong to
-  this campaign (wrong fingerprint) or is structurally corrupt;
 * :class:`IntegrityError` -- a result failed an integrity check (a
   differential audit diverged, a power value went non-finite or broke a
   theory-grounded invariant) and the campaign runs in strict mode, or
@@ -56,10 +54,6 @@ class ChunkTimeout(CampaignError, TimeoutError):
     """A chunk of campaign work exceeded its timeout on every attempt."""
 
 
-class CheckpointMismatch(CampaignError):
-    """A checkpoint file belongs to a different campaign or is corrupt."""
-
-
 class IntegrityError(CampaignError):
     """A result failed an integrity check and cannot be quarantined away
     (strict mode, or a poisoned fault-free baseline)."""
@@ -99,11 +93,11 @@ def is_retryable(exc: BaseException) -> bool:
     """True when retrying the failed operation can plausibly succeed.
 
     Worker crashes and chunk timeouts are transient (the next attempt
-    resumes from checkpoint journals); overload and deadline expiries
-    clear as load drains.  Validation and integrity failures are
+    replays every stage the failed one published to the store); overload
+    and deadline expiries clear as load drains.  Validation and integrity failures are
     deterministic -- retrying replays the same rejection.
     """
-    if isinstance(exc, (InputValidationError, IntegrityError, CheckpointMismatch)):
+    if isinstance(exc, (InputValidationError, IntegrityError)):
         return False
     if isinstance(exc, _RETRYABLE):
         return True

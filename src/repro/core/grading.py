@@ -19,6 +19,7 @@ import numpy as np
 from ..hls.system import System
 from ..power.estimator import PowerEstimator
 from ..logic import values as V
+from ..logic.faults import fault_key
 from ..power.montecarlo import (
     MC_DEFAULT_BATCH_PATTERNS,
     MC_DEFAULT_ITERATIONS_WINDOW,
@@ -36,7 +37,6 @@ from ..power.montecarlo import (
 from ..store.cache import CampaignStore, StageProvenance, StageTimer
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
-from .checkpoint import campaign_fingerprint, fault_key, open_journal
 from .errors import CampaignError, IntegrityError, validate_netlist
 from .integrity import (
     DEFAULT_AUDIT_RATE,
@@ -52,7 +52,7 @@ from .integrity import (
 from .parallel import ParallelExecutor, RunReport, resolve_n_jobs
 from .pipeline import FaultRecord, PipelineResult
 
-#: journal key of the fault-free Monte-Carlo baseline
+#: campaign key of the fault-free Monte-Carlo baseline
 _BASELINE_KEY = "__fault_free__"
 
 #: width cap (in 64-bit words) of one batched grading simulator; bounds
@@ -103,7 +103,7 @@ class GradingResult:
     #: every Monte-Carlo result with its activity trace, keyed by campaign
     #: fault key in SFR record order (baseline under ``_BASELINE_KEY``
     #: first) -- only when this call simulated all of them: ``None`` after
-    #: a store replay, a journal resume or a seeded grade
+    #: a store replay or a seeded grade
     captured: dict[str, MonteCarloResult] | None = field(default=None, repr=False)
 
     def detected_flags(self) -> list[bool]:
@@ -304,8 +304,6 @@ def grade_sfr_faults(
     n_jobs: int = 1,
     timeout: float | None = None,
     max_retries: int = 2,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
     chaos=None,
@@ -322,15 +320,12 @@ def grade_sfr_faults(
     cone-restricted simulator, so every Monte-Carlo batch is one pass
     over the chunk's union fault cone instead of one simulator per fault
     per batch.  This is a pure performance lever -- powers, convergence
-    histories, journals and store fingerprints are bit-identical to the
-    per-fault path (``batched=False``), which is retained as the
-    differential-audit reference; campaigns whose ``batch_patterns`` is
-    not a multiple of 64 fall back to it automatically.  The chunks fan
+    histories and store fingerprints are bit-identical to the per-fault
+    path (``batched=False``), which is retained as the differential-audit
+    reference; campaigns whose ``batch_patterns`` is not a multiple of 64
+    fall back to it automatically.  The chunks fan
     out across ``n_jobs`` processes with bit-identical powers regardless
-    of job count.  With ``checkpoint_dir`` set, the baseline and every
-    per-fault result are journaled as they complete, and a rerun with
-    ``resume=True`` replays journaled powers bit-identically instead of
-    recomputing them.
+    of job count.
 
     Every simulated result carries its per-batch integer activity trace
     (:class:`~repro.power.montecarlo.ActivityTrace`); when this call
@@ -356,8 +351,8 @@ def grade_sfr_faults(
     Monte-Carlo knobs replays baseline and per-fault powers from the
     persistent store (bit-identical grades, no simulation).  A freshly
     computed campaign is published back only when its report is free of
-    integrity violations, and the crash-recovery journal is then
-    retired.  With its traces captured, the campaign is published twice:
+    integrity violations, so a rerun after a kill in a later stage replays
+    it.  With its traces captured, the campaign is published twice:
     as the scalar ``grading`` stage and, every trace verified against its
     scalar power first, as the ``activity`` stage a later fleet
     calibration replays.
@@ -365,10 +360,9 @@ def grade_sfr_faults(
     ``seed_results`` optionally pre-loads per-fault Monte-Carlo results
     (keyed by campaign fault key, baseline included) computed elsewhere,
     e.g. replayed from a structurally-identical baseline campaign by the
-    incremental planner (see :mod:`repro.incremental`).  Journal entries
-    win over seeds; seeded faults are counted as ``resumed`` and skip
-    simulation bit-identically to a journal replay.  Journal entries and
-    seeds carry no traces, so such a campaign publishes ``grading`` only.
+    incremental planner (see :mod:`repro.incremental`).  Seeded faults
+    are counted as ``resumed`` and skip simulation bit-identically.
+    Seeds carry no traces, so such a campaign publishes ``grading`` only.
     """
     validate_netlist(system.netlist)
     if not 0 < threshold < 1:
@@ -393,7 +387,6 @@ def grade_sfr_faults(
     # exactly through canonical JSON) without simulating a single batch.
     grading_store_key: str | None = None
     store_hit = False
-    journal = None
     stage_timer: StageTimer | None = None
     if store is not None:
         grading_store_key = grading_stage_key(
@@ -426,22 +419,8 @@ def grade_sfr_faults(
 
     if not store_hit:
         stage_timer = StageTimer().__enter__()
-        journal = open_journal(
-            checkpoint_dir,
-            "grading",
-            campaign_fingerprint("grading", pipeline_result.design, sfr_keys, mc_params),
-            resume=resume,
-        )
-        mc_by_key = {}
-        if journal is not None:
-            mc_by_key = {
-                k: MonteCarloResult.from_json_dict(v) for k, v in journal.done.items()
-            }
-        if seed_results:
-            valid = set(sfr_keys) | {_BASELINE_KEY}
-            for k, v in seed_results.items():
-                if k in valid:
-                    mc_by_key.setdefault(k, v)
+        valid = set(sfr_keys) | {_BASELINE_KEY}
+        mc_by_key = {k: v for k, v in (seed_results or {}).items() if k in valid}
         todo = [r for r in records if fault_key(r.system_site) not in mc_by_key]
         report = RunReport(n_items=len(records), resumed=len(records) - len(todo))
 
@@ -453,8 +432,6 @@ def grade_sfr_faults(
             base = mc_by_key[_BASELINE_KEY]
         else:
             base = _grade_worker(context, None)
-            if journal is not None:
-                journal.record(_BASELINE_KEY, base.to_json_dict())
     # The baseline divides every percentage, so it cannot be quarantined:
     # a bad value here aborts unconditionally, strict or not -- replayed
     # store values included (defense against a tampered-but-valid blob).
@@ -466,18 +443,16 @@ def grade_sfr_faults(
         )
     if not store_hit and todo:
 
-        def _journal_fault(site, mc) -> None:
+        def _collect_fault(site, mc) -> None:
             key = fault_key(site)
             if chaos is not None:
                 mc = chaos.tamper_power(key, mc)
             mc_by_key[key] = mc
-            if journal is not None:
-                journal.record(key, mc.to_json_dict())
 
         report = simulate_campaign(
             context,
             [r.system_site for r in todo],
-            _journal_fault,
+            _collect_fault,
             n_jobs=n_jobs,
             timeout=timeout,
             max_retries=max_retries,
@@ -570,8 +545,6 @@ def grade_sfr_faults(
                 meta={"faults": len(sfr_keys), "audited": len(audited)},
                 wall_s=stage_timer.wall_s,
             )
-            if published and journal is not None and chaos is None:
-                journal.retire()
         store.record(
             StageProvenance(
                 stage="grading",

@@ -8,7 +8,7 @@ This module makes campaign results self-verifying:
 
 * **Differential auditing.**  A deterministic, hash-selected fraction of
   faults (:func:`select_audit`, keyed only by the fault key, so the
-  choice is identical for any job count or resume point) is re-evaluated
+  choice is identical for any job count) is re-evaluated
   on an independent path: cone-restricted fault-simulation verdicts are
   re-checked against the serial per-fault simulator, the compiled cycle
   simulator is spot-checked against the scalar event-driven engine, and
@@ -39,11 +39,10 @@ This module makes campaign results self-verifying:
   :class:`~repro.core.errors.IntegrityError`.
 
 * **Storage integrity.**  Results that persist beyond a run are guarded
-  on the way back in: checkpoint journals carry per-record CRCs (see
-  :mod:`repro.core.checkpoint`) and artifact-store blobs are content
-  addressed, so a flipped bit on disk surfaces as a
-  :data:`STORE_CORRUPT_CHECK` violation and the stage recomputes instead
-  of serving the corrupted value (see :mod:`repro.store`).
+  on the way back in: artifact-store blobs are content addressed, so a
+  flipped bit on disk surfaces as a :data:`STORE_CORRUPT_CHECK`
+  violation and the stage recomputes instead of serving the corrupted
+  value (see :mod:`repro.store`).
 
 The guard layer never changes the results of a clean run: audits only
 *compare*, and every path they compare against is bit-identical by
@@ -154,7 +153,7 @@ def audit_fraction(key: str, salt: str = "audit") -> float:
     """Deterministic uniform-[0,1) hash of a fault key.
 
     Depends only on the key and salt -- never on RNG state, fault order,
-    job count or resume point -- so the audit set is stable across every
+    or job count -- so the audit set is stable across every
     execution strategy and a clean run stays bit-identical.
     """
     digest = hashlib.sha256(f"{salt}:{key}".encode("utf-8")).digest()

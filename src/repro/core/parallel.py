@@ -105,8 +105,9 @@ class RunReport:
     crashes: int = 0
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    #: items skipped because a checkpoint already held their results
-    #: (filled by the campaign layer, not by the executor)
+    #: items seeded from an earlier campaign instead of computed -- a
+    #: baseline's per-fault results, or the grading campaign behind an
+    #: activity view (filled by the campaign layer, not by the executor)
     resumed: int = 0
     #: items replayed from per-fault store entries by the incremental
     #: planner (filled by the pipeline layer; see :mod:`repro.incremental`)
@@ -191,7 +192,7 @@ class ParallelExecutor:
         ``worker`` must be a module-level (picklable) function when
         ``n_jobs > 1``.  ``on_chunk(items_slice, results_slice)`` fires in
         the coordinating process as each chunk completes (in completion
-        order) -- campaign checkpointing hangs off this hook.
+        order) -- campaigns collect and tamper-check results off this hook.
         """
         items = list(items)
         report = RunReport(n_items=len(items))

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..hls.system import NormalModeStimulus, System, hold_masks
-from ..logic.faults import FaultSite, collapse_faults, enumerate_faults
+from ..logic.faults import FaultSite, collapse_faults, enumerate_faults, fault_key
 from ..logic.faultsim import FaultSimResult, Verdict, fault_simulate
 from ..store.cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
-from .checkpoint import campaign_fingerprint, fault_key, open_journal
 from .classify import Classifier, FaultClassification
 from .errors import validate_config, validate_netlist, validate_stimulus
 from .integrity import (
@@ -54,12 +53,6 @@ class PipelineConfig:
     #: worker processes for the per-fault simulation loop (1 = serial,
     #: negative = one per core); results are identical for any value.
     n_jobs: int = 1
-    #: directory for crash-safe campaign journals (None disables
-    #: checkpointing); see :mod:`repro.core.checkpoint`.
-    checkpoint_dir: str | None = None
-    #: resume a previously interrupted campaign from its journal instead
-    #: of starting fresh -- results are bit-identical either way.
-    resume: bool = False
     #: per-chunk seconds before a hung worker is killed and retried
     #: (None waits forever); only meaningful with ``n_jobs > 1``.
     timeout: float | None = None
@@ -76,12 +69,11 @@ class PipelineConfig:
     chaos: str | None = None
 
     def fingerprint_params(self) -> dict:
-        """The result-relevant knobs that key a campaign checkpoint.
+        """The result-relevant knobs that key a campaign's store entries.
 
         Audit, strict and chaos knobs are deliberately absent:
         none of them changes the results of a clean campaign, so toggling
-        them must not orphan an existing journal (or miss a warm store
-        entry).
+        them must not miss a warm store entry.
         """
         return {
             "n_patterns": self.n_patterns,
@@ -307,10 +299,6 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute the full Section-5 flow on ``system``.
 
-    With ``config.checkpoint_dir`` set, per-fault verdicts are journaled
-    as they complete; a killed campaign rerun with ``config.resume`` skips
-    the journaled faults and produces bit-identical results.
-
     With ``store`` set (see :mod:`repro.store`), the fault-simulation
     stage consults the persistent content-addressed store first: a cached
     campaign keyed by the netlist content, stimulus plan, config knobs
@@ -341,17 +329,6 @@ def run_pipeline(
     masks = hold_masks(system, stimulus)
     observe = [net for bus in system.output_buses.values() for net in bus]
     system_sites = [system.to_system_fault(s) for s in universe]
-    journal = open_journal(
-        config.checkpoint_dir,
-        "faultsim",
-        campaign_fingerprint(
-            "faultsim",
-            system.rtl.name,
-            [fault_key(s) for s in system_sites],
-            config.fingerprint_params(),
-        ),
-        resume=config.resume,
-    )
     chaos_engine = None
     if config.chaos:
         # Deferred: the chaos harness lives in the test-support package and
@@ -420,7 +397,6 @@ def run_pipeline(
             n_jobs=config.n_jobs,
             timeout=config.timeout,
             max_retries=config.max_retries,
-            checkpoint=journal,
             audit_rate=config.audit_rate,
             strict=config.strict,
             chaos=chaos_engine,
@@ -456,7 +432,7 @@ def run_pipeline(
         # The merged campaign graduates into the ordinary stage blob, so
         # plain warm reruns of the edited design hit without a planner.
         if clean_campaign(report):
-            published = store.publish(
+            store.publish(
                 "faultsim",
                 faultsim_store_key,
                 {
@@ -475,8 +451,6 @@ def run_pipeline(
                 },
                 wall_s=stage_timer.wall_s,
             )
-            if published and journal is not None and chaos_engine is None:
-                journal.retire()
     else:
         sim_result = fault_simulate(
             system.netlist,
@@ -487,15 +461,12 @@ def run_pipeline(
             n_jobs=config.n_jobs,
             timeout=config.timeout,
             max_retries=config.max_retries,
-            checkpoint=journal,
             audit_rate=config.audit_rate,
             strict=config.strict,
             chaos=chaos_engine,
             store=store,
             store_key=faultsim_store_key,
         )
-    if chaos_engine is not None and chaos_engine.spec.corrupt and journal is not None:
-        chaos_engine.corrupt_journal(journal.path)
 
     # Steps 2-4.
     # The classifier picks its own (longer, adaptive) HOLD window -- it must

@@ -8,15 +8,15 @@ Produces plain-text renderings (and CSV-able row dicts) of:
 * Figure 7 -- per-fault Monte-Carlo power against the +/- threshold band,
   select-only faults first, then load-line faults (ASCII scatter);
 * the per-campaign resilience summary (retries / crashes / timeouts /
-  resumed-fault counts) of a fault-tolerant fan-out.
+  seeded-fault counts) of a fault-tolerant fan-out.
 """
 
 from __future__ import annotations
 
 import json
 
+from ..logic.faults import fault_key
 from ..store.cache import CampaignStore
-from .checkpoint import fault_key
 from .grading import GradedFault, GradingResult, Table3Row, power_detected
 from .parallel import RunReport
 from .pipeline import PipelineResult
@@ -143,12 +143,12 @@ def render_campaign_summary(report: RunReport, title: str = "campaign") -> str:
     """One-line resilience summary of a campaign fan-out.
 
     A clean uninterrupted run reads e.g. ``campaign: 214 faults computed``;
-    resumed or bumpy campaigns append their resumed/retry/crash/timeout
+    seeded or bumpy campaigns append their seeded/retry/crash/timeout
     counts so partial runs are visible at a glance.
     """
     parts = [f"{report.completed} fault{'s' if report.completed != 1 else ''} computed"]
     if report.resumed:
-        parts.append(f"{report.resumed} resumed from checkpoint")
+        parts.append(f"{report.resumed} seeded from an earlier campaign")
     if report.replayed:
         parts.append(f"{report.replayed} replayed from per-fault store entries")
     if report.retries:
@@ -228,10 +228,10 @@ def build_result_report(
     """Deterministic result artifact of one ``classify``/``grade`` run.
 
     Unlike :func:`build_json_report` (which records *how the run went*:
-    wall times, retries, resumed counts -- all legitimately varying
+    wall times, retries, seeded counts -- all legitimately varying
     between reruns), this captures only *what the run concluded*: fault
     categories, Table-2 counts and Monte-Carlo grades.  Two runs over
-    the same inputs -- cold, resumed, or replayed from the store --
+    the same inputs -- cold, rerun after a kill, or replayed from the store --
     serialize byte-identically via :func:`canonical_report_json`, which
     is what the warm-cache CI job and the bit-identity tests diff.
     """

@@ -16,7 +16,7 @@ artifact (stage ``"activity"``) next to the scalar ``grading`` stage,
 under the same netlist fingerprint / fault universe / Monte-Carlo knobs.
 This module returns that campaign: from a grade that just captured it,
 from the store (zero re-simulation), or -- when neither has it, e.g.
-after a grade resumed from a journal -- by running the grading
+after a grade seeded from a baseline campaign -- by running the grading
 campaign's own kernel.  The scalar powers are a pure function of the
 counters (:func:`recovered_power_uw`), checked on every replay.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.checkpoint import fault_key
 from ..core.errors import CampaignError, validate_netlist
 from ..core.grading import (
     _BASELINE_KEY,
@@ -39,6 +38,7 @@ from ..core.grading import (
 from ..core.parallel import RunReport
 from ..core.pipeline import PipelineResult
 from ..hls.system import System
+from ..logic.faults import fault_key
 from ..power.estimator import PowerEstimator
 
 # ``monte_carlo_power``/``monte_carlo_power_block`` are bound here as well so

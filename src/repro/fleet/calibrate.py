@@ -19,13 +19,13 @@ configuration skips even the matmul.
 
 from __future__ import annotations
 
-from ..core.checkpoint import fault_key
 from ..core.errors import IntegrityError
 from ..core.grading import GradingResult, grade_sfr_faults
 from ..core.integrity import DEFAULT_AUDIT_RATE
 from ..core.pipeline import PipelineResult
 from ..core.report import RESULT_SCHEMA_VERSION
 from ..hls.system import System
+from ..logic.faults import fault_key
 from ..power.estimator import PowerEstimator
 from ..power.montecarlo import (
     DATAPATH_TAG,
@@ -104,8 +104,6 @@ def calibrate_fleet(
     n_jobs: int = 1,
     timeout: float | None = None,
     max_retries: int = 2,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
     store: CampaignStore | None = None,
@@ -134,8 +132,6 @@ def calibrate_fleet(
         n_jobs=n_jobs,
         timeout=timeout,
         max_retries=max_retries,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
         audit_rate=audit_rate,
         strict=strict,
         store=store,

@@ -43,11 +43,10 @@ import logging
 import os
 from dataclasses import dataclass, field
 
-from ..core.checkpoint import fault_key
 from ..core.classify import EffectLabel, FaultClassification, LabeledEffect
 from ..core.effects import ControlLineEffect
 from ..logic.cones import compute_cones, net_closure
-from ..logic.faults import FaultSite
+from ..logic.faults import FaultSite, fault_key
 from ..logic.faultsim import Verdict, run_golden
 from ..netlist.netlist import Netlist
 from ..power.montecarlo import MonteCarloResult, mc_campaign_params

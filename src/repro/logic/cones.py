@@ -153,7 +153,7 @@ def compute_cones(
     memoized per seed net -- the two polarities of a fault pair, and
     every branch fault on the same gate, share one row.  The memo lives
     in the netlist's reachability cache entry, so repeated campaigns on
-    one netlist (workers, benchmarks, resumed runs) never re-derive a
+    one netlist (workers, benchmarks, reruns) never re-derive a
     closure set.
     """
     fanout = netlist.fanout_map()

@@ -52,6 +52,12 @@ class FaultSite:
         return f"{gate.name}.in{self.pin}({netlist.net_names[self.net]}) {sa}"
 
 
+def fault_key(site: FaultSite) -> str:
+    """Stable string id of a :class:`FaultSite`."""
+    gate = "pi" if site.gate_index is None else str(site.gate_index)
+    return f"{gate}:{site.pin}:{site.net}:{site.value}"
+
+
 def enumerate_faults(
     netlist: Netlist,
     gates: list[Gate] | None = None,

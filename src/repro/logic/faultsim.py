@@ -42,7 +42,6 @@ from typing import Protocol
 
 import numpy as np
 
-from ..core.checkpoint import CampaignJournal, fault_key
 from ..core.integrity import (
     DEFAULT_AUDIT_RATE,
     DEFAULT_DEATH_AUDIT_CHECKS,
@@ -57,7 +56,7 @@ from ..netlist.netlist import Netlist
 from ..store.cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
 from . import values as V
 from .cones import chunk_by_cone, compute_cones
-from .faults import FaultSite
+from .faults import FaultSite, fault_key
 from .simulator import CompiledNetlist, CycleSimulator, _Group, compile_netlist
 
 
@@ -150,11 +149,11 @@ class FaultSimResult:
 
     verdicts: dict[FaultSite, Verdict]
     detect_cycle: dict[FaultSite, int] = field(default_factory=dict)
-    #: resilience summary of the fan-out (None for fully resumed runs)
+    #: resilience summary of the fan-out
     campaign: RunReport | None = None
     #: cone-engine work accounting (None when nothing was simulated --
-    #: store replays and fully resumed campaigns); never part of the
-    #: published store payload.
+    #: store replays and empty fault lists); never part of the published
+    #: store payload.
     cone: ConeStats | None = None
 
     def by_verdict(self, verdict: Verdict) -> list[FaultSite]:
@@ -741,7 +740,6 @@ def fault_simulate(
     batch_faults: int = 32,
     timeout: float | None = None,
     max_retries: int = 2,
-    checkpoint: CampaignJournal | None = None,
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
     chaos=None,
@@ -755,8 +753,7 @@ def fault_simulate(
     ``batch_faults`` (one wide cone-restricted simulator per chunk -- see
     :func:`_fault_chunk_worker`), and the chunks fan out across ``n_jobs``
     worker processes.  Verdicts are bit-identical for every combination
-    of the two knobs, for any pattern count -- and for any
-    interruption point of a checkpointed campaign, because every per-fault
+    of the two knobs, for any pattern count, because every per-fault
     verdict is deterministic and independent.
 
     A hash-selected ``audit_rate`` fraction of the final verdicts is then
@@ -782,12 +779,9 @@ def fault_simulate(
         timeout: per-chunk seconds before a hung worker is killed and the
             chunk retried (see :class:`~repro.core.parallel.ParallelExecutor`).
         max_retries: extra attempts per failed/timed-out chunk.
-        checkpoint: optional campaign journal; faults already journaled are
-            skipped and replayed from disk, newly simulated faults are
-            journaled as their chunk completes.
         audit_rate: fraction of faults re-simulated serially (0 disables
             the audit); selection is a pure hash of the fault key, so the
-            audit set is identical for any job count or resume point.
+            audit set is identical for any job count.
         strict: abort on the first integrity violation instead of
             quarantining the fault and continuing.
         chaos: optional :class:`~repro.testing.chaos.ChaosEngine`
@@ -836,26 +830,18 @@ def fault_simulate(
             return result
 
     stage_timer = StageTimer().__enter__()
-    done: dict[FaultSite, tuple[Verdict, int]] = {}
-    todo = list(faults)
-    if checkpoint is not None:
-        for fault in faults:
-            entry = checkpoint.done.get(keys[fault])
-            if entry is not None:
-                done[fault] = (Verdict(entry[0]), int(entry[1]))
-        todo = [f for f in faults if f not in done]
-    outcomes_by_fault: dict[FaultSite, tuple[Verdict, int]] = dict(done)
-    report = RunReport(n_items=len(faults), resumed=len(done))
+    outcomes_by_fault: dict[FaultSite, tuple[Verdict, int]] = {}
+    report = RunReport(n_items=len(faults))
     audit_keys = set(select_audit([keys[f] for f in faults], audit_rate))
     if chaos is not None:
         chaos.set_flip_targets(sorted(audit_keys))
-    golden: list | GoldenTrace | None = None
+    golden: GoldenTrace | None = None
     cone_stats = ConeStats()
     dead_faults: list[FaultSite] = []
-    if todo:
+    if faults:
         compile_netlist(netlist)  # warm the shared compile before fanning out
         golden = run_golden(netlist, stimulus, observe, full=True)
-        cones = compute_cones(netlist, todo)
+        cones = compute_cones(netlist, faults)
         context = (netlist, stimulus, observe, golden, valid_masks, cones)
         batch_faults = max(1, batch_faults)
         # Cone-overlap-aware chunking: faults whose cones share gates
@@ -865,17 +851,17 @@ def fault_simulate(
         # worker for balance and capping the simulator width for memory.
         jobs = max(1, resolve_n_jobs(n_jobs))
         wpb = V.num_words(stimulus.n_patterns)
-        capacity = max(batch_faults, -(-len(todo) // jobs))
+        capacity = max(batch_faults, -(-len(faults) // jobs))
         capacity = min(capacity, max(batch_faults, _CONE_MAX_WORDS // wpb))
         chunks = chunk_by_cone(
-            todo,
+            faults,
             cones,
             capacity,
             netlist,
             key=lambda f: keys[f],
         )
 
-        def _journal_chunk(items, results) -> None:
+        def _collect_chunk(items, results) -> None:
             for chunk, chunk_out in zip(items, results):
                 raw_stats = getattr(chunk_out, "stats", None)
                 if raw_stats is not None:
@@ -887,8 +873,6 @@ def fault_simulate(
                             keys[fault], (verdict, cycle)
                         )
                     outcomes_by_fault[fault] = (verdict, cycle)
-                    if checkpoint is not None:
-                        checkpoint.record(keys[fault], [verdict.value, cycle])
 
         worker, run_context = _fault_chunk_worker, context
         if chaos is not None:
@@ -896,22 +880,17 @@ def fault_simulate(
         executor = ParallelExecutor(
             n_jobs, chunk_size=1, timeout=timeout, max_retries=max_retries
         )
-        executor.run(worker, chunks, run_context, on_chunk=_journal_chunk)
+        executor.run(worker, chunks, run_context, on_chunk=_collect_chunk)
         assert executor.last_report is not None
         report = executor.last_report
         # the executor counted fault-chunks; report in faults
-        report.n_items = len(faults)
-        report.completed = len(todo)
-        report.resumed = len(done)
+        report.n_items = report.completed = len(faults)
 
     # Differential audit: re-derive the hash-selected subset through the
     # serial per-fault path and compare against the campaign's verdicts.
     guard = IntegrityGuard(strict=strict)
     audited = [f for f in faults if keys[f] in audit_keys]
     if audited:
-        if golden is None:  # fully resumed run never built the reference
-            compile_netlist(netlist)
-            golden = run_golden(netlist, stimulus, observe)
         for fault in audited:
             reference = simulate_one_fault(
                 netlist, fault, stimulus, observe, golden, valid_masks
@@ -990,9 +969,7 @@ def fault_simulate(
     stage_timer.__exit__()
     if store is not None and store_key is not None:
         # Publish only clean campaigns: quarantined/audit-corrected results
-        # must never be served stale from a warm cache.  A fully journal-
-        # resumed campaign publishes too (the checkpoint layer's results
-        # graduate into the durable store on completion).
+        # must never be served stale from a warm cache.
         published = False
         if clean_campaign(report):
             published = store.publish(
@@ -1008,8 +985,6 @@ def fault_simulate(
                 meta={"faults": len(faults), "patterns": stimulus.n_patterns},
                 wall_s=stage_timer.wall_s,
             )
-            if published and checkpoint is not None and chaos is None:
-                checkpoint.retire()
         store.record(
             StageProvenance(
                 stage="faultsim",
@@ -1020,7 +995,7 @@ def fault_simulate(
             )
         )
     result = FaultSimResult(
-        verdicts={}, campaign=report, cone=cone_stats if todo else None
+        verdicts={}, campaign=report, cone=cone_stats if faults else None
     )
     for fault in faults:
         verdict, cycle = outcomes_by_fault[fault]

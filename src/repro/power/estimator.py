@@ -264,7 +264,8 @@ class PowerEstimator:
             raise ValueError("simulator was not counting toggles")
         if sim.toggle_blocks is not None:
             raise ValueError(
-                "simulator counts toggles per block; use power_blocks()"
+                "simulator counts toggles per block; convert each block's "
+                "counters with power_from_counts()"
             )
         if sim.cycles_run == 0:
             raise ValueError("no cycles simulated")
@@ -272,47 +273,6 @@ class PowerEstimator:
         return self.power_from_counts(
             sim.toggles, sim.load_events, sim.cycles_run, sim.n_patterns, tag_prefix
         )
-
-    def power_blocks(
-        self, sim: CycleSimulator, tag_prefix: str | None = None
-    ) -> list[PowerResult]:
-        """Per-block average powers from one wide block-parallel run.
-
-        ``sim`` must have been built with ``count_toggles=True`` and
-        ``toggle_blocks=B``; the result has one :class:`PowerResult` per
-        block, each bit-identical to what :meth:`power` reports for a
-        standalone simulator over that block's patterns.  The identity is
-        trivial by construction: block counters are exact integer
-        restrictions of the standalone ones (same popcount sums over the
-        same words), and each block's float pipeline below is the very
-        same 1-D contiguous reduction :meth:`power` runs -- a row of the
-        C-ordered ``(B, nets)`` counter array is contiguous, so numpy's
-        pairwise summation visits identical operands in identical order.
-        """
-        if not sim.count_toggles:
-            raise ValueError("simulator was not counting toggles")
-        n_blocks = sim.toggle_blocks
-        if n_blocks is None:
-            raise ValueError("simulator counts toggles globally; use power()")
-        cycles = sim.cycles_run
-        if cycles == 0:
-            raise ValueError("no cycles simulated")
-        block_patterns = sim.n_patterns // n_blocks
-        results = []
-        for b in range(n_blocks):
-            self._check_counters(
-                sim.toggles[b], sim.load_events[b], cycles, block_patterns
-            )
-            results.append(
-                self.power_from_counts(
-                    sim.toggles[b],
-                    sim.load_events[b],
-                    cycles,
-                    block_patterns,
-                    tag_prefix,
-                )
-            )
-        return results
 
     def power_from_counts(
         self,

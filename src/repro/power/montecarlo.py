@@ -52,8 +52,8 @@ from .estimator import PowerEstimator, PowerResult
 DATAPATH_TAG = "dp"
 
 #: shared Monte-Carlo campaign defaults -- one definition keeps
-#: ``monte_carlo_power``, ``grade_sfr_faults`` and every cache/checkpoint
-#: fingerprint derived from them in agreement.
+#: ``monte_carlo_power``, ``grade_sfr_faults`` and every store key
+#: derived from them in agreement.
 MC_DEFAULT_SEED = 2000
 MC_DEFAULT_BATCH_PATTERNS = 192
 MC_DEFAULT_MAX_BATCHES = 12
@@ -66,8 +66,8 @@ def mc_campaign_params(
     """The result-relevant knobs of one Monte-Carlo grading campaign.
 
     Two campaigns with equal params (and equal design + fault universe)
-    produce bit-identical powers, so this dict keys both the
-    crash-recovery checkpoint fingerprint and the persistent store key.
+    produce bit-identical powers, so this dict keys the persistent
+    store entries of the campaign.
     """
     return {
         "seed": seed,
@@ -188,20 +188,20 @@ class MonteCarloResult:
     history: list[float] = field(default_factory=list)
     converged: bool = True
     #: per-batch integer counters (only with ``capture_activity=True``);
-    #: deliberately excluded from the JSON forms below so journals, the
-    #: grading store artifact and checkpoints are unchanged -- activity
+    #: deliberately excluded from the JSON forms below so the grading
+    #: store artifact and the baseline seeds stay scalar -- activity
     #: persists through its own store artifact (:func:`traced_json_dict`).
     activity: "ActivityTrace | None" = field(
         default=None, compare=False, repr=False
     )
 
     def to_json_dict(self) -> dict:
-        """JSON-safe form for campaign checkpoints.
+        """JSON-safe form for store entries.
 
         Floats round-trip exactly through JSON, so a result replayed from
-        a journal is bit-identical to the freshly computed one.  A NaN or
+        the store is bit-identical to the freshly computed one.  A NaN or
         infinite power is a corrupted computation: serializing it would
-        smuggle the corruption into checkpoints and reports, so it is
+        smuggle the corruption into the store and reports, so it is
         rejected here (and by ``to_json``'s ``allow_nan=False``).
         """
         if not all(math.isfinite(v) for v in [self.power_uw, *self.history]):

@@ -10,8 +10,7 @@ exactly those inputs:
   of dict insertion order or formatting;
 * :func:`netlist_fingerprint` hashes the *content* of a netlist (gates,
   pins, net names, primary I/O) -- two designs named ``diffeq`` with
-  different synthesis results get different keys, unlike the
-  name-keyed checkpoint fingerprints of :mod:`repro.core.checkpoint`;
+  different synthesis results get different keys;
 * :func:`stage_key` folds a stage name, a netlist fingerprint, the
   result-relevant parameters and :data:`SCHEMA_VERSION` into the final
   cache key.

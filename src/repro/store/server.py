@@ -406,7 +406,7 @@ def serve_forever(server: ThreadingHTTPServer, drain_grace: float = 30.0) -> Non
     """Run until interrupted; SIGTERM and ^C drain gracefully.
 
     On SIGTERM the service stops admitting compute jobs, in-flight jobs
-    finish (their checkpoint journals persist either way), and only then
+    finish (each publishes its finished stages to the store), and only then
     does the listener shut down.
     """
     service = getattr(server, "service", None)

@@ -27,9 +27,9 @@ service core, transport-agnostic so protocol front ends
 * **job-level retries** -- a compute attempt that dies with a retryable
   failure (:func:`repro.core.errors.is_retryable`: worker crashes,
   chunk timeouts, store lock contention) is retried with exponential
-  backoff.  The CLI's compute hook journals through the existing
-  ``ParallelExecutor`` + checkpoint machinery, so a retry *resumes*
-  the campaign bit-identically instead of restarting it;
+  backoff.  The CLI's compute hook publishes every finished stage to
+  the store, so a retry replays them bit-identically and recomputes
+  only the stage that was in flight;
 * **graceful drain** -- :meth:`drain` refuses new compute jobs
   (cached reads still serve) and waits for in-flight jobs to finish,
   the SIGTERM path of ``repro-faults serve``;

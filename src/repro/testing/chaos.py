@@ -1,12 +1,12 @@
 """Deterministic, seedable chaos injection for campaign pipelines.
 
 The recovery machinery (worker-crash rebuilds, chunk timeouts,
-checkpoint journals -- ``repro.core.parallel`` / ``repro.core.checkpoint``)
-and the integrity machinery (differential audits, invariant guards --
-``repro.core.integrity``) both exist for failures that are rare in a
-clean CI environment.  This module injects those failures on purpose,
-deterministically, so both layers are exercised end-to-end on every run
-instead of only through hand-built test doubles:
+retries -- ``repro.core.parallel``) and the integrity machinery
+(differential audits, invariant guards -- ``repro.core.integrity``)
+both exist for failures that are rare in a clean CI environment.  This
+module injects those failures on purpose, deterministically, so both
+layers are exercised end-to-end on every run instead of only through
+hand-built test doubles:
 
 * **worker crash** -- a chunk's worker process calls ``os._exit`` on its
   first attempt (the pool-rebuild + retry path);
@@ -14,9 +14,7 @@ instead of only through hand-built test doubles:
   first attempt (the kill-pool + retry path; requires a timeout);
 * **bit-flipped power word / verdict** -- a computed result is corrupted
   in flight, exactly as a bad DIMM or a cosmic ray would, targeted at
-  *audited* faults so the differential audit provably catches it;
-* **corrupted checkpoint record** -- a byte inside the journal is
-  damaged after the campaign, so a resume attempt must trip the CRC.
+  *audited* faults so the differential audit provably catches it.
 
 Every decision is a pure hash of ``(seed, kind, fault key)`` -- no RNG
 state, no wall clock -- so a chaos campaign is reproducible bit for bit,
@@ -25,14 +23,13 @@ directory (worker processes share no memory with the coordinator).
 
 A chaos spec is a comma-separated string, e.g.::
 
-    crash:0.15,hang:0.1,bitflip:1,corrupt:1,seed:7
+    crash:0.15,hang:0.1,bitflip:1,seed:7
 
 parsed by :class:`ChaosSpec.parse`.  The contract mirrors the
 robustness layer's: **chaos never changes final results** -- crashes
 and hangs are absorbed by retries, flipped verdicts are restored from
-the audit's serial reference, flipped powers are quarantined out, and
-the corrupted journal refuses to resume.  ``tests/test_chaos.py`` and
-the CI chaos job enforce this.
+the audit's serial reference, and flipped powers are quarantined out.
+``tests/test_chaos.py`` and the CI chaos job enforce this.
 """
 
 from __future__ import annotations
@@ -60,10 +57,9 @@ class ChaosSpec:
     crash: float = 0.0  # per-chunk probability of a first-attempt worker death
     hang: float = 0.0  # per-chunk probability of a first-attempt hang
     bitflip: int = 0  # number of audited faults whose results get corrupted
-    corrupt: int = 0  # number of checkpoint journals to damage post-run
     seed: int = 0  # salts every hash decision
 
-    _FIELDS = {"crash": float, "hang": float, "bitflip": int, "corrupt": int, "seed": int}
+    _FIELDS = {"crash": float, "hang": float, "bitflip": int, "seed": int}
 
     @classmethod
     def parse(cls, text: str) -> "ChaosSpec":
@@ -96,13 +92,13 @@ class ChaosSpec:
                 raise CampaignError(
                     f"chaos {name} rate must be in [0, 1), got {rate}"
                 )
-        if spec.bitflip < 0 or spec.corrupt < 0:
-            raise CampaignError("chaos bitflip/corrupt counts must be >= 0")
+        if spec.bitflip < 0:
+            raise CampaignError("chaos bitflip count must be >= 0")
         return spec
 
     @property
     def active(self) -> bool:
-        return bool(self.crash or self.hang or self.bitflip or self.corrupt)
+        return bool(self.crash or self.hang or self.bitflip)
 
 
 def _fraction(seed: int, kind: str, key: str) -> float:
@@ -123,7 +119,7 @@ def _flag_once(workdir: str, kind: str, key: str) -> bool:
 
 def _item_key(item: Any) -> str:
     """Stable key of one work item (a FaultSite, a chunk of them, ...)."""
-    from ..core.checkpoint import fault_key
+    from ..logic.faults import fault_key
 
     probe = item[0] if isinstance(item, (list, tuple)) and item else item
     try:
@@ -235,42 +231,13 @@ class ChaosEngine:
             converged=mc.converged,
         )
 
-    # ---------------------------------------------------------- checkpoint
-    def corrupt_journal(self, path: str | os.PathLike) -> bool:
-        """Damage one byte inside a record mid-journal (not the tail).
-
-        Picks a digit inside a deterministic interior record and changes
-        it -- the line still parses as JSON, so only the per-record CRC
-        can notice.  Returns False when the journal is too short to
-        corrupt anywhere but the tail.
-        """
-        path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        # records live on lines 1..n-1 (0 is the header); stay off the tail
-        candidates = list(range(1, len(lines) - 1))
-        if not candidates:
-            return False
-        pick = candidates[
-            int(_fraction(self.spec.seed, "corrupt", path.name) * len(candidates))
-        ]
-        line = lines[pick]
-        for pos, ch in enumerate(line):
-            if ch.isdigit():
-                line = line[:pos] + str((int(ch) + 1) % 10) + line[pos + 1 :]
-                break
-        else:
-            return False
-        lines[pick] = line
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return True
-
 
 # --------------------------------------------------------------- service
 class ServiceChaos:
     """Injectable compute-hook faults for the campaign *service* layer.
 
     :class:`ChaosEngine` above exercises the in-campaign recovery
-    machinery (pool rebuilds, audits, journal CRCs).  This class
+    machinery (pool rebuilds, audits).  This class
     exercises the layer on top -- :class:`repro.store.service.
     CampaignService` -- by wrapping the ``(design, threshold) ->
     report`` compute hook the service calls on a cache miss:
@@ -278,7 +245,8 @@ class ServiceChaos:
     * **crash** -- the first ``crash_attempts`` compute attempts for a
       listed design raise :class:`~repro.core.errors.WorkerCrash`
       (retryable: the service's job-level retry must absorb it and,
-      when the hook journals through checkpoints, *resume*);
+      when the hook is store-backed, replay the stages the failed
+      attempt published);
     * **hang** -- the first attempt for a listed design sleeps
       ``hang_seconds`` (far past any sane request deadline), driving
       the 504/abandon/quarantine path;

@@ -3,8 +3,7 @@
 The contract under test: chaos never changes final results.  Injected
 worker crashes and hangs are absorbed by the recovery layer, injected
 bit-flips are caught by the integrity layer's differential audit and
-quarantined (or abort the run in strict mode), and a corrupted
-checkpoint journal refuses to resume.
+quarantined (or abort the run in strict mode).
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ import math
 import pytest
 
 import repro.core.parallel as parallel_mod
-from repro.core.checkpoint import CampaignJournal, fault_key, open_journal
-from repro.core.errors import CampaignError, CheckpointMismatch, IntegrityError, validate_config
+from repro.core.errors import CampaignError, IntegrityError, validate_config
 from repro.core.grading import grade_sfr_faults
 from repro.core.parallel import ParallelExecutor
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.logic.faults import fault_key
 from repro.testing.chaos import ChaosEngine, ChaosSpec, flip_float_bit
 
 
@@ -31,8 +30,8 @@ def multicore(monkeypatch):
 # ------------------------------------------------------------- spec parsing
 class TestChaosSpec:
     def test_parse_full_spec(self):
-        spec = ChaosSpec.parse("crash:0.15,hang:0.1,bitflip:2,corrupt:1,seed:7")
-        assert spec == ChaosSpec(crash=0.15, hang=0.1, bitflip=2, corrupt=1, seed=7)
+        spec = ChaosSpec.parse("crash:0.15,hang:0.1,bitflip:2,seed:7")
+        assert spec == ChaosSpec(crash=0.15, hang=0.1, bitflip=2, seed=7)
         assert spec.active
 
     def test_parse_partial_and_empty(self):
@@ -41,8 +40,9 @@ class TestChaosSpec:
         assert ChaosSpec.parse("crash=0.5").crash == 0.5  # '=' also accepted
 
     def test_unknown_knob_rejected(self):
-        with pytest.raises(CampaignError, match="unknown chaos knob"):
-            ChaosSpec.parse("explode:1")
+        for spec in ("explode:1", "corrupt:1"):
+            with pytest.raises(CampaignError, match="unknown chaos knob"):
+                ChaosSpec.parse(spec)
 
     def test_bad_values_rejected(self):
         with pytest.raises(CampaignError, match="needs a float"):
@@ -146,26 +146,6 @@ class TestWorkerInjection:
         assert worker is _identity and context == "ctx"
 
 
-# ------------------------------------------------------ journal corruption
-class TestJournalCorruption:
-    def test_corrupted_record_refuses_resume(self, tmp_path):
-        j = open_journal(tmp_path, "faultsim", "a" * 20)
-        for i in range(6):
-            j.record(f"fault{i}", ["undetected", -1])
-        engine = ChaosEngine(ChaosSpec(corrupt=1, seed=4))
-        assert engine.corrupt_journal(j.path)
-        with pytest.raises(CheckpointMismatch, match="CRC"):
-            CampaignJournal(j.path, "a" * 20, "faultsim", resume=True)
-
-    def test_too_short_journal_is_left_alone(self, tmp_path):
-        j = open_journal(tmp_path, "faultsim", "b" * 20)
-        j.record("only", [1])
-        engine = ChaosEngine(ChaosSpec(corrupt=1, seed=4))
-        # header + one record: nothing strictly interior to damage
-        assert not engine.corrupt_journal(j.path)
-        CampaignJournal(j.path, "b" * 20, "faultsim", resume=True)  # still loads
-
-
 # ----------------------------------------------------------- end to end
 class TestChaosEndToEnd:
     def test_bitflips_are_caught_and_results_unchanged(self, facet_system):
@@ -195,33 +175,22 @@ class TestChaosEndToEnd:
                 ),
             )
 
-    def test_crashes_and_flips_with_checkpointing(
-        self, facet_system, multicore, tmp_path
-    ):
+    def test_crashes_and_flips_never_change_results(self, facet_system, multicore):
         clean = run_pipeline(facet_system, PipelineConfig(n_patterns=64, audit_rate=0.0))
         chaotic = run_pipeline(
             facet_system,
             PipelineConfig(
                 n_patterns=64,
                 audit_rate=0.5,
-                chaos="crash:0.4,bitflip:1,corrupt:1,seed:7",
+                chaos="crash:0.4,bitflip:1,seed:7",
                 n_jobs=2,
                 timeout=120.0,
-                checkpoint_dir=str(tmp_path),
             ),
         )
         assert {r.system_site: r.simulation for r in chaotic.records} == {
             r.system_site: r.simulation for r in clean.records
         }
         assert len(chaotic.campaign.violations) >= 1
-        # chaos also corrupted the journal post-run: resume must refuse
-        with pytest.raises(CheckpointMismatch):
-            run_pipeline(
-                facet_system,
-                PipelineConfig(
-                    n_patterns=64, checkpoint_dir=str(tmp_path), resume=True
-                ),
-            )
 
     def test_grading_bitflip_quarantined(self, facet_system, facet_pipeline):
         kwargs = dict(batch_patterns=32, max_batches=2)

@@ -218,7 +218,7 @@ class TestClassifyAudit:
             )
 
     def test_pipeline_quarantines_audited_mismatch(self, facet_system, monkeypatch):
-        from repro.core.checkpoint import fault_key
+        from repro.logic.faults import fault_key
         from repro.core.pipeline import PipelineConfig, run_pipeline
         from repro.logic.faultsim import Verdict
 

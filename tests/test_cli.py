@@ -75,21 +75,6 @@ def test_bad_argument_values_rejected_by_argparse(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_checkpoint_and_resume_roundtrip(tmp_path, capsys):
-    """A checkpointed classify rerun with --resume skips every fault and
-    says so, with identical Table-2 output."""
-    base = ["--patterns", "64", "--checkpoint-dir", str(tmp_path)]
-    assert main([*base, "classify", "facet"]) == 0
-    first = capsys.readouterr().out
-    assert main([*base, "--resume", "classify", "facet"]) == 0
-    second = capsys.readouterr().out
-    assert "resumed from checkpoint" in second
-    assert list(tmp_path.glob("faultsim-*.jsonl"))
-    # everything after the campaign-summary line is identical
-    strip = lambda out: [l for l in out.splitlines() if "campaign" not in l]
-    assert strip(first) == strip(second)
-
-
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.checkpoint import fault_key
 from repro.core.errors import CampaignError, IntegrityError
 import repro.core.grading as grading_mod
 from repro.core.grading import _BASELINE_KEY, grade_sfr_faults, power_detected
@@ -34,6 +33,7 @@ from repro.fleet import (
     recovered_power_uw,
     run_population,
 )
+from repro.logic.faults import fault_key
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import DATAPATH_TAG, ActivityTrace, MonteCarloResult
 from repro.store.cache import CampaignStore
@@ -470,42 +470,6 @@ class TestOneCampaign:
         )
         assert graded.campaign.violations
         assert _stage_rows(store) == {"grading": 0, "activity": 0, "fleet": 0}
-
-    def test_journal_resumed_grade_leaves_activity_to_calibrate(
-        self, facet_system, facet_pipeline, facet_estimator, facet_activity, tmp_path
-    ):
-        """Journal entries hold scalars only: a resumed grade publishes
-        ``grading`` alone, and the next calibrate computes the activity
-        campaign itself, once."""
-        ckpt = str(tmp_path / "ckpt")
-        grade_sfr_faults(
-            facet_system, facet_pipeline, estimator=facet_estimator, checkpoint_dir=ckpt, **MC
-        )
-        store = CampaignStore(tmp_path / "store")
-        resumed = grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            estimator=facet_estimator,
-            checkpoint_dir=ckpt,
-            resume=True,
-            store=store,
-            **MC,
-        )
-        assert resumed.campaign.completed == 0 and resumed.captured is None
-        assert _stage_rows(store) == {"grading": 1, "activity": 0, "fleet": 0}
-        config = FleetConfig(instances=500)
-        for computed in (len(facet_activity.fault_keys), 0):
-            _fleet, campaign, _grading = calibrate_fleet(
-                facet_system,
-                facet_pipeline,
-                config,
-                estimator=facet_estimator,
-                store=store,
-                **MC,
-            )
-            assert campaign.campaign.completed == computed
-            assert campaign.by_key == facet_activity.by_key
-            assert _stage_rows(store) == {"grading": 1, "activity": 1, "fleet": 1}
 
     def test_seeded_grade_publishes_grading_only(
         self, facet_system, facet_pipeline, facet_estimator, facet_activity, tmp_path

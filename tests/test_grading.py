@@ -5,7 +5,6 @@ import pytest
 
 import repro.core.parallel as parallel_mod
 from repro.cli import main
-from repro.core.checkpoint import fault_key
 from repro.core.grading import (
     grade_sfr_faults,
     pick_representative,
@@ -13,6 +12,7 @@ from repro.core.grading import (
     power_under_test_set,
 )
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.logic.faults import fault_key
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
     monte_carlo_power,
@@ -260,37 +260,6 @@ class TestBatchedGradingBitIdentity:
         )
         _assert_grading_equal(serial_grading, batched)
 
-    def test_resume_serial_journal_into_batched(
-        self, facet_system, facet_pipeline, serial_grading, tmp_path
-    ):
-        """A checkpoint journal written by the serial path resumes into a
-        batched campaign bit-identically (and vice versa: the journal
-        format carries no kernel fingerprint, only result-relevant knobs)."""
-        kwargs = dict(batch_patterns=64, max_batches=3)
-        grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            checkpoint_dir=str(tmp_path),
-            batched=False,
-            **kwargs,
-        )
-        # Truncate the journal to the baseline + the first two fault
-        # records: the batched resume replays those and recomputes the
-        # rest through the block kernel.
-        (journal_path,) = tmp_path.glob("grading-*.jsonl")
-        lines = journal_path.read_text().splitlines()
-        journal_path.write_text("\n".join(lines[:4]) + "\n")
-        resumed = grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-            batched=True,
-            **kwargs,
-        )
-        assert resumed.campaign.resumed == 2
-        _assert_grading_equal(serial_grading, resumed)
-
     def test_warm_store_replay(
         self, facet_system, facet_pipeline, serial_grading, tmp_path
     ):
@@ -308,20 +277,23 @@ class TestBatchedGradingBitIdentity:
         _assert_grading_equal(serial_grading, cold)
         _assert_grading_equal(cold, warm)
 
-    def test_cli_result_json_byte_identical(self, tmp_path):
+    def test_cli_result_json_byte_identical(self, tmp_path, monkeypatch):
         """The deterministic --result-json report must not change a byte
         between the batched kernel and the serial reference path."""
+        import repro.core.grading as grading_mod
+
         batched = tmp_path / "batched.json"
         serial = tmp_path / "serial.json"
         argv = ["--patterns", "64"]
         tail = ["grade", "facet"]
         assert main([*argv, "--result-json", str(batched), *tail]) == 0
-        assert (
-            main(
-                [*argv, "--no-batched-grading", "--result-json", str(serial), *tail]
-            )
-            == 0
+        real = grading_mod.simulate_campaign
+        monkeypatch.setattr(
+            grading_mod,
+            "simulate_campaign",
+            lambda *args, **kwargs: real(*args, **{**kwargs, "batched": False}),
         )
+        assert main([*argv, "--result-json", str(serial), *tail]) == 0
         assert batched.read_bytes() == serial.read_bytes()
 
 

@@ -17,7 +17,6 @@ import pytest
 
 import repro.core.grading as grading_mod
 import repro.logic.faultsim as faultsim_mod
-from repro.core.checkpoint import fault_key
 from repro.core.classify import EffectLabel
 from repro.core.errors import CampaignError, IntegrityError, validate_config
 from repro.core.grading import grade_sfr_faults
@@ -35,6 +34,7 @@ from repro.core.integrity import (
 from repro.core.parallel import RunReport
 from repro.core.pipeline import PipelineConfig, controller_fault_universe, run_pipeline
 from repro.hls.system import NormalModeStimulus, hold_masks
+from repro.logic.faults import fault_key
 from repro.logic.faultsim import Verdict, fault_simulate
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import MonteCarloResult, measure_power
@@ -264,31 +264,6 @@ class TestFaultSimAudit:
                 audit_rate=0.999, strict=True,
             )
 
-    def test_audit_set_survives_resume(self, small_campaign, tmp_path):
-        """A resumed campaign audits the same faults as an uninterrupted one."""
-        from repro.core.checkpoint import open_journal
-
-        system, stim, masks, observe, faults = small_campaign
-        clean = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            audit_rate=0.5,
-        )
-        fp = "e" * 20
-        half = len(faults) // 2
-        j = open_journal(tmp_path, "faultsim", fp)
-        fault_simulate(
-            system.netlist, faults[:half], stim, observe=observe,
-            valid_masks=masks, checkpoint=j, audit_rate=0.5,
-        )
-        j2 = open_journal(tmp_path, "faultsim", fp, resume=True)
-        resumed = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            checkpoint=j2, audit_rate=0.5,
-        )
-        assert resumed.campaign.audited == clean.campaign.audited
-        assert resumed.verdicts == clean.verdicts
-        assert resumed.campaign.violations == []
-
 
 # ------------------------------------------------------ grading guard layer
 class TestGradingGuards:
@@ -361,7 +336,7 @@ class TestConfigValidation:
     def test_integrity_knobs_do_not_change_the_fingerprint(self):
         a = PipelineConfig().fingerprint_params()
         b = PipelineConfig(audit_rate=0.5, strict=True).fingerprint_params()
-        assert a == b  # toggling audit knobs must not orphan journals
+        assert a == b  # toggling audit knobs must not miss warm store entries
 
     def test_pipeline_sfr_audit_runs_by_default(self, facet_pipeline):
         assert facet_pipeline.campaign.audited > 0

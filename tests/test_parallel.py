@@ -60,6 +60,8 @@ class TestFaultSimParallel:
         )
         assert serial.verdicts == parallel.verdicts
         assert serial.detect_cycle == parallel.detect_cycle
+        # the audit set is a pure hash of the fault keys
+        assert serial.campaign.audited == parallel.campaign.audited > 0
 
     def test_batched_matches_per_fault(self, facet_faultsim_setup):
         system, stim, masks, observe, faults = facet_faultsim_setup

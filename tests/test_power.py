@@ -120,69 +120,18 @@ class TestEstimator:
 
 
 class TestPowerBlocks:
-    """power_blocks() on a wide block-parallel sim vs per-fault power()."""
+    """power() refuses per-block counters: the block kernel converts each
+    block's row with power_from_counts()."""
 
-    def _regs(self):
-        """en/d -> DFFE (dp) -> inverter (dp) + a plain DFF (ctrl)."""
+    def test_power_rejects_block_sim(self):
         b = NetlistBuilder()
         en, d = b.input("en"), b.input("d")
         q = b.dffe(en, d, output=b.net("q"), tag="dp:reg")
-        y = b.not_(q, output=b.net("y"), tag="dp:inv")
-        b.dff(y, output=b.net("p"), tag="ctrl")
-        b.output(y)
-        return b.done(), en, d, q
-
-    def _run(self, sim, nl, en, d, en_vals, d_vals, cycles=4):
-        sim.drive(en, en_vals)
-        sim.drive(d, d_vals)
-        for _ in range(cycles):
-            sim.settle()
-            sim.latch()
-        return sim
-
-    def test_blocks_bit_identical_to_standalone_power(self):
-        from repro.logic.faults import FaultSite
-
-        nl, en, d, q = self._regs()
-        g = nl.driver_of(q)
-        faults = [FaultSite(g.index, -1, q, 1), FaultSite(g.index, -1, q, 0)]
-        rng = np.random.default_rng(3)
-        en_bits = [rng.integers(0, 2, 64) for _ in faults]
-        d_bits = [rng.integers(0, 2, 64) for _ in faults]
-        est = PowerEstimator(nl)
-
-        wide = CycleSimulator(
-            nl,
-            128,
-            faults=faults,
-            fault_blocks=[(0, 1), (1, 2)],
-            count_toggles=True,
-            toggle_blocks=2,
-        )
-        self._run(wide, nl, en, d, np.concatenate(en_bits), np.concatenate(d_bits))
-        for tag_prefix in (None, "dp"):
-            block_results = est.power_blocks(wide, tag_prefix=tag_prefix)
-            for blk, fault in enumerate(faults):
-                solo = CycleSimulator(nl, 64, faults=[fault], count_toggles=True)
-                self._run(solo, nl, en, d, en_bits[blk], d_bits[blk])
-                ref = est.power(solo, tag_prefix=tag_prefix)
-                got = block_results[blk]
-                assert got.total_uw == ref.total_uw
-                assert got.switching_uw == ref.switching_uw
-                assert got.clock_uw == ref.clock_uw
-                assert got.by_tag == ref.by_tag
-                assert got.cycles == ref.cycles
-                assert got.patterns == ref.patterns
-
-    def test_power_rejects_block_sim_and_vice_versa(self):
-        nl, en, d, q = self._regs()
-        est = PowerEstimator(nl)
+        b.output(b.not_(q, output=b.net("y"), tag="dp:inv"))
+        nl = b.done()
         block_sim = CycleSimulator(nl, 128, count_toggles=True, toggle_blocks=2)
-        with pytest.raises(ValueError, match="power_blocks"):
-            est.power(block_sim)
-        flat_sim = CycleSimulator(nl, 64, count_toggles=True)
-        with pytest.raises(ValueError, match="power\\(\\)"):
-            est.power_blocks(flat_sim)
+        with pytest.raises(ValueError, match="power_from_counts"):
+            PowerEstimator(nl).power(block_sim)
 
 
 class TestMonteCarlo:
@@ -215,7 +164,7 @@ class TestMonteCarloSerialization:
             facet_system, est, seed=9, batch_patterns=64, max_batches=4
         )
         back = MonteCarloResult.from_json(res.to_json())
-        # floats survive JSON exactly -- a journal replay reproduces the
+        # floats survive JSON exactly -- a store replay reproduces the
         # original result bit for bit
         assert back == res
         assert back.power_uw == res.power_uw

@@ -4,8 +4,8 @@
 Covers the robustness acceptance surface of the serve layer: request
 coalescing (one compute for N concurrent identical requests),
 backpressure (503 + ``Retry-After`` at queue depth), per-request
-deadlines (504, quarantine, worker slot reclaimed), crash-retry with
-checkpoint resume (bit-identical to a cold single-threaded run),
+deadlines (504, quarantine, worker slot reclaimed), crash-retry that
+replays published stages (bit-identical to a cold single-threaded run),
 graceful drain, structured JSON errors, fail-fast upload validation,
 client retry behavior against a flaky stub server, and the combined
 chaos scenario from the issue's acceptance criteria.
@@ -289,50 +289,47 @@ def test_deadline_504_quarantine_and_slot_reclaim(served):
     assert status == 200 and report["design"] == "poly"
 
 
-# ------------------------------------------------------- crash + resume
-def test_crash_retry_resumes_from_journal_bit_identical(served, tmp_path):
-    """A mid-request worker crash resumes the job from its journal: every
-    unit of work runs exactly once and the served report is byte-identical
-    to a cold single-threaded run."""
-    journal = tmp_path / "journal.jsonl"
-    row_computes: list[str] = []
+# ------------------------------------------------- crash + store replay
+def test_crash_retry_replays_published_stages_bit_identical(served):
+    """A mid-request worker crash is retried, and the retry replays every
+    stage the failed attempt published to the store: only the stage in
+    flight at the crash is computed twice, and the served report is
+    byte-identical to a cold single-threaded run."""
+    stage_computes: list[str] = []
+    stages = ("faultsim", "classify", "grading", "activity")
 
-    def checkpointed_compute(store):
+    def store_backed_compute(store):
         def compute(design, threshold):
-            done = []
-            if journal.exists():  # resume: skip journaled rows
-                done = journal.read_text().splitlines()
-            rows = []
-            for i in range(4):
-                key = f"{design}:row{i}"
-                if key in done:
-                    rows.append(key)
-                    continue
-                row_computes.append(key)  # one simulation per row, ever
-                rows.append(key)
-                with journal.open("a") as f:
-                    f.write(key + "\n")
-                if i == 1 and len(row_computes) <= 2:
-                    raise WorkerCrash("chaos: worker died mid-campaign")
+            replayed = []
+            for stage in stages:
+                key = digest({"design": design, "stage": stage})
+                payload = store.lookup(stage, key)
+                if payload is None:
+                    stage_computes.append(stage)
+                    if stage_computes == ["faultsim", "classify", "grading"]:
+                        raise WorkerCrash("chaos: worker died mid-campaign")
+                    payload = {"stage": stage}
+                    store.publish(stage, key, payload, design=design)
+                replayed.append(payload["stage"])
             report = _publish(store, design, threshold)
-            report["rows"] = rows
+            report["stages"] = replayed
             return report
 
         return compute
 
     base, store, service = served(compute=None)
-    service.compute = checkpointed_compute(store)
+    service.compute = store_backed_compute(store)
     service.max_retries = 2
 
     status, report, raw, _ = _fetch(f"{base}/campaigns/diffeq?threshold=0.05")
     assert status == 200
     assert service.stats()["service"]["retries"] == 1
-    # every row simulated exactly once across crash + resume
-    assert row_computes == ["diffeq:row0", "diffeq:row1", "diffeq:row2", "diffeq:row3"]
+    # finished stages replay; only the in-flight one recomputes
+    assert stage_computes == ["faultsim", "classify", "grading", "grading", "activity"]
 
-    # cold single-threaded reference, no crash, fresh journal
+    # cold single-threaded reference, no crash
     cold_report = _report("diffeq", 0.05)
-    cold_report["rows"] = [f"diffeq:row{i}" for i in range(4)]
+    cold_report["stages"] = list(stages)
     assert report == cold_report
 
 

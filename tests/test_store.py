@@ -3,8 +3,8 @@
 Covers the acceptance surface of the store subsystem: fingerprint
 stability across processes, single-writer exclusion, corrupted-blob
 degradation (recompute, never crash, violation logged), gc safety,
-cold/warm bit-identity at the CLI level, journal retirement, chaos
-quarantine-not-published, and the query/serve layers.
+cold/warm bit-identity at the CLI level, resuming a killed run from the
+store, chaos quarantine-not-published, and the query/serve layers.
 """
 
 from __future__ import annotations
@@ -391,21 +391,40 @@ def test_cli_store_maintenance_commands(tmp_path, capsys):
     assert main(["store", "stats"]) == 2
 
 
-def test_journal_retired_once_published(tmp_path, capsys):
-    """Checkpoint + store compose: once a completed campaign graduates
-    into the store, its crash-recovery journal is set aside."""
-    ckpt = tmp_path / "ckpt"
-    rc = main(
-        [
-            "--patterns", "64",
-            "--checkpoint-dir", str(ckpt),
-            "--store-dir", str(tmp_path / "store"),
-            "classify", "facet",
-        ]
-    )
-    assert rc == 0
-    assert not list(ckpt.glob("faultsim-*.jsonl"))
-    assert len(list(ckpt.glob("faultsim-*.jsonl.published"))) == 1
+def test_killed_grade_resumes_from_the_store(tmp_path, capsys, monkeypatch):
+    """The store is the one resume mechanism: a store-backed grade killed
+    inside grading, rerun with the same --store-dir, replays faultsim and
+    classify, recomputes only grading, and writes the same result bytes
+    as an uninterrupted store-less run."""
+    import repro.core.grading as grading_mod
+
+    reference = tmp_path / "reference.json"
+    assert main(["--patterns", "64", "--result-json", str(reference), "grade", "facet"]) == 0
+
+    class Killed(Exception):
+        pass
+
+    real = grading_mod.simulate_campaign
+    calls = []
+
+    def killed_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise Killed("killed inside grading")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grading_mod, "simulate_campaign", killed_once)
+    base = ["--patterns", "64", "--store-dir", str(tmp_path / "store")]
+    with pytest.raises(Killed):
+        main(base + ["grade", "facet"])
+    rerun, rerun_rep = tmp_path / "rerun.json", tmp_path / "rerun-rep.json"
+    argv = ["--result-json", str(rerun), "--report-json", str(rerun_rep), "grade", "facet"]
+    assert main(base + argv) == 0
+    stages = {s["stage"]: s for s in json.loads(rerun_rep.read_text())["store"]["stages"]}
+    assert stages["faultsim"]["hit"] and stages["classify"]["hit"]
+    assert not stages["grading"]["hit"] and stages["grading"]["published"]
+    assert len(calls) == 2
+    assert rerun.read_bytes() == reference.read_bytes()
 
 
 def test_chaos_tainted_campaign_never_published(tmp_path, capsys):
