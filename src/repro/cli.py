@@ -513,13 +513,13 @@ def _cmd_calibrate(args) -> int:
         f"{100 * chosen['escape_rate']:.3f}%, budget "
         f"{'met' if chosen['met_budget'] else 'NOT met'})"
     )
-    if fleet.matmul_s > 0:
+    if fleet.wall_s > 0:
         print(
             f"population kernel: {fleet.throughput:.3e} instances*faults/s "
-            f"({fleet.matmul_s:.3f}s in matmuls)"
+            f"({fleet.wall_s:.3f}s, {fleet.matmul_s:.3f}s in matmuls)"
         )
     else:
-        print("population kernel: replayed from store (no matmul run)")
+        print("population kernel: replayed from store (no kernel run)")
     return 0
 
 

@@ -2,16 +2,17 @@
 
 Switching activity is instance-independent and power is linear in the
 per-row activity counters, so one Monte-Carlo campaign per design prices
-a manufactured fleet of any size through a single chunked matmul::
+a manufactured fleet of any size through a single chunked matmul in
+gate-type space::
 
-    P[instances x faults] = C[instances x rows] @ A[rows x faults]
+    P[instances x faults] = S[instances x types] @ (W.T @ A)[types x faults]
 
 Layers:
 
 * :mod:`repro.fleet.activity` -- the per-fault integer activity
   matrices: the grading campaign's captured traces, or their store replay;
 * :mod:`repro.fleet.population` -- sample process/tester spread and
-  sweep the threshold ROC over the matmul;
+  count the threshold ROC from per-column sorted deviations;
 * :mod:`repro.fleet.calibrate` -- glue: grading -> activity ->
   bit-identity cross-check -> population kernel -> store artifact.
 """

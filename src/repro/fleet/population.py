@@ -4,15 +4,18 @@ Power is a linear functional of per-row activity (``power_from_counts``),
 and activity is instance-independent -- so the dynamic power of every
 instance of a fleet under every fault is one matrix product::
 
-    P[instances x faults] = C[instances x rows] @ A[rows x faults]
+    P[instances x faults] = S[instances x types] @ (W.T @ A)[types x faults]
 
 where ``A`` holds the converged mean activity per counter row (from an
-:mod:`~repro.fleet.activity` campaign) and ``C`` holds each instance's
-effective per-row capacitance, built from per-gate-type log-normal
-process scales through the estimator's
-:class:`~repro.power.estimator.CapDecomposition`.  A million-instance
-threshold ROC therefore costs one Monte-Carlo campaign plus chunked
-float64 matmuls -- about 10^6 x cheaper than re-simulating per instance.
+:mod:`~repro.fleet.activity` campaign), ``W`` the estimator's
+per-row, per-gate-type capacitance
+(:class:`~repro.power.estimator.CapDecomposition`) and ``S`` each
+instance's per-gate-type log-normal process scales.  ``W.T @ A`` is
+contracted once per design, so each instance and fault costs about a
+dozen multiply-adds (one per gate type), not one per counter row.  A
+million-instance threshold ROC therefore costs one Monte-Carlo campaign
+plus chunked float64 matmuls -- about 10^6 x cheaper than re-simulating
+per instance.
 
 The measurement model follows the paper's test setup: a tester measures
 total supply power, subtracts its quiescent (IDDQ) measurement, and
@@ -175,10 +178,10 @@ class FleetResult:
 
     @property
     def throughput(self) -> float:
-        """Population matmul rate in instances * faults per second."""
-        if self.matmul_s <= 0:
+        """Population kernel rate in instances * faults per wall second."""
+        if self.wall_s <= 0:
             return 0.0
-        return self.instances * max(1, len(self.fault_keys)) / self.matmul_s
+        return self.instances * max(1, len(self.fault_keys)) / self.wall_s
 
     def roc(self) -> list[dict]:
         """Per-threshold operating points: yield loss vs escape rate."""
@@ -266,24 +269,28 @@ def run_population(
 ) -> FleetResult:
     """Sample the fleet and sweep the threshold grid over one matmul chain.
 
-    Per chunk of at most :data:`FLEET_CHUNK_INSTANCES` instances, drawn
-    from an independent ``default_rng([seed, chunk])`` stream (chunking
-    is therefore invisible to the statistics):
+    ``W.T @ A`` is contracted once, scaled to microwatts.  Then per chunk
+    of at most :data:`FLEET_CHUNK_INSTANCES` instances, drawn from an
+    independent ``default_rng([seed, chunk])`` stream (chunking is
+    therefore invisible to the statistics):
 
     1. per-gate-type capacitance scales ``S = exp(sigma_cap * N)`` and
        leakage scales ``exp(sigma_leak * N)`` (log-normal, mean ~1);
-    2. dynamic power ``P = (S @ W.T) @ A`` (materialising the per-instance
-       weights ``C = S @ W.T``) scaled to microwatts;
+    2. dynamic power ``P = S @ (W.T @ A)``;
     3. tester measurements: total power and IDDQ, each with independent
        multiplicative noise; the reported dynamic power is their
        difference, so the leakage *mean* cancels and only its spread and
        the noise remain;
-    4. the relative deviation from ``p_ref_uw`` crosses the threshold
-       grid: column 0 failures are yield loss, fault-column passes are
-       escapes.
+    4. the relative deviation from ``p_ref_uw``, computed in place and
+       sorted per column, is counted against the threshold grid by
+       binary search: column 0 failures (``> t``) are yield loss,
+       fault-column passes (``<= t``) are escapes.  A non-finite
+       deviation would fit neither side, so it raises
+       :class:`IntegrityError`.
 
-    Only the matmul time is charged to ``matmul_s`` (the benchmark's
-    throughput denominator); RNG and comparison time land in ``wall_s``.
+    ``matmul_s`` holds the matmul time alone; ``wall_s`` the whole
+    kernel (RNG, matmul, noise and counting), which is the throughput
+    denominator.
     """
     config.validate()
     if not 0 < p_ref_uw:
@@ -306,6 +313,7 @@ def run_population(
     n_cols = A.shape[1]
     ones = np.ones((1, W.shape[1]), dtype=np.float64)
     nominal = ((ones @ W.T) @ A)[0] * to_uw
+    WA = (W.T @ A) * to_uw  # (types, 1+faults) uW per unit scale
 
     yield_fail = np.zeros(len(thresholds), dtype=np.int64)
     escapes = np.zeros((len(thresholds), n_cols - 1), dtype=np.int64)
@@ -321,17 +329,31 @@ def run_population(
         eps_iddq = rng.standard_normal(n)
 
         t0 = time.perf_counter()
-        P = ((S @ W.T) @ A) * to_uw
+        rel = S @ WA  # dynamic power P, overwritten in place by the deviation
         matmul_s += time.perf_counter() - t0
 
         leak = leak_scale @ L  # (n,) uW per instance
-        m_total = (P + leak[:, None]) * (1.0 + config.sigma_meas * eps_total)
-        m_iddq = leak * (1.0 + config.sigma_meas * eps_iddq)
-        m_dyn = m_total - m_iddq[:, None]
-        rel = np.abs(m_dyn / p_ref_uw - 1.0)
-        # rel[:, 0, None] > t: fault-free fail; rel[:, 1:] <= t: escape
-        yield_fail += (rel[:, 0, None] > thresholds[None, :]).sum(axis=0)
-        escapes += (rel[:, 1:, None] <= thresholds[None, None, :]).sum(axis=0).T
+        eps_total *= config.sigma_meas
+        eps_total += 1.0
+        rel += leak[:, None]
+        rel *= eps_total  # measured total power
+        rel -= (leak * (1.0 + config.sigma_meas * eps_iddq))[:, None]  # minus IDDQ
+        rel /= p_ref_uw
+        rel -= 1.0
+        np.abs(rel, out=rel)
+        if not np.isfinite(rel).all():
+            raise IntegrityError(
+                f"fleet {design!r}: chunk {chunk_idx} has non-finite power "
+                "deviations; the activity matrix or the reference is corrupt"
+            )
+        # #(rel <= t) per column: column 0's complement is yield loss,
+        # the fault columns' counts are escapes
+        rel.sort(axis=0)
+        passed = np.stack(
+            [np.searchsorted(col, thresholds, side="right") for col in rel.T], axis=1
+        )
+        yield_fail += n - passed[:, 0]
+        escapes += passed[:, 1:]
         done += n
         chunk_idx += 1
 

@@ -3,15 +3,17 @@
 Covers the three layers and their contracts: the activity artifact (the
 per-fault integer counters and their store round trip), the population
 kernel (sigma=0 reproduces the scalar grading verdicts; ROC monotone;
-deterministic JSON; the factored product), and the integration surface
-(calibrate end-to-end with warm-store zero-simulation replay, the serve
-endpoint's validation boundary, and the CLI subcommand).
+deterministic JSON; counts equal to a rowwise reference), and the
+integration surface (calibrate end-to-end with warm-store
+zero-simulation replay, the serve endpoint's validation boundary, and
+the CLI subcommand).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from types import SimpleNamespace
 import urllib.error
 import urllib.request
 
@@ -23,6 +25,7 @@ from repro.core.errors import CampaignError, IntegrityError
 import repro.core.grading as grading_mod
 from repro.core.grading import _BASELINE_KEY, grade_sfr_faults, power_detected
 from repro.fleet import (
+    FLEET_CHUNK_INSTANCES,
     FleetConfig,
     FleetResult,
     activity_campaign,
@@ -35,6 +38,7 @@ from repro.fleet import (
 )
 from repro.logic.faults import fault_key
 from repro.power.estimator import PowerEstimator
+from repro.power.iddq import quiescent_leakage_components
 from repro.power.montecarlo import DATAPATH_TAG, ActivityTrace, MonteCarloResult
 from repro.store.cache import CampaignStore
 from repro.store.server import make_server
@@ -221,6 +225,35 @@ def test_choose_threshold_walks_from_tight_end():
     assert not chosen["met_budget"]
 
 
+def _rowwise_reference(estimator, decomp, A, config, p_ref_uw):
+    """The population kernel written the direct way: per chunk, the
+    per-instance row weights ``C = S @ W.T``, then ``C @ A``, then a
+    broadcast compare against every threshold.  Same RNG draws."""
+    lib = estimator.library
+    W = decomp.stack()
+    to_uw = lib.energy_per_ff() * lib.f_clk * 1e6
+    leak_by_type = quiescent_leakage_components(estimator.netlist, lib)
+    L = np.array([leak_by_type.get(name, 0.0) for name in decomp.components])
+    t = np.asarray(config.thresholds)
+    yield_fail = np.zeros(len(t), dtype=np.int64)
+    escapes = np.zeros((len(t), A.shape[1] - 1), dtype=np.int64)
+    for chunk, start in enumerate(range(0, config.instances, FLEET_CHUNK_INSTANCES)):
+        n = min(FLEET_CHUNK_INSTANCES, config.instances - start)
+        rng = np.random.default_rng([config.seed, chunk])
+        S = np.exp(config.sigma_cap * rng.standard_normal((n, W.shape[1])))
+        leak = np.exp(config.sigma_leak * rng.standard_normal((n, W.shape[1]))) @ L
+        eps_total = rng.standard_normal((n, A.shape[1]))
+        eps_iddq = rng.standard_normal(n)
+        P = ((S @ W.T) @ A) * to_uw
+        m_total = (P + leak[:, None]) * (1.0 + config.sigma_meas * eps_total)
+        m_dyn = m_total - (leak * (1.0 + config.sigma_meas * eps_iddq))[:, None]
+        rel = np.abs(m_dyn / p_ref_uw - 1.0)
+        yield_fail += (rel[:, 0, None] > t).sum(axis=0)
+        escapes += (rel[:, 1:, None] <= t).sum(axis=0).T
+    nominal = ((np.ones((1, W.shape[1])) @ W.T) @ A)[0] * to_uw
+    return yield_fail.tolist(), escapes.tolist(), nominal.tolist()
+
+
 class TestPopulationKernel:
     @pytest.fixture(scope="class")
     def matrices(self, facet_estimator, facet_activity):
@@ -288,13 +321,71 @@ class TestPopulationKernel:
         if chosen["met_budget"]:
             assert chosen["yield_loss"] <= result.params["yield_budget"]
 
-    def test_factored_product_matches_rowwise(self, matrices):
-        """Precontracting ``W.T @ A`` gives the kernel's per-instance
-        powers: matrix products associate, up to float rounding."""
+    @pytest.mark.parametrize("instances", [4000, 16384, 16385, 40000])
+    def test_kernel_matches_rowwise_reference(
+        self, facet_estimator, facet_activity, matrices, facet_seeded_grading, instances
+    ):
+        """One chunk, an exact chunk and chunk tails: the same counts as
+        the rowwise product with a broadcast threshold compare."""
         decomp, A = matrices
-        W = decomp.stack()
-        S = np.exp(0.05 * np.random.default_rng(3).standard_normal((4, W.shape[1])))
-        np.testing.assert_allclose((S @ W.T) @ A, S @ (W.T @ A), rtol=1e-12)
+        config = FleetConfig(instances=instances)
+        p_ref = facet_seeded_grading.fault_free_uw
+        result = self._run(
+            facet_estimator,
+            facet_activity,
+            matrices,
+            facet_seeded_grading,
+            instances=instances,
+        )
+        yield_fail, escapes, nominal = _rowwise_reference(
+            facet_estimator, decomp, A, config, p_ref
+        )
+        assert result.yield_fail == yield_fail
+        assert result.escapes == escapes
+        assert result.nominal_uw == nominal
+
+    def test_ties_on_a_threshold_are_escapes(self, facet_estimator):
+        """A deviation exactly equal to ``t`` passes the band (``<= t``):
+        an escape for a faulty chip, not a yield failure for a good one."""
+        lib = facet_estimator.library
+        to_uw = lib.energy_per_ff() * lib.f_clk * 1e6
+        # one gate type of unit capacitance and no leakage: P = A * to_uw
+        decomp = SimpleNamespace(stack=lambda: np.ones((1, 1)), components=["none"])
+        A = np.array([[1.03, 1.05, 1.1, 1.2]])
+        rel = np.abs(A[0] * to_uw / to_uw - 1.0)  # the kernel's float ops, increasing
+        config = FleetConfig(
+            instances=10,
+            sigma_cap=0.0,
+            sigma_leak=0.0,
+            sigma_meas=0.0,
+            thresholds=(0.01, *rel),
+        )
+        result = run_population(
+            facet_estimator, decomp, A, ["a", "b", "c"], config, p_ref_uw=to_uw
+        )
+        assert result.yield_fail == [10, 0, 0, 0, 0]
+        assert result.escapes == [
+            [0, 0, 0],
+            [0, 0, 0],
+            [10, 0, 0],
+            [10, 10, 0],
+            [10, 10, 10],
+        ]
+        reference = _rowwise_reference(facet_estimator, decomp, A, config, to_uw)
+        assert (result.yield_fail, result.escapes) == reference[:2]
+
+    def test_non_finite_deviation_raises(
+        self, facet_estimator, facet_activity, matrices, facet_seeded_grading
+    ):
+        """A NaN deviation is neither ``> t`` nor ``<= t``; it must abort
+        rather than fall out of both the yield and the escape counts."""
+        decomp, A = matrices
+        A = A.copy()
+        A[:, 2] = np.nan
+        with pytest.raises(IntegrityError, match="'facet'"):
+            self._run(
+                facet_estimator, facet_activity, (decomp, A), facet_seeded_grading
+            )
 
     def test_json_is_deterministic_and_round_trips(
         self, facet_estimator, facet_activity, matrices, facet_seeded_grading
@@ -339,7 +430,7 @@ def test_calibrate_end_to_end_with_warm_store(
     assert warm_campaign.campaign.completed == 0
     assert warm_grading.campaign.completed == 0
     assert warm_fleet.to_json_dict() == cold_fleet.to_json_dict()
-    assert warm_fleet.matmul_s == 0.0
+    assert warm_fleet.matmul_s == 0.0 and warm_fleet.wall_s == 0.0
 
     report = calibrate_report_dict(warm_fleet)
     assert report["command"] == "calibrate"
