@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hls.system import NormalModeStimulus, System, hold_masks
+from ..hls.system import NormalModeStimulus, System, hold_masks_from_trace
 from ..logic.faults import FaultSite, collapse_faults, enumerate_faults, fault_key
-from ..logic.faultsim import FaultSimResult, Verdict, fault_simulate
+from ..logic.faultsim import FaultSimResult, Verdict, fault_simulate, run_golden
 from ..store.cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
@@ -299,6 +299,11 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute the full Section-5 flow on ``system``.
 
+    The fault-free machine is simulated once per run
+    (:func:`~repro.logic.faultsim.run_golden` with ``full=True``): the
+    hold masks are read off that trace, and it is handed to the fault
+    simulation, the incremental planner and the per-fault publication.
+
     With ``store`` set (see :mod:`repro.store`), the fault-simulation
     stage consults the persistent content-addressed store first: a cached
     campaign keyed by the netlist content, stimulus plan, config knobs
@@ -326,8 +331,12 @@ def run_pipeline(
     n_cycles = system.cycles_for(config.iterations_window, config.hold_cycles)
     stimulus = NormalModeStimulus(system, data, n_cycles)
     validate_stimulus(stimulus)
-    masks = hold_masks(system, stimulus)
     observe = [net for bus in system.output_buses.values() for net in bus]
+    # The one fault-free simulation of this stimulus: the hold masks, the
+    # fault engine's reference, and the incremental planner's and
+    # publisher's cone content hashes all read it.
+    golden = run_golden(system.netlist, stimulus, observe, full=True)
+    masks = hold_masks_from_trace(system, golden)
     system_sites = [system.to_system_fault(s) for s in universe]
     chaos_engine = None
     if config.chaos:
@@ -382,6 +391,7 @@ def run_pipeline(
                 stimulus,
                 observe,
                 masks,
+                golden=golden,
             )
             if plan is not None and not plan.reusable:
                 plan = None  # nothing replays; run the ordinary cold path
@@ -400,6 +410,7 @@ def run_pipeline(
             audit_rate=config.audit_rate,
             strict=config.strict,
             chaos=chaos_engine,
+            golden=golden,
         )
         # Merge: replayed entries and freshly simulated verdicts, in
         # universe order, indistinguishable from a cold full campaign.
@@ -466,6 +477,7 @@ def run_pipeline(
             chaos=chaos_engine,
             store=store,
             store_key=faultsim_store_key,
+            golden=golden,
         )
 
     # Steps 2-4.
@@ -527,5 +539,6 @@ def run_pipeline(
                 sim_result.detect_cycle,
                 classifier,
                 faultsim_wall_s=computed_wall,
+                golden=golden,
             )
     return result

@@ -29,7 +29,7 @@ from ..core.errors import CampaignError, validate_netlist
 from ..core.grading import (
     _BASELINE_KEY,
     GradingResult,
-    _grade_worker,
+    _grade_baseline,
     grading_stage_key,
     publish_activity,
     simulate_campaign,
@@ -147,7 +147,7 @@ def activity_campaign(
     if fresh:
         with StageTimer() as stage_timer:
             context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
-            results = {_BASELINE_KEY: _grade_worker(context, None)}
+            results = {_BASELINE_KEY: _grade_baseline(context)}
 
             def _collect(site, mc) -> None:
                 results[fault_key(site)] = mc

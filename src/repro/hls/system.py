@@ -82,12 +82,17 @@ class System:
         """Cycle budget: reset + RESET + ``iterations`` body passes + HOLD."""
         return 2 + self.n_steps * max(1, iterations) + hold_cycles
 
-    def hold_code_planes(self, sim) -> np.ndarray:
-        """Word-mask of patterns whose controller state is HOLD."""
+    def hold_code_planes(self, planes: np.ndarray) -> np.ndarray:
+        """Word-mask of patterns whose controller state is HOLD.
+
+        ``planes`` is one settled ``(2, n_rows, words)`` snapshot (zero
+        plane first, one plane second) -- see
+        :meth:`~repro.logic.simulator.CycleSimulator.snapshot_planes`.
+        """
         code = self.controller.encoding.codes[HOLD_STATE]
         mask = None
         for j, net in enumerate(self.state_nets):
-            plane = sim.O[net] if (code >> j) & 1 else sim.Z[net]
+            plane = planes[1, net] if (code >> j) & 1 else planes[0, net]
             mask = plane.copy() if mask is None else mask & plane
         assert mask is not None
         return mask
@@ -227,16 +232,28 @@ class NormalModeStimulus:
             sim.drive_words(net, z, o)
 
 
+def hold_masks_from_trace(system: System, golden) -> list[np.ndarray]:
+    """Per-cycle word-masks of patterns whose *fault-free* machine is in
+    HOLD, read off a recorded golden trace.
+
+    ``golden`` is the :class:`~repro.logic.faultsim.GoldenTrace` of
+    ``run_golden(system.netlist, stimulus, observe, full=True)``: its
+    post-settle snapshots are the states the output sampling schedule
+    is defined on, so a campaign that already holds the trace derives
+    the masks without simulating the fault-free machine again.
+    """
+    return [system.hold_code_planes(planes) for planes in golden.planes]
+
+
 def hold_masks(system: System, stimulus: NormalModeStimulus) -> list[np.ndarray]:
     """Per-cycle word-masks of patterns whose *fault-free* machine is in
-    HOLD -- the output sampling schedule for fault detection."""
-    from ..logic.simulator import CycleSimulator
+    HOLD -- the output sampling schedule for fault detection.
 
-    sim = CycleSimulator(system.netlist, stimulus.n_patterns)
-    masks = []
-    for cycle in range(stimulus.n_cycles):
-        stimulus.apply(sim, cycle)
-        sim.settle()
-        masks.append(system.hold_code_planes(sim))
-        sim.latch()
-    return masks
+    Simulates the fault-free machine once; callers that hold its golden
+    trace already use :func:`hold_masks_from_trace` instead.
+    """
+    from ..logic.faultsim import run_golden
+
+    return hold_masks_from_trace(
+        system, run_golden(system.netlist, stimulus, [], full=True)
+    )

@@ -30,14 +30,15 @@ plus the RT-level oracle, so their invalidation rules differ).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Any, Iterable
 
 import numpy as np
 
 from ..logic.cones import FaultCone
 from ..logic.faults import FaultSite
 from ..netlist.netlist import Netlist
-from ..store.fingerprint import SCHEMA_VERSION, digest
+from ..store.fingerprint import SCHEMA_VERSION, canonical_json, digest
 
 
 def params_digest(
@@ -136,19 +137,32 @@ def golden_column_digest(planes: list[np.ndarray], net: int) -> str:
     return h.hexdigest()
 
 
-def cone_content_hash(
-    netlist: Netlist,
-    site: FaultSite,
-    cone: FaultCone,
-    planes: list[np.ndarray],
-    column_cache: dict[int, str] | None = None,
-) -> str:
-    """Content hash of one fault's cone: site, gates, boundary columns.
+@dataclass
+class ConeHashMemo:
+    """Work :func:`cone_content_hash` shares across the faults of one trace.
 
-    Gate rows are name-based and sorted, so the hash is independent of
-    gate indices and net ids; ``planes`` is the full golden trace from
-    :func:`~repro.logic.faultsim.run_golden` (``full=True``), used to
-    pin the boundary values the cone would read during faulty replay.
+    ``columns`` holds each boundary net's golden column digest;
+    ``bodies`` holds, per distinct ``(cone.gates, cone.nets)`` pair, a
+    sha-256 state already fed with the cone's canonical body.  Both
+    fields key the body: faults that share gates but not nets read
+    different boundaries.  A memo is only valid for one netlist and one
+    golden trace.
+    """
+
+    columns: dict[int, str] = field(default_factory=dict)
+    bodies: dict[tuple[frozenset[int], frozenset[int]], Any] = field(
+        default_factory=dict
+    )
+
+
+def _cone_body(
+    netlist: Netlist, cone: FaultCone, planes: list[np.ndarray], columns: dict[int, str]
+):
+    """sha-256 state over the canonical JSON of a cone hash up to its site.
+
+    Canonical JSON sorts keys, and ``site`` sorts after ``boundary``,
+    ``gates`` and ``schema``: the full object's encoding is this prefix,
+    the site's encoding and a closing brace, byte for byte.
     """
     names = netlist.net_names
     rows = sorted(
@@ -159,31 +173,58 @@ def cone_content_hash(
         ]
         for g in cone.gates
     )
-    if column_cache is None:
-        column_cache = {}
     boundary = {}
     for net in cone_boundary_nets(netlist, cone):
-        col = column_cache.get(net)
+        col = columns.get(net)
         if col is None:
-            col = column_cache[net] = golden_column_digest(planes, net)
+            col = columns[net] = golden_column_digest(planes, net)
         boundary[names[net]] = col
-    return digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "site": {
+    body = canonical_json(
+        {"schema": SCHEMA_VERSION, "gates": rows, "boundary": boundary}
+    )
+    return hashlib.sha256(body[:-1].encode("utf-8") + b',"site":')
+
+
+def cone_content_hash(
+    netlist: Netlist,
+    site: FaultSite,
+    cone: FaultCone,
+    planes: list[np.ndarray],
+    memo: ConeHashMemo | None = None,
+) -> str:
+    """Content hash of one fault's cone: site, gates, boundary columns.
+
+    The digest of ``{"schema", "site", "gates", "boundary"}``: gate rows
+    are name-based and sorted, so the hash is independent of gate
+    indices and net ids; ``planes`` is the full golden trace from
+    :func:`~repro.logic.faultsim.run_golden` (``full=True``), used to
+    pin the boundary values the cone would read during faulty replay.
+    With a shared ``memo`` each distinct cone body is serialized and
+    hashed once, and only the site is encoded per fault.
+    """
+    if memo is None:
+        memo = ConeHashMemo()
+    cone_id = (cone.gates, cone.nets)
+    body = memo.bodies.get(cone_id)
+    if body is None:
+        body = memo.bodies[cone_id] = _cone_body(netlist, cone, planes, memo.columns)
+    h = body.copy()
+    h.update(
+        canonical_json(
+            {
                 "gate": (
                     None
                     if site.gate_index is None
                     else netlist.gates[site.gate_index].name
                 ),
                 "pin": site.pin,
-                "net": names[site.net],
+                "net": netlist.net_names[site.net],
                 "value": site.value,
-            },
-            "gates": rows,
-            "boundary": boundary,
-        }
+            }
+        ).encode("utf-8")
+        + b"}"
     )
+    return h.hexdigest()
 
 
 def classifier_context_digest(rtl, iteration_counts, hold_cycles: int) -> str:

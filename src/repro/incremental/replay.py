@@ -60,6 +60,7 @@ from ..store.fingerprint import (
     stage_key,
 )
 from .faultkeys import (
+    ConeHashMemo,
     aligned_entry_key,
     classifier_context_digest,
     cone_content_hash,
@@ -267,12 +268,16 @@ def plan_recompute(
     stimulus,
     observe: list[int],
     masks,
+    golden=None,
 ) -> IncrementalPlan | None:
     """Partition the fault universe against a baseline campaign.
 
     Returns None when the baseline has no compatible incremental
     metadata in the store (different params, masks, schema, or it was
     never published) -- the caller then runs a normal cold campaign.
+    ``golden`` is the campaign's full fault-free trace when the caller
+    already holds it (content keys read it lazily); None simulates it
+    on first use.
     """
     netlist = system.netlist
     pdigest = params_digest(netlist, config, observe, masks, stimulus.n_cycles)
@@ -332,14 +337,15 @@ def plan_recompute(
     def content_key(site: FaultSite) -> str:
         if "planes" not in lazy:
             lazy["cones"] = compute_cones(netlist, system_sites)
-            lazy["planes"] = run_golden(
-                netlist, stimulus, observe, full=True
-            ).planes
-            lazy["columns"] = {}
+            trace = golden
+            if trace is None:
+                trace = run_golden(netlist, stimulus, observe, full=True)
+            lazy["planes"] = trace.planes
+            lazy["memo"] = ConeHashMemo()
         return content_entry_key(
             plan.params,
             cone_content_hash(
-                netlist, site, lazy["cones"][site], lazy["planes"], lazy["columns"]
+                netlist, site, lazy["cones"][site], lazy["planes"], lazy["memo"]
             ),
         )
 
@@ -520,13 +526,15 @@ def publish_incremental(
     detect_cycles: dict[FaultSite, int],
     classifier,
     faultsim_wall_s: float = 0.0,
+    golden=None,
 ) -> int:
     """Publish per-fault entries, the meta blob and the netlist payload.
 
     Only called for clean campaigns (the caller gates on
     :func:`~repro.store.cache.clean_campaign`).  Every entry lands under
-    both its aligned and its content key; the blob layer dedups the
-    payload bytes.  Returns the number of index rows written.
+    both its aligned and its content key; the payload is serialized once
+    for both rows.  ``golden`` is the campaign's full fault-free trace
+    (None simulates it here).  Returns the number of index rows written.
     """
     netlist = system.netlist
     fp = netlist_fingerprint(netlist)
@@ -538,8 +546,10 @@ def publish_incremental(
     traces = golden_trace_digest(classifier)
     sites = [r.system_site for r in result.records]
     cones = compute_cones(netlist, sites)
-    planes = run_golden(netlist, stimulus, observe, full=True).planes
-    columns: dict[int, str] = {}
+    if golden is None:
+        golden = run_golden(netlist, stimulus, observe, full=True)
+    planes = golden.planes
+    memo = ConeHashMemo()
     names = netlist.net_names
 
     design = system.rtl.name
@@ -580,7 +590,7 @@ def publish_incremental(
             (
                 "fault-entry",
                 content_entry_key(
-                    pdigest, cone_content_hash(netlist, site, cones[site], planes, columns)
+                    pdigest, cone_content_hash(netlist, site, cones[site], planes, memo)
                 ),
                 payload,
                 design,

@@ -199,9 +199,13 @@ def run_golden(
 
     Each entry holds two arrays of shape ``(len(observe), words)``.  With
     ``full=True`` the result is a :class:`GoldenTrace` that additionally
-    snapshots the complete net planes each cycle (the cone-restricted
-    engine's shared reference); otherwise the plain observed list is
-    returned, as before.
+    snapshots the complete net planes each cycle; otherwise the plain
+    observed list is returned.  The full trace is the one fault-free
+    simulation a pipeline run makes per stimulus: the hold masks
+    (:func:`~repro.hls.system.hold_masks_from_trace`), the cone-restricted
+    fault engine's shared reference and the incremental layer's cone
+    content hashes are all read off it (callers pass it on through their
+    ``golden=`` keywords).
     """
     sim = CycleSimulator(netlist, stimulus.n_patterns)
     observed = []
@@ -746,6 +750,7 @@ def fault_simulate(
     eventsim_checks: int = DEFAULT_EVENTSIM_CHECKS,
     store: CampaignStore | None = None,
     store_key: str | None = None,
+    golden: GoldenTrace | None = None,
 ) -> FaultSimResult:
     """Fault simulation of ``faults`` under ``stimulus``.
 
@@ -796,6 +801,9 @@ def fault_simulate(
         store_key: this campaign's canonical stage key (computed by the
             caller from the netlist/stimulus/config fingerprints -- see
             :mod:`repro.store.fingerprint`); required for ``store`` use.
+        golden: the fault-free trace of ``run_golden(netlist, stimulus,
+            observe, full=True)`` when the caller already holds it; None
+            simulates it here (only when there are faults to simulate).
     """
     if observe is None:
         observe = list(netlist.outputs)
@@ -835,12 +843,12 @@ def fault_simulate(
     audit_keys = set(select_audit([keys[f] for f in faults], audit_rate))
     if chaos is not None:
         chaos.set_flip_targets(sorted(audit_keys))
-    golden: GoldenTrace | None = None
     cone_stats = ConeStats()
     dead_faults: list[FaultSite] = []
     if faults:
         compile_netlist(netlist)  # warm the shared compile before fanning out
-        golden = run_golden(netlist, stimulus, observe, full=True)
+        if golden is None:
+            golden = run_golden(netlist, stimulus, observe, full=True)
         cones = compute_cones(netlist, faults)
         context = (netlist, stimulus, observe, golden, valid_masks, cones)
         batch_faults = max(1, batch_faults)

@@ -30,6 +30,11 @@ a fault's sequential fanout cone (those nets provably never diverge --
 see docs/performance.md), and only the chunk's union cone is simulated.
 The per-fault ``MonteCarloResult`` is bit-identical to
 ``monte_carlo_power``.
+
+``monte_carlo_baseline`` is the fault-free result of the same campaign,
+read off those per-batch fault-free reference runs instead of
+simulating the batches a second time.  All three share one
+convergence rule (``_Convergence``).
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ MC_DEFAULT_SEED = 2000
 MC_DEFAULT_BATCH_PATTERNS = 192
 MC_DEFAULT_MAX_BATCHES = 12
 MC_DEFAULT_ITERATIONS_WINDOW = 4
+#: the convergence rule: stop once the cumulative mean moved by less
+#: than ``MC_REL_TOL`` (relative) over the last batch, after at least
+#: ``MC_MIN_BATCHES`` batches
+MC_MIN_BATCHES = 3
+MC_REL_TOL = 0.004
 
 
 def mc_campaign_params(
@@ -379,6 +389,126 @@ def shared_batches(
     return batches
 
 
+def _check_knobs(
+    batch_patterns: int, max_batches: int, min_batches: int, rel_tol: float
+) -> None:
+    if batch_patterns < 1 or max_batches < 1 or min_batches < 1:
+        raise ValueError(
+            "batch_patterns, max_batches and min_batches must all be >= 1 "
+            f"(got {batch_patterns}, {max_batches}, {min_batches})"
+        )
+    if rel_tol <= 0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+
+
+def _batch_source(
+    system: System,
+    seed: int,
+    batch_patterns: int,
+    max_batches: int,
+    iterations_window: int,
+    hold_cycles: int,
+    batches: list[NormalModeStimulus] | None,
+):
+    """``(batch_stim, max_batches)``: batch ``b`` (1-based) of a campaign.
+
+    Precomputed ``batches`` are replayed (and cap ``max_batches``);
+    otherwise each call draws the next batch from one RNG stream seeded
+    with ``seed`` -- the same data :func:`precompute_batches` packs.
+    """
+    if batches is not None:
+        return (lambda batch: batches[batch - 1]), min(max_batches, len(batches))
+    rng = np.random.default_rng(seed)
+    n_cycles = system.cycles_for(iterations_window, hold_cycles)
+
+    def batch_stim(_batch: int) -> NormalModeStimulus:
+        return NormalModeStimulus(
+            system, random_data(system, rng, batch_patterns), n_cycles
+        )
+
+    return batch_stim, max_batches
+
+
+class _Convergence:
+    """Running-mean convergence of one Monte-Carlo stream.
+
+    The stopping rule every Monte-Carlo loop shares: each batch's power
+    joins a cumulative mean, and the stream converges once that mean
+    moved by less than ``rel_tol`` (relative) over the last batch, after
+    at least ``min_batches``.  With ``capture`` the per-batch integer
+    counters are kept for the result's :class:`ActivityTrace`.
+    """
+
+    def __init__(self, min_batches: int, rel_tol: float, capture: bool, fault):
+        self.min_batches = min_batches
+        self.rel_tol = rel_tol
+        self.capture = capture
+        self.fault = fault
+        self.totals: list[float] = []
+        self.history: list[float] = []
+        self.toggles: list[np.ndarray] = []
+        self.loads: list[np.ndarray] = []
+        self.last: PowerResult | None = None
+
+    def add(
+        self,
+        batch: int,
+        result: PowerResult,
+        counts: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> MonteCarloResult | None:
+        """Account batch ``batch``; the final result once it converges."""
+        # Accumulation boundary guard: one bad batch must be caught here,
+        # where it enters, not after it has been averaged into the final
+        # table (a NaN poisons every later mean silently).
+        if not math.isfinite(result.total_uw) or result.total_uw < 0:
+            raise IntegrityError(
+                f"Monte-Carlo batch {batch} produced an unusable power "
+                f"{result.total_uw!r} uW (fault={self.fault!r})"
+            )
+        if self.capture:
+            assert counts is not None
+            self.toggles.append(counts[0])
+            self.loads.append(counts[1])
+        self.last = result
+        self.totals.append(result.total_uw)
+        mean = float(np.mean(self.totals))
+        self.history.append(mean)
+        if batch >= self.min_batches:
+            prev = self.history[-2]
+            if prev > 0 and abs(mean - prev) / prev < self.rel_tol:
+                return MonteCarloResult(
+                    power_uw=mean,
+                    batches=batch,
+                    patterns=batch * result.patterns,
+                    history=self.history,
+                    activity=self._trace(),
+                )
+        return None
+
+    def unconverged(self, max_batches: int) -> MonteCarloResult:
+        """The result of a stream that spent its whole batch budget."""
+        last = self.last
+        return MonteCarloResult(
+            power_uw=float(np.mean(self.totals)),
+            batches=max_batches,
+            patterns=max_batches * (last.patterns if last is not None else 0),
+            history=self.history,
+            converged=False,
+            activity=self._trace() if last is not None else None,
+        )
+
+    def _trace(self) -> ActivityTrace | None:
+        if not self.capture:
+            return None
+        assert self.last is not None
+        return ActivityTrace(
+            toggles=np.stack(self.toggles),
+            load_events=np.stack(self.loads),
+            cycles=self.last.cycles,
+            patterns=self.last.patterns,
+        )
+
+
 def monte_carlo_power(
     system: System,
     estimator: PowerEstimator,
@@ -386,8 +516,8 @@ def monte_carlo_power(
     seed: int = MC_DEFAULT_SEED,
     batch_patterns: int = MC_DEFAULT_BATCH_PATTERNS,
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
-    min_batches: int = 3,
-    rel_tol: float = 0.004,
+    min_batches: int = MC_MIN_BATCHES,
+    rel_tol: float = MC_REL_TOL,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
     batches: list[NormalModeStimulus] | None = None,
@@ -399,9 +529,8 @@ def monte_carlo_power(
     (relative) over the last batch, after at least ``min_batches``.
 
     Pass ``batches`` (from :func:`precompute_batches`) to reuse packed
-    batch stimuli across the fault-free baseline and every faulted run;
-    ``seed``/``batch_patterns`` are then ignored in favour of the
-    precomputed data.
+    batch stimuli across faulted runs; ``seed``/``batch_patterns`` are
+    then ignored in favour of the precomputed data.
 
     With ``capture_activity=True`` the result additionally carries an
     :class:`ActivityTrace` of the per-batch integer counters every float
@@ -409,49 +538,22 @@ def monte_carlo_power(
     either way (the capture path runs the very same simulations and the
     very same float pipeline -- it only snapshots the counters).
     """
-    if batch_patterns < 1 or max_batches < 1 or min_batches < 1:
-        raise ValueError(
-            "batch_patterns, max_batches and min_batches must all be >= 1 "
-            f"(got {batch_patterns}, {max_batches}, {min_batches})"
-        )
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    if batches is None:
-        rng = np.random.default_rng(seed)
-        n_cycles = system.cycles_for(iterations_window, hold_cycles)
-
-        def batch_stim(_batch: int) -> NormalModeStimulus:
-            return NormalModeStimulus(
-                system, random_data(system, rng, batch_patterns), n_cycles
-            )
-
-    else:
-        max_batches = min(max_batches, len(batches))
-
-        def batch_stim(batch: int) -> NormalModeStimulus:
-            return batches[batch - 1]
-
-    totals: list[float] = []
-    history: list[float] = []
-    act_toggles: list[np.ndarray] = []
-    act_loads: list[np.ndarray] = []
-
-    def _trace(result: PowerResult) -> "ActivityTrace | None":
-        if not capture_activity:
-            return None
-        return ActivityTrace(
-            toggles=np.stack(act_toggles),
-            load_events=np.stack(act_loads),
-            cycles=result.cycles,
-            patterns=result.patterns,
-        )
-
+    _check_knobs(batch_patterns, max_batches, min_batches, rel_tol)
+    batch_stim, max_batches = _batch_source(
+        system,
+        seed,
+        batch_patterns,
+        max_batches,
+        iterations_window,
+        hold_cycles,
+        batches,
+    )
+    stream = _Convergence(min_batches, rel_tol, capture_activity, fault)
     for batch in range(1, max_batches + 1):
+        counts = None
         if capture_activity:
             sim = _run_batch(system, batch_stim(batch), fault)
-            toggles, loads = sim.counter_snapshot()
-            act_toggles.append(toggles)
-            act_loads.append(loads)
+            counts = sim.counter_snapshot()
             result = estimator.power(sim, tag_prefix=DATAPATH_TAG)
         else:
             result = measure_power(
@@ -462,35 +564,10 @@ def monte_carlo_power(
                 iterations_window=iterations_window,
                 hold_cycles=hold_cycles,
             )
-        # Accumulation boundary guard: one bad batch must be caught here,
-        # where it enters, not after it has been averaged into the final
-        # table (a NaN poisons every later mean silently).
-        if not math.isfinite(result.total_uw) or result.total_uw < 0:
-            raise IntegrityError(
-                f"Monte-Carlo batch {batch} produced an unusable power "
-                f"{result.total_uw!r} uW (fault={fault!r})"
-            )
-        totals.append(result.total_uw)
-        mean = float(np.mean(totals))
-        history.append(mean)
-        if batch >= min_batches:
-            prev = history[-2]
-            if prev > 0 and abs(mean - prev) / prev < rel_tol:
-                return MonteCarloResult(
-                    power_uw=mean,
-                    batches=batch,
-                    patterns=batch * result.patterns,
-                    history=history,
-                    activity=_trace(result),
-                )
-    return MonteCarloResult(
-        power_uw=float(np.mean(totals)),
-        batches=max_batches,
-        patterns=max_batches * (result.patterns if totals else 0),
-        history=history,
-        converged=False,
-        activity=_trace(result) if totals else None,
-    )
+        done = stream.add(batch, result, counts)
+        if done is not None:
+            return done
+    return stream.unconverged(max_batches)
 
 
 @dataclass
@@ -527,6 +604,42 @@ def _golden_batch(system: System, stim: NormalModeStimulus) -> _GoldenBatch:
     weakref.finalize(stim, _GOLDEN_CACHE.pop, key, None)
     _GOLDEN_CACHE[key] = golden
     return golden
+
+
+def monte_carlo_baseline(
+    system: System,
+    estimator: PowerEstimator,
+    batches: list[NormalModeStimulus],
+    max_batches: int = MC_DEFAULT_MAX_BATCHES,
+) -> MonteCarloResult:
+    """Fault-free Monte-Carlo power, read off the golden batches.
+
+    The block kernel simulates each batch's fault-free reference anyway
+    (:func:`_golden_batch`, memoized per stimulus object); the baseline
+    converts those counters through
+    :meth:`~repro.power.estimator.PowerEstimator.power_from_counts` under
+    the default convergence rule, counter bounds check and batch guard
+    of :func:`monte_carlo_power`.  The result, its :class:`ActivityTrace`
+    included, equals ``monte_carlo_power(fault=None, batches=batches,
+    capture_activity=True)`` field for field, without simulating any
+    batch a second time.
+    """
+    if max_batches < 1:
+        raise ValueError(f"max_batches must be >= 1, got {max_batches}")
+    max_batches = min(max_batches, len(batches))
+    stream = _Convergence(MC_MIN_BATCHES, MC_REL_TOL, True, None)
+    for batch in range(1, max_batches + 1):
+        stim = batches[batch - 1]
+        golden = _golden_batch(system, stim)
+        counts = (golden.toggles, golden.load_events)
+        estimator._check_counters(*counts, golden.cycles, stim.n_patterns)
+        result = estimator.power_from_counts(
+            *counts, golden.cycles, stim.n_patterns, DATAPATH_TAG
+        )
+        done = stream.add(batch, result, counts)
+        if done is not None:
+            return done
+    return stream.unconverged(max_batches)
 
 
 class _ConeBlockKernel:
@@ -651,8 +764,8 @@ def monte_carlo_power_block(
     seed: int = MC_DEFAULT_SEED,
     batch_patterns: int = MC_DEFAULT_BATCH_PATTERNS,
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
-    min_batches: int = 3,
-    rel_tol: float = 0.004,
+    min_batches: int = MC_MIN_BATCHES,
+    rel_tol: float = MC_REL_TOL,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
     batches: list[NormalModeStimulus] | None = None,
@@ -679,13 +792,7 @@ def monte_carlo_power_block(
     faults = list(faults)
     if not faults:
         return []
-    if batch_patterns < 1 or max_batches < 1 or min_batches < 1:
-        raise ValueError(
-            "batch_patterns, max_batches and min_batches must all be >= 1 "
-            f"(got {batch_patterns}, {max_batches}, {min_batches})"
-        )
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    _check_knobs(batch_patterns, max_batches, min_batches, rel_tol)
     patterns_per_batch = batches[0].n_patterns if batches else batch_patterns
     if patterns_per_batch % V.WORD_BITS:
         return [
@@ -705,42 +812,19 @@ def monte_carlo_power_block(
             )
             for fault in faults
         ]
-    if batches is None:
-        rng = np.random.default_rng(seed)
-        n_cycles = system.cycles_for(iterations_window, hold_cycles)
-
-        def batch_stim(_batch: int) -> NormalModeStimulus:
-            return NormalModeStimulus(
-                system, random_data(system, rng, batch_patterns), n_cycles
-            )
-
-    else:
-        max_batches = min(max_batches, len(batches))
-
-        def batch_stim(batch: int) -> NormalModeStimulus:
-            return batches[batch - 1]
-
+    batch_stim, max_batches = _batch_source(
+        system,
+        seed,
+        batch_patterns,
+        max_batches,
+        iterations_window,
+        hold_cycles,
+        batches,
+    )
     cones = compute_cones(system.netlist, faults)
-    n_faults = len(faults)
-    totals: list[list[float]] = [[] for _ in range(n_faults)]
-    history: list[list[float]] = [[] for _ in range(n_faults)]
-    act_toggles: list[list[np.ndarray]] = [[] for _ in range(n_faults)]
-    act_loads: list[list[np.ndarray]] = [[] for _ in range(n_faults)]
-    act_shape: list[tuple[int, int]] = [(0, 0)] * n_faults  # (cycles, patterns)
-    final: list[MonteCarloResult | None] = [None] * n_faults
-
-    def _trace(i: int) -> "ActivityTrace | None":
-        if not capture_activity:
-            return None
-        cycles, patterns = act_shape[i]
-        return ActivityTrace(
-            toggles=np.stack(act_toggles[i]),
-            load_events=np.stack(act_loads[i]),
-            cycles=cycles,
-            patterns=patterns,
-        )
-
-    live = list(range(n_faults))
+    streams = [_Convergence(min_batches, rel_tol, capture_activity, f) for f in faults]
+    final: list[MonteCarloResult | None] = [None] * len(faults)
+    live = list(range(len(faults)))
     kernel = None
     kernel_live: list[int] = []
     for batch in range(1, max_batches + 1):
@@ -757,45 +841,17 @@ def monte_carlo_power_block(
         powers = kernel.run(stim, DATAPATH_TAG)
         survivors = []
         for pos, i in enumerate(live):
-            result = powers[pos]
-            # Accumulation boundary guard, as in the serial loop: one bad
-            # batch is caught where it enters, not after averaging.
-            if not math.isfinite(result.total_uw) or result.total_uw < 0:
-                raise IntegrityError(
-                    f"Monte-Carlo batch {batch} produced an unusable power "
-                    f"{result.total_uw!r} uW (fault={faults[i]!r})"
-                )
+            counts = None
             if capture_activity:
                 assert kernel.last_counts is not None
-                act_toggles[i].append(kernel.last_counts[0][pos])
-                act_loads[i].append(kernel.last_counts[1][pos])
-                act_shape[i] = (result.cycles, result.patterns)
-            totals[i].append(result.total_uw)
-            mean = float(np.mean(totals[i]))
-            history[i].append(mean)
-            if batch >= min_batches:
-                prev = history[i][-2]
-                if prev > 0 and abs(mean - prev) / prev < rel_tol:
-                    final[i] = MonteCarloResult(
-                        power_uw=mean,
-                        batches=batch,
-                        patterns=batch * result.patterns,
-                        history=history[i],
-                        activity=_trace(i),
-                    )
-                    continue
-            survivors.append(i)
+                counts = (kernel.last_counts[0][pos], kernel.last_counts[1][pos])
+            final[i] = streams[i].add(batch, powers[pos], counts)
+            if final[i] is None:
+                survivors.append(i)
         live = survivors
         if not live:
             break
     for i in live:
-        final[i] = MonteCarloResult(
-            power_uw=float(np.mean(totals[i])),
-            batches=max_batches,
-            patterns=max_batches * patterns_per_batch,
-            history=history[i],
-            converged=False,
-            activity=_trace(i),
-        )
+        final[i] = streams[i].unconverged(max_batches)
     assert all(r is not None for r in final)
     return final  # type: ignore[return-value]

@@ -1,0 +1,225 @@
+"""One fault-free simulation per stimulus: the shared results must equal
+what each consumer used to compute for itself.
+
+* cone content hashes built from a memoized per-cone body equal the
+  original one-``digest``-per-fault hash, byte for byte (store keys
+  published by earlier versions keep hitting);
+* the Monte-Carlo baseline read off the golden batch counters equals a
+  fault-free ``monte_carlo_power`` run field for field;
+* a store-backed cold ``grade`` simulates the fault-free TPGR machine
+  once and runs no separate fault-free Monte-Carlo campaign.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.core.grading as grading_mod
+import repro.fleet.activity as activity_mod
+import repro.logic.simulator as simulator_mod
+import repro.power.montecarlo as montecarlo_mod
+from repro.cli import main
+from repro.core.pipeline import PipelineConfig, controller_fault_universe
+from repro.designs.catalog import build_rtl
+from repro.hls.system import NormalModeStimulus, build_system
+from repro.incremental.faultkeys import (
+    ConeHashMemo,
+    cone_boundary_nets,
+    cone_content_hash,
+    golden_column_digest,
+)
+from repro.logic.cones import compute_cones
+from repro.logic.faults import enumerate_faults
+from repro.logic.faultsim import run_golden
+from repro.power.estimator import PowerEstimator
+from repro.power.montecarlo import (
+    monte_carlo_baseline,
+    monte_carlo_power,
+    shared_batches,
+)
+from repro.store.fingerprint import SCHEMA_VERSION, digest
+from repro.tpg.tpgr import TPGR
+
+#: cone content hash of facet's first collapsed controller fault under the
+#: 64-pattern pipeline stimulus (the parent implementation's value)
+PINNED_FACET_DIGEST = (
+    "2d24ab45e4d7650e1f752f95249f23e764e5425181407b0fd19e52955943df8d"
+)
+
+def _reference_cone_hash(netlist, site, cone, planes, column_cache) -> str:
+    """The one-digest-per-fault cone hash the memoized version replaced."""
+    names = netlist.net_names
+    rows = sorted(
+        [
+            netlist.gates[g].gtype.name,
+            names[netlist.gates[g].output],
+            [names[i] for i in netlist.gates[g].inputs],
+        ]
+        for g in cone.gates
+    )
+    boundary = {}
+    for net in cone_boundary_nets(netlist, cone):
+        col = column_cache.get(net)
+        if col is None:
+            col = column_cache[net] = golden_column_digest(planes, net)
+        boundary[names[net]] = col
+    return digest(
+        {
+            "schema": SCHEMA_VERSION,
+            "site": {
+                "gate": (
+                    None
+                    if site.gate_index is None
+                    else netlist.gates[site.gate_index].name
+                ),
+                "pin": site.pin,
+                "net": names[site.net],
+                "value": site.value,
+            },
+            "gates": rows,
+            "boundary": boundary,
+        }
+    )
+
+
+def _campaign_trace(system, n_patterns: int = 64):
+    """The full golden trace of the pipeline's TPGR stimulus."""
+    config = PipelineConfig(n_patterns=n_patterns)
+    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=config.tpgr_seed)
+    data = {k: np.asarray(v) for k, v in tpgr.generate(n_patterns).items()}
+    n_cycles = system.cycles_for(config.iterations_window, config.hold_cycles)
+    stimulus = NormalModeStimulus(system, data, n_cycles)
+    observe = [net for bus in system.output_buses.values() for net in bus]
+    return run_golden(system.netlist, stimulus, observe, full=True)
+
+
+class TestConeContentHash:
+    @pytest.mark.parametrize("design", ["facet", "poly", "diffeq", "biquad"])
+    def test_every_fault_matches_the_reference(self, design):
+        system = build_system(build_rtl(design))
+        netlist = system.netlist
+        sites = [system.to_system_fault(s) for s in controller_fault_universe(system)]
+        cones = compute_cones(netlist, sites)
+        planes = _campaign_trace(system).planes
+        memo = ConeHashMemo()
+        columns: dict[int, str] = {}
+        for site in sites:
+            got = cone_content_hash(netlist, site, cones[site], planes, memo)
+            assert got == _reference_cone_hash(
+                netlist, site, cones[site], planes, columns
+            ), site
+        # the memo did its job: fewer bodies than faults
+        assert len(memo.bodies) < len(sites)
+
+    def test_pinned_digest(self, facet_system):
+        """A literal digest, so the two implementations cannot drift together."""
+        netlist = facet_system.netlist
+        site = facet_system.to_system_fault(controller_fault_universe(facet_system)[0])
+        cone = compute_cones(netlist, [site])[site]
+        planes = _campaign_trace(facet_system).planes
+        assert cone_content_hash(netlist, site, cone, planes) == PINNED_FACET_DIGEST
+
+    def test_shared_gates_distinct_nets_hash_apart(self, facet_system):
+        """Two faults with equal ``cone.gates`` but different ``cone.nets``
+        read different boundaries: one memo must not serve both."""
+        netlist = facet_system.netlist
+        faults = enumerate_faults(netlist)
+        cones = compute_cones(netlist, faults)
+        by_gates: dict = {}
+        pair = None
+        for f in faults:
+            other = by_gates.setdefault(cones[f].gates, f)
+            if cones[other].nets != cones[f].nets:
+                pair = (other, f)
+                break
+        assert pair is not None, "facet has no such fault pair"
+        planes = _campaign_trace(facet_system).planes
+        memo = ConeHashMemo()
+        got = [cone_content_hash(netlist, f, cones[f], planes, memo) for f in pair]
+        want = [_reference_cone_hash(netlist, f, cones[f], planes, {}) for f in pair]
+        assert got == want
+        assert len(memo.bodies) == 2
+
+
+class TestGoldenBatchBaseline:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},  # campaign defaults: converges
+            {"max_batches": 2},  # stops before the convergence rule can fire
+            {"batch_patterns": 32, "max_batches": 4},  # partial last word
+        ],
+        ids=["defaults", "budget-stop", "partial-word"],
+    )
+    def test_equals_fault_free_monte_carlo(self, facet_system, kwargs):
+        estimator = PowerEstimator(facet_system.netlist)
+        batches = shared_batches(facet_system, **kwargs)
+        max_batches = kwargs.get("max_batches", montecarlo_mod.MC_DEFAULT_MAX_BATCHES)
+        got = monte_carlo_baseline(
+            facet_system, estimator, batches, max_batches=max_batches
+        )
+        want = monte_carlo_power(
+            facet_system,
+            estimator,
+            fault=None,
+            max_batches=max_batches,
+            batches=batches,
+            capture_activity=True,
+        )
+        for name in ("power_uw", "batches", "patterns", "history", "converged"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.converged == (kwargs.get("max_batches") != 2)
+        np.testing.assert_array_equal(got.activity.toggles, want.activity.toggles)
+        np.testing.assert_array_equal(
+            got.activity.load_events, want.activity.load_events
+        )
+        assert (got.activity.cycles, got.activity.patterns) == (
+            want.activity.cycles,
+            want.activity.patterns,
+        )
+
+
+def test_cold_grade_simulates_the_fault_free_machine_once(tmp_path, monkeypatch):
+    """A store-backed cold ``grade`` builds one fault-free simulator over
+    the system netlist at the pipeline's pattern count, and runs no
+    fault-free Monte-Carlo campaign."""
+    n_patterns = 128
+    fault_free = []
+    real_init = simulator_mod.CycleSimulator.__init__
+
+    def counting_init(self, netlist, n_patterns, faults=None, *args, **kwargs):
+        real_init(self, netlist, n_patterns, faults, *args, **kwargs)
+        if netlist.name == "facet" and not faults:
+            fault_free.append(n_patterns)
+
+    monkeypatch.setattr(simulator_mod.CycleSimulator, "__init__", counting_init)
+    baseline_calls = []
+
+    def spy(module):
+        real = module.monte_carlo_power
+
+        def wrapped(*args, **kwargs):
+            if kwargs.get("fault") is None and (len(args) < 3 or args[2] is None):
+                baseline_calls.append(module.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "monte_carlo_power", wrapped)
+
+    for module in (grading_mod, activity_mod, montecarlo_mod):
+        spy(module)
+    assert (
+        main(
+            [
+                "--patterns",
+                str(n_patterns),
+                "--store-dir",
+                str(tmp_path / "store"),
+                "grade",
+                "facet",
+            ]
+        )
+        == 0
+    )
+    assert fault_free.count(n_patterns) == 1
+    assert baseline_calls == []

@@ -607,6 +607,23 @@ def test_cli_calibrate_after_grade_runs_no_monte_carlo(tmp_path):
     assert campaigns["grading"]["computed"] == 0
 
 
+def test_warm_calibrate_counts_the_campaign_once_in_saved_s(tmp_path):
+    """grade -> calibrate -> calibrate on one store: ``activity`` is a
+    by-product of grade's campaign, so replaying it saves only its own
+    verification and publication, well below ``grading``'s wall."""
+    shared = ["--patterns", "64", "--store-dir", str(tmp_path / "store")]
+    assert main([*shared, "grade", "facet"]) == 0
+    for name in ("first", "second"):
+        rep = tmp_path / f"{name}.json"
+        assert main([*shared, "--report-json", str(rep), "calibrate", "facet"]) == 0
+    stages = {
+        s["stage"]: s for s in json.loads(rep.read_text())["store"]["stages"]
+    }
+    assert stages["grading"]["hit"] and stages["activity"]["hit"]
+    assert stages["grading"]["saved_s"] > 0
+    assert stages["activity"]["saved_s"] < 0.25 * stages["grading"]["saved_s"]
+
+
 def test_cli_calibrate_cold_then_warm(tmp_path, capsys):
     args = [
         "--patterns",

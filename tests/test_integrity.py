@@ -8,6 +8,7 @@ quarantines the offending fault (default) or aborts (strict mode).
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import re
@@ -17,6 +18,7 @@ import pytest
 
 import repro.core.grading as grading_mod
 import repro.logic.faultsim as faultsim_mod
+import repro.power.montecarlo as montecarlo_mod
 from repro.core.classify import EffectLabel
 from repro.core.errors import CampaignError, IntegrityError, validate_config
 from repro.core.grading import grade_sfr_faults
@@ -270,14 +272,19 @@ class TestGradingGuards:
     def test_poisoned_baseline_always_aborts(
         self, facet_system, facet_pipeline, monkeypatch
     ):
-        real = grading_mod.monte_carlo_power
+        # The baseline is read off the golden batch counters: zero them
+        # (a datapath that never switches, 0 uW) where they are produced.
+        real = montecarlo_mod._golden_batch
 
-        def poisoned(system, estimator, fault=None, **kwargs):
-            if fault is None:
-                return MonteCarloResult(power_uw=float("inf"), batches=1, patterns=1)
-            return real(system, estimator, fault=fault, **kwargs)
+        def poisoned(system, stim):
+            golden = real(system, stim)
+            return dataclasses.replace(
+                golden,
+                toggles=np.zeros_like(golden.toggles),
+                load_events=np.zeros_like(golden.load_events),
+            )
 
-        monkeypatch.setattr(grading_mod, "monte_carlo_power", poisoned)
+        monkeypatch.setattr(montecarlo_mod, "_golden_batch", poisoned)
         with pytest.raises(IntegrityError, match="baseline"):
             grade_sfr_faults(
                 facet_system, facet_pipeline, batch_patterns=32, max_batches=2,
