@@ -60,6 +60,9 @@ logger = logging.getLogger(__name__)
 #: default seconds a writer waits for the store lock before giving up
 DEFAULT_LOCK_TIMEOUT = 10.0
 
+#: the ``actual`` hash :class:`ArtifactCorrupt` reports for a missing blob
+MISSING = "<missing>"
+
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS artifacts (
     key        TEXT PRIMARY KEY,
@@ -255,11 +258,8 @@ class ArtifactStore:
         return len(inserts)
 
     # ---------------------------------------------------------------- lookup
-    def row(self, key: str) -> ArtifactRow | None:
-        with self._connect() as con:
-            r = con.execute("SELECT * FROM artifacts WHERE key = ?", (key,)).fetchone()
-        if r is None:
-            return None
+    @staticmethod
+    def _from_sql(r: sqlite3.Row) -> ArtifactRow:
         return ArtifactRow(
             key=r["key"],
             kind=r["kind"],
@@ -271,28 +271,43 @@ class ArtifactStore:
             meta=json.loads(r["meta"]),
         )
 
-    def get_bytes(self, key: str) -> tuple[bytes, ArtifactRow] | None:
-        """Fetch and integrity-verify one payload's raw bytes.
+    def row(self, key: str) -> ArtifactRow | None:
+        with self._connect() as con:
+            r = con.execute("SELECT * FROM artifacts WHERE key = ?", (key,)).fetchone()
+        return None if r is None else self._from_sql(r)
 
-        Returns None on a clean miss.  A missing or corrupted blob
-        raises :class:`ArtifactCorrupt` after quarantining the entry
-        (best effort -- quarantine is skipped if another writer holds
-        the lock) so the next run recomputes instead of crashing again.
+    def read(self, row: ArtifactRow, quarantine: bool = True) -> bytes:
+        """Read ``row``'s blob and check it against its content address.
+
+        A missing or corrupted blob raises :class:`ArtifactCorrupt`
+        (``actual`` is :data:`MISSING` for a missing one).  Unless
+        ``quarantine`` is False the entry is first quarantined (best
+        effort -- skipped if another writer holds the lock) so the next
+        run recomputes instead of crashing again.
         """
-        row = self.row(key)
-        if row is None:
-            return None
         path = self._blob_path(row.blob_sha)
         try:
             data = path.read_bytes()
         except OSError:
-            self._quarantine(key, path)
-            raise ArtifactCorrupt(key, path, row.blob_sha, "<missing>")
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != row.blob_sha:
-            self._quarantine(key, path)
-            raise ArtifactCorrupt(key, path, row.blob_sha, actual)
-        return data, row
+            actual = MISSING
+        else:
+            actual = hashlib.sha256(data).hexdigest()
+            if actual == row.blob_sha:
+                return data
+        if quarantine:
+            self._quarantine(row.key, path)
+        raise ArtifactCorrupt(row.key, path, row.blob_sha, actual)
+
+    def get_bytes(self, key: str) -> tuple[bytes, ArtifactRow] | None:
+        """Fetch and integrity-verify one payload's raw bytes.
+
+        Returns None on a clean miss; a missing or corrupted blob is
+        quarantined and raises :class:`ArtifactCorrupt` (see :meth:`read`).
+        """
+        row = self.row(key)
+        if row is None:
+            return None
+        return self.read(row), row
 
     def get(self, key: str) -> Any | None:
         """Fetch and decode one payload (None on a clean miss)."""
@@ -313,8 +328,15 @@ class ArtifactStore:
             logger.warning("could not quarantine corrupt artifact %s", key)
 
     # ----------------------------------------------------------- maintenance
-    def rows(self, kind: str | None = None, design: str | None = None) -> Iterator[ArtifactRow]:
-        sql = "SELECT key FROM artifacts"
+    def rows(
+        self,
+        kind: str | None = None,
+        design: str | None = None,
+        newest_first: bool = False,
+    ) -> Iterator[ArtifactRow]:
+        """Index rows, oldest first (newest first with ``newest_first``);
+        rows created in the same instant keep ascending key order."""
+        sql = "SELECT * FROM artifacts"
         clauses, args = [], []
         if kind is not None:
             clauses.append("kind = ?")
@@ -324,13 +346,12 @@ class ArtifactStore:
             args.append(design)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY created_at, key"
+        sql += " ORDER BY created_at" + (" DESC" if newest_first else "") + ", key"
+        # fetched whole: a caller may quarantine (write) between rows
         with self._connect() as con:
-            keys = [r["key"] for r in con.execute(sql, args)]
-        for key in keys:
-            row = self.row(key)
-            if row is not None:
-                yield row
+            found = con.execute(sql, args).fetchall()
+        for r in found:
+            yield self._from_sql(r)
 
     def stats(self) -> dict:
         """Index and blob-tree statistics (the ``repro store stats`` view)."""
@@ -389,13 +410,11 @@ class ArtifactStore:
         defects = []
         with self.reader():
             for row in self.rows():
-                path = self._blob_path(row.blob_sha)
-                if not path.exists():
-                    defects.append({"key": row.key, "kind": row.kind, "defect": "missing-blob"})
-                    continue
-                actual = hashlib.sha256(path.read_bytes()).hexdigest()
-                if actual != row.blob_sha:
-                    defects.append({"key": row.key, "kind": row.kind, "defect": "hash-mismatch"})
+                try:
+                    self.read(row, quarantine=False)
+                except ArtifactCorrupt as exc:
+                    defect = "missing-blob" if exc.actual == MISSING else "hash-mismatch"
+                    defects.append({"key": row.key, "kind": row.kind, "defect": defect})
         return defects
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.integrity import STORE_CORRUPT_CHECK, IntegrityViolation
-from .artifacts import ArtifactCorrupt, ArtifactStore, StoreError
+from .artifacts import ArtifactCorrupt, ArtifactRow, ArtifactStore, StoreError
 
 logger = logging.getLogger(__name__)
 
@@ -100,24 +100,45 @@ class CampaignStore:
         try:
             return self.artifacts.get(key)
         except ArtifactCorrupt as exc:
-            violation = IntegrityViolation(
-                check=STORE_CORRUPT_CHECK,
-                fault=key,
-                detail=(
-                    f"stored {kind} artifact failed its content hash and was "
-                    f"quarantined; stage recomputed from scratch"
-                ),
-                expected=exc.expected[:16],
-                actual=exc.actual[:16],
-            )
-            self.violations.append(violation)
-            logger.warning("store: %s", violation.describe())
+            self._corrupt(kind, exc)
             return None
         except sqlite3.OperationalError as exc:
             # a deleted root, index or schema: every entry is recomputable,
             # and the next publish recreates the layout
             logger.warning("store: %s lookup degraded to a miss: %s", kind, exc)
             return None
+
+    def newest(self, kind: str, design: str) -> tuple[ArtifactRow, bytes] | None:
+        """The newest intact ``kind`` entry of a design: its row and its
+        verified bytes, from one index query.
+
+        A corrupted blob is quarantined and recorded as :meth:`lookup`
+        records it, and the next-newest row is tried.  Among rows created
+        in the same instant the smallest key counts as newest.
+        """
+        if self.refresh:
+            return None
+        for row in self.artifacts.rows(kind=kind, design=design, newest_first=True):
+            try:
+                return row, self.artifacts.read(row)
+            except ArtifactCorrupt as exc:
+                self._corrupt(kind, exc)
+        return None
+
+    def _corrupt(self, kind: str, exc: ArtifactCorrupt) -> None:
+        """Record a quarantined, corrupted entry as an integrity violation."""
+        violation = IntegrityViolation(
+            check=STORE_CORRUPT_CHECK,
+            fault=exc.key,
+            detail=(
+                f"stored {kind} artifact failed its content hash and was "
+                f"quarantined; stage recomputed from scratch"
+            ),
+            expected=exc.expected[:16],
+            actual=exc.actual[:16],
+        )
+        self.violations.append(violation)
+        logger.warning("store: %s", violation.describe())
 
     # --------------------------------------------------------------- publish
     def publish(

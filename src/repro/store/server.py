@@ -34,7 +34,6 @@ traceback, never a wedged connection.
 
 from __future__ import annotations
 
-import json
 import logging
 import signal
 import threading
@@ -51,7 +50,7 @@ from ..core.errors import (
     is_retryable,
 )
 from .cache import CampaignStore
-from .query import QUERY_VERDICTS, _fault_rows, query_campaigns, query_json
+from .query import QUERY_VERDICTS, query_campaigns, query_json
 from .service import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_THRESHOLD,
@@ -59,6 +58,7 @@ from .service import (
     CalibrateFn,
     CampaignService,
     ComputeFn,
+    json_body,
 )
 
 logger = logging.getLogger(__name__)
@@ -120,7 +120,9 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("serve: " + fmt, *args)
 
     def _send(self, status: int, payload: Any, headers: dict[str, str] | None = None) -> None:
-        body = json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
+        self._send_body(status, json_body(payload), headers)
+
+    def _send_body(self, status: int, body: bytes, headers: dict[str, str] | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -241,8 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
                 f"bad verdict {verdict!r}: must be one of {list(QUERY_VERDICTS)}",
             )
             return
-        if len(parts) == 3 and parts[2] == "calibrate":
+        view = parts[2] if len(parts) == 3 else "report"
+        if view == "calibrate":
             self._calibrate(design, params)
+            return
+        if len(parts) == 3 and view != "faults":
+            # before svc.campaign: a mistyped view must not admit a compute
+            self._error(404, "NotFound", f"no such campaign view: {view!r}")
             return
         report = svc.campaign(design, threshold)
         if report is None:
@@ -253,15 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"disabled on this server",
             )
             return
-        if len(parts) == 3:
-            if parts[2] != "faults":
-                self._error(404, "NotFound", f"no such campaign view: {parts[2]!r}")
-                return
-            self._send(200, _fault_rows(report, verdict))
-            return
-        if verdict is not None:
-            report = dict(report, matched_faults=_fault_rows(report, verdict))
-        self._send(200, report)
+        self._send_body(200, svc.render(report, view, verdict))
 
     #: fleet query parameters: name -> (parser, validator description)
     _CALIBRATE_INT = ("instances", "seed")

@@ -30,6 +30,12 @@ service core, transport-agnostic so protocol front ends
   backoff.  The CLI's compute hook publishes every finished stage to
   the store, so a retry replays them bit-identically and recomputes
   only the stage that was in flight;
+* **memoized cached reads** -- a read without a threshold resolves the
+  design's newest ``report`` row from one index query and rereads and
+  rehashes its blob every time; the parsed report and its rendered
+  bodies are memoized per blob sha (:data:`MEMO_ENTRIES` blobs, least
+  recently used out first).  A blob is named by the hash of its
+  content, so an entry can never be stale;
 * **graceful drain** -- :meth:`drain` refuses new compute jobs
   (cached reads still serve) and waits for in-flight jobs to finish,
   the SIGTERM path of ``repro-faults serve``;
@@ -52,12 +58,14 @@ Everything is stdlib threading; counters feed ``/stats`` and the
 
 from __future__ import annotations
 
+import json
 import logging
 import queue
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from ..core.errors import (
     DeadlineExceeded,
@@ -66,7 +74,7 @@ from ..core.errors import (
 )
 from .cache import CampaignStore
 from .fingerprint import digest
-from .query import query_campaigns
+from .query import _fault_rows, query_campaigns
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +101,9 @@ CRASH_BUDGET = 5
 CRASH_WINDOW_S = 30.0
 POOL_COOLDOWN_S = 5.0
 
+#: report blobs whose parsed report and rendered bodies a service keeps
+MEMO_ENTRIES = 16
+
 
 class WorkerKilled(BaseException):
     """Kills a service worker thread outright (chaos / test seam).
@@ -103,6 +114,30 @@ class WorkerKilled(BaseException):
     process taken out by a segfault or ``os._exit``.  The supervisor
     must notice via heartbeat, requeue the claimed job, and restart.
     """
+
+
+def json_body(payload: Any) -> bytes:
+    """The bytes the server sends for a JSON payload."""
+    return json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
+
+
+def campaign_view(report: dict, view: str, verdict: str | None) -> Any:
+    """The payload of one campaign view: the report (with its
+    ``matched_faults`` under a verdict filter) or its ``faults`` rows."""
+    if view == "faults":
+        return _fault_rows(report, verdict)
+    if verdict is None:
+        return report
+    return dict(report, matched_faults=_fault_rows(report, verdict))
+
+
+@dataclass
+class _Memo:
+    """One report blob's parsed report and its rendered bodies."""
+
+    report: dict
+    #: (view, verdict) -> served bytes
+    bodies: dict[tuple[str, str | None], bytes] = field(default_factory=dict)
 
 
 def job_key(design: str, threshold: float) -> str:
@@ -202,6 +237,8 @@ class CampaignService:
         self._worker_seq = 0  # unique worker names across restarts
         self._pool_down = False
         self._pool_down_until = 0.0
+        # blob sha -> memoized read, least recently used first
+        self._memo: OrderedDict[str, _Memo] = OrderedDict()
 
         # ---- counters surfaced by /stats
         self.requests = 0
@@ -216,6 +253,8 @@ class CampaignService:
         self.worker_restarts = 0
         self.requeued_jobs = 0
         self.rejected_pool_down = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "CampaignService":
@@ -320,6 +359,8 @@ class CampaignService:
                 "requeued_jobs": self.requeued_jobs,
                 "cache_only": self._pool_down,
                 "rejected_pool_down": self.rejected_pool_down,
+                "memo_hits": self.memo_hits,
+                "memo_misses": self.memo_misses,
                 "quarantined": sorted(
                     f"{j.design}@{j.threshold}" for j in self._quarantine.values()
                 ),
@@ -348,14 +389,20 @@ class CampaignService:
         distinct fingerprint) on miss.
 
         Returns None when computation is disabled and nothing is cached.
+        Without a threshold the report is the memoized one, shared by
+        every reader of its blob: callers must not mutate it.
         Raises :class:`ServiceOverloaded`, :class:`DeadlineExceeded`, or
         whatever terminal error the compute job died with.
         """
-        matches = query_campaigns(self.store, design=design, threshold=threshold)
-        if matches:
+        if threshold is None:
+            report = self._newest_report(design)
+        else:
+            matches = query_campaigns(self.store, design=design, threshold=threshold)
+            report = max(matches, key=lambda m: m.created_at).report if matches else None
+        if report is not None:
             with self._lock:
                 self.served_cached += 1
-            return max(matches, key=lambda m: m.created_at).report
+            return report
         if self.compute is None:
             return None
         effective = threshold if threshold is not None else self.default_threshold
@@ -363,6 +410,44 @@ class CampaignService:
             Job(key=job_key(design, effective), design=design, threshold=effective)
         )
         return self._await(job)
+
+    def _newest_report(self, design: str) -> dict | None:
+        """The newest intact report of a design; its blob is reread and
+        rehashed on every call, only the parse is memoized."""
+        found = self.store.newest("report", design)
+        if found is None:
+            return None
+        row, data = found
+        with self._lock:
+            memo = self._memo.get(row.blob_sha)
+            if memo is not None:
+                self._memo.move_to_end(row.blob_sha)
+                return memo.report
+        report = json.loads(data)
+        with self._lock:
+            memo = self._memo.setdefault(row.blob_sha, _Memo(report))
+            while len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+        return memo.report
+
+    def render(self, report: dict, view: str, verdict: str | None) -> bytes:
+        """The served bytes of one view of a report :meth:`campaign`
+        returned (see :func:`campaign_view`); memoized when the report
+        was read from the store without a threshold."""
+        with self._lock:
+            memo = next((m for m in self._memo.values() if m.report is report), None)
+            body = None if memo is None else memo.bodies.get((view, verdict))
+            if memo is not None:
+                if body is None:
+                    self.memo_misses += 1
+                else:
+                    self.memo_hits += 1
+        if body is None:
+            body = json_body(campaign_view(report, view, verdict))
+            if memo is not None:
+                with self._lock:
+                    memo.bodies[(view, verdict)] = body
+        return body
 
     def calibrate(self, design: str, params: dict) -> dict | None:
         """Fleet-calibration report for a design (compute hook required).

@@ -14,6 +14,7 @@ chaos scenario from the issue's acceptance criteria.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -30,13 +31,14 @@ from repro.core.errors import (
     WorkerCrash,
     is_retryable,
 )
+from repro.core.integrity import STORE_CORRUPT_CHECK
 from repro.netlist.bench import parse_bench_upload
 from repro.netlist.verilog import parse_verilog_upload
 from repro.store.cache import CampaignStore
 from repro.store.client import RemoteStoreError, StoreClient
-from repro.store.fingerprint import digest
+from repro.store.fingerprint import canonical_json, digest
 from repro.store.server import make_server
-from repro.store.service import CampaignService
+from repro.store.service import MEMO_ENTRIES, CampaignService, campaign_view
 from repro.testing.chaos import ServiceChaos
 
 
@@ -685,6 +687,145 @@ def test_client_against_real_server(served):
     assert client.faults("facet", verdict="power-detected")[0]["fault"] == "1:out:5:0"
     assert client.validate_design(GOOD_BENCH)["ok"] is True
     assert client.stats()["requests"] >= 5
+
+
+# --------------------------------------------------- memoized cached reads
+def _dumps(payload) -> bytes:
+    return json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
+
+
+def _stored(report: dict) -> dict:
+    """A report as a store read parses it (canonical key order)."""
+    return json.loads(canonical_json(report))
+
+
+def test_bad_view_404s_without_computing(served):
+    calls = []
+
+    def compute(design, threshold):
+        calls.append(design)
+        return _report(design, threshold)
+
+    base, _, _ = served(compute=compute)
+    for view in ("bogus", "report"):
+        status, body, _, _ = _fetch(f"{base}/campaigns/facet/{view}")
+        assert status == 404 and body["error"] == "NotFound"
+    assert calls == []
+
+
+def test_served_bytes_are_the_json_rendering_of_every_view(served):
+    base, store, service = served(compute=None)
+    report = _stored(_publish(store, "facet", 0.05))
+    sfr = report["faults"]
+    views = {
+        "/campaigns/facet": report,
+        "/campaigns/facet/faults": report["faults"],
+        "/campaigns/facet?verdict=SFR": dict(report, matched_faults=sfr),
+        "/campaigns/facet/faults?verdict=SFR": sfr,
+        "/campaigns/facet?threshold=0.05": report,
+        "/campaigns/facet/faults?threshold=0.05&verdict=power-detected":
+            report["grading"]["graded"],
+    }
+    for _ in range(2):  # the second round is served from the memo
+        for path, payload in views.items():
+            status, _, raw, _ = _fetch(base + path)
+            assert status == 200 and raw == _dumps(payload), path
+    counters = service.stats()["service"]
+    # threshold reads go through query_campaigns and are not memoized
+    assert (counters["memo_misses"], counters["memo_hits"]) == (4, 4)
+
+
+def test_next_read_serves_a_newer_report(served):
+    base, store, _ = served(compute=None)
+    older = _stored(_publish(store, "facet", 0.05))
+    assert _fetch(f"{base}/campaigns/facet")[2] == _dumps(older)
+    newer = _stored(_publish(store, "facet", 0.10))
+    assert _fetch(f"{base}/campaigns/facet")[2] == _dumps(newer)
+    assert _fetch(f"{base}/campaigns/facet/faults?verdict=SFR")[2] == _dumps(newer["faults"])
+
+
+def test_blob_corrupted_after_a_served_read_is_never_served(served):
+    base, store, service = served(compute=None)
+    older = _stored(_publish(store, "facet", 0.05))
+    newer = _stored(_publish(store, "facet", 0.10))
+    for path in ("/campaigns/facet", "/campaigns/facet/faults"):
+        assert _fetch(base + path)[0] == 200  # both views memoized
+
+    assert ServiceChaos.corrupt_report_blob(store, "facet")
+    status, _, raw, _ = _fetch(f"{base}/campaigns/facet")
+    assert status == 200 and raw == _dumps(older)
+    assert raw != _dumps(newer)
+    assert [v.check for v in store.violations] == [STORE_CORRUPT_CHECK]
+    assert [r.key for r in store.artifacts.rows(kind="report")] == [
+        digest({"design": "facet", "threshold": 0.05})
+    ]
+
+    assert ServiceChaos.corrupt_report_blob(store, "facet")
+    status, body, _, _ = _fetch(f"{base}/campaigns/facet/faults")
+    assert status == 404 and body["error"] == "NotCached"
+    assert len(store.violations) == 2
+    assert list(store.artifacts.rows(kind="report")) == []
+    assert service.stats()["service"]["memo_hits"] == 0
+
+
+def test_memo_never_holds_more_than_its_bound(tmp_path):
+    store = CampaignStore(tmp_path / "store")
+    service = CampaignService(store)
+    designs = [f"d{i}" for i in range(MEMO_ENTRIES + 3)]
+    for design in designs:
+        _publish(store, design)
+        for view in ("report", "faults"):
+            service.render(service.campaign(design, None), view, None)
+        assert len(service._memo) <= MEMO_ENTRIES
+    assert len(service._memo) == MEMO_ENTRIES
+    # an evicted report is read, parsed and rendered again
+    assert service.render(service.campaign(designs[0], None), "report", None) == _dumps(
+        _stored(_report(designs[0], 0.05))
+    )
+    assert len(service._memo) == MEMO_ENTRIES
+
+
+def test_concurrent_memoized_reads_stay_exact(tmp_path):
+    store = CampaignStore(tmp_path / "store")
+    service = CampaignService(store)
+    designs = [f"d{i}" for i in range(MEMO_ENTRIES)]  # all fit: none evicted
+    expected = {}
+    for design in designs:
+        report = _stored(_publish(store, design))
+        expected[design] = {
+            (view, verdict): _dumps(campaign_view(report, view, verdict))
+            for view in ("report", "faults")
+            for verdict in (None, "SFR")
+        }
+    reads_per_thread = 60
+    mismatches = []
+
+    def reader(seed: int) -> None:
+        for i in range(reads_per_thread):
+            design = designs[(seed * 7 + i) % len(designs)]
+            view, verdict = list(expected[design])[(seed + i) % 4]
+            body = service.render(service.campaign(design, None), view, verdict)
+            if body != expected[design][(view, verdict)]:
+                mismatches.append((design, view, verdict))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert len(service._memo) <= MEMO_ENTRIES
+    stats = service.stats()
+    hits, misses = stats["service"]["memo_hits"], stats["service"]["memo_misses"]
+    # every read counted exactly once: no lost counter update
+    assert stats["served_cached"] == hits + misses == 8 * reads_per_thread
+    assert misses >= len(designs)
 
 
 # ------------------------------------------------- combined chaos scenario

@@ -149,11 +149,45 @@ def test_verify_reports_defects(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     store.put("report", "good", {"a": 1})
     store.put("report", "bad", {"b": 2})
+    store.put("report", "gone", {"c": 3})
     row = store.row("bad")
     store._blob_path(row.blob_sha).write_bytes(b"garbage")
+    store._blob_path(store.row("gone").blob_sha).unlink()
     defects = store.verify()
-    assert [d["key"] for d in defects] == ["bad"]
-    assert defects[0]["defect"] == "hash-mismatch"
+    assert [(d["key"], d["defect"]) for d in defects] == [
+        ("bad", "hash-mismatch"),
+        ("gone", "missing-blob"),
+    ]
+    # verify reports; only a read quarantines
+    assert {r.key for r in store.rows()} == {"good", "bad", "gone"}
+
+
+def test_rows_newest_first_breaks_ties_like_max_created_at(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    # one put_many stamps every row with the same created_at
+    store.put_many([("report", k, {"k": k}, "facet", None) for k in ("b", "c", "a")])
+    assert [r.key for r in store.rows(kind="report")] == ["a", "b", "c"]
+    assert [r.key for r in store.rows(kind="report", newest_first=True)] == ["a", "b", "c"]
+    oldest_first = list(store.rows(kind="report"))
+    assert max(oldest_first, key=lambda r: r.created_at).key == "a"
+    store.put("report", "z", {"k": "z"}, design="facet")
+    store.put("report", "other", {"k": "o"}, design="poly")
+    newest = [r.key for r in store.rows(kind="report", design="facet", newest_first=True)]
+    assert newest == ["z", "a", "b", "c"]
+
+
+def test_newest_skips_and_records_a_corrupt_blob(tmp_path):
+    store = CampaignStore(tmp_path / "store")
+    store.artifacts.put("report", "old", {"v": 1}, design="facet")
+    store.artifacts.put("report", "new", {"v": 2}, design="facet")
+    row, data = store.newest("report", "facet")
+    assert row.key == "new" and json.loads(data) == {"v": 2}
+    _corrupt_blob(store.artifacts, "new")
+    row, data = store.newest("report", "facet")
+    assert row.key == "old" and json.loads(data) == {"v": 1}
+    assert [(v.check, v.fault) for v in store.violations] == [("store-blob-corrupt", "new")]
+    assert store.artifacts.row("new") is None  # quarantined
+    assert store.newest("report", "poly") is None
 
 
 def test_gc_never_deletes_referenced_blobs(tmp_path):
