@@ -17,7 +17,13 @@ import numpy as np
 from repro.core.grading import grade_sfr_faults
 from repro.core.pipeline import controller_fault_universe
 from repro.hls.system import NormalModeStimulus, hold_masks
-from repro.logic.faultsim import fault_simulate, run_golden, simulate_one_fault
+from repro.logic.faultsim import (
+    fault_simulate,
+    run_golden,
+    simulate_one_fault,
+    verdicts_from_payload,
+    verdicts_payload,
+)
 from repro.store.cache import CampaignStore
 from repro.store.fingerprint import netlist_fingerprint, stage_key
 from repro.tpg.tpgr import TPGR
@@ -38,15 +44,8 @@ def _campaign(system):
     return stim, masks, observe, faults
 
 
-def _fault_sim_once(system, n_jobs, store=None, audit_rate=None):
+def _fault_sim_once(system, n_jobs, audit_rate=None):
     stim, masks, observe, faults = _campaign(system)
-    store_key = None
-    if store is not None:
-        store_key = stage_key(
-            "faultsim",
-            netlist_fingerprint(system.netlist),
-            {"bench": "parallel", "patterns": PATTERNS},
-        )
     kwargs = {} if audit_rate is None else {"audit_rate": audit_rate}
     t0 = time.perf_counter()
     result = fault_simulate(
@@ -56,10 +55,29 @@ def _fault_sim_once(system, n_jobs, store=None, audit_rate=None):
         observe=observe,
         valid_masks=masks,
         n_jobs=n_jobs,
-        store=store,
-        store_key=store_key,
         **kwargs,
     )
+    return time.perf_counter() - t0, result
+
+
+def _fault_sim_stored(system, store):
+    """One ``faultsim`` store stage: replayed on a hit, else simulated
+    and published."""
+    faults = _campaign(system)[3]
+    key = stage_key(
+        "faultsim",
+        netlist_fingerprint(system.netlist),
+        {"bench": "parallel", "patterns": PATTERNS},
+    )
+    t0 = time.perf_counter()
+    stage = store.stage(
+        "faultsim", key, lambda payload: verdicts_from_payload(payload, faults)
+    )
+    if stage.hit:
+        result = stage.cached
+    else:
+        result = _fault_sim_once(system, 1)[1]
+        stage.publish(lambda: verdicts_payload(result, faults), result.campaign)
     return time.perf_counter() - t0, result
 
 
@@ -210,9 +228,9 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
     # Store replay: publish once cold, then measure the warm hit path and
     # confirm it stays bit-identical to the simulated baseline.
     store_root = tmp_path / "store"
-    cold_s, cold_result = _fault_sim_once(system, 1, store=CampaignStore(store_root))
+    cold_s, cold_result = _fault_sim_stored(system, CampaignStore(store_root))
     warm_store = CampaignStore(store_root)
-    warm_s, warm_result = _fault_sim_once(system, 1, store=warm_store)
+    warm_s, warm_result = _fault_sim_stored(system, warm_store)
     assert warm_store.hit_ratio() == 1.0
     assert warm_result.verdicts == cold_result.verdicts == base_result.verdicts
     metrics["store"] = {

@@ -47,7 +47,7 @@ from .hls.system import build_system
 from .netlist.bench import write_bench
 from .netlist.stats import analyze
 from .netlist.verilog import write_verilog
-from .store.cache import CampaignStore, StageProvenance, clean_campaign
+from .store.cache import CampaignStore, open_stage
 from .store.fingerprint import netlist_fingerprint, stage_key
 from .store.query import QUERY_VERDICTS
 
@@ -250,33 +250,25 @@ def _result_report(
             MC_DEFAULT_MAX_BATCHES,
             MC_DEFAULT_ITERATIONS_WINDOW,
         )
-    if store is None:
-        return build_result_report(
-            result, grading, system=system, params=params, command=command
-        )
-    key = stage_key("report", netlist_fingerprint(system.netlist), params)
-    cached = store.lookup("report", key)
-    if cached is not None:
-        row = store.artifacts.row(key)
-        store.record(
-            StageProvenance(
-                stage="report", key=key, hit=True, saved_s=row.wall_s if row else 0.0
-            )
-        )
-        return cached
+    stage = open_stage(
+        store,
+        "report",
+        lambda: stage_key("report", netlist_fingerprint(system.netlist), params),
+        lambda cached: cached,
+    )
+    if stage.hit:
+        return stage.cached
     report = build_result_report(
         result, grading, system=system, params=params, command=command
     )
-    published = False
-    if (
-        clean_campaign(result.campaign)
-        and clean_campaign(result.classify_campaign)
-        and (grading is None or clean_campaign(grading.campaign))
-    ):
-        published = store.publish(
-            "report", key, report, design=result.design, meta={"command": command}
-        )
-    store.record(StageProvenance(stage="report", key=key, hit=False, published=published))
+    stage.publish(
+        lambda: report,
+        result.campaign,
+        result.classify_campaign,
+        None if grading is None else grading.campaign,
+        design=result.design,
+        meta={"command": command},
+    )
     return report
 
 

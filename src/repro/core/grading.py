@@ -32,10 +32,11 @@ from ..power.montecarlo import (
     monte_carlo_power,
     monte_carlo_power_block,
     shared_batches,
+    traced_from_json_dict,
     traced_json_dict,
     verify_trace,
 )
-from ..store.cache import CampaignStore, StageProvenance, StageTimer
+from ..store.cache import CampaignStore, open_stage
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
 from .errors import CampaignError, IntegrityError, validate_netlist
@@ -278,41 +279,40 @@ def verify_traces(estimator: PowerEstimator, results: dict[str, MonteCarloResult
         verify_trace(estimator, k, mc)
 
 
-def publish_activity(
-    store: CampaignStore,
-    key: str,
-    design: str,
-    results: dict[str, MonteCarloResult],
-    wall_s: float,
-) -> bool:
-    """Publish a verified campaign (baseline under ``_BASELINE_KEY``) as
-    the ``activity`` stage and record its provenance.
+def activity_payload(results: dict[str, MonteCarloResult]) -> dict:
+    """The ``activity`` store payload of a verified campaign (baseline
+    under ``_BASELINE_KEY``)."""
+    return {
+        "baseline": traced_json_dict(results[_BASELINE_KEY]),
+        "faults": {
+            k: traced_json_dict(mc) for k, mc in results.items() if k != _BASELINE_KEY
+        },
+    }
 
-    ``wall_s`` is what producing the activity view cost before this
-    call; building the payload is added to it, and the sum is the row's
-    ``wall_s`` (what a later hit reports as ``saved_s``).
-    """
-    with StageTimer() as build:
-        faults = {k: mc for k, mc in results.items() if k != _BASELINE_KEY}
-        payload = {
-            "baseline": traced_json_dict(results[_BASELINE_KEY]),
-            "faults": {k: traced_json_dict(mc) for k, mc in faults.items()},
-        }
-    wall_s += build.wall_s
-    published = store.publish(
-        "activity",
-        key,
-        payload,
-        design=design,
-        meta={"faults": len(faults)},
-        wall_s=wall_s,
-    )
-    store.record(
-        StageProvenance(
-            stage="activity", key=key, hit=False, wall_s=wall_s, published=published
-        )
-    )
-    return published
+
+def activity_from_payload(
+    payload: dict, sfr_keys: list[str]
+) -> dict[str, MonteCarloResult] | None:
+    """Replay an :func:`activity_payload` holding exactly ``sfr_keys``
+    (baseline first, then SFR record order); None otherwise."""
+    if "baseline" not in payload or set(payload.get("faults", ())) != set(sfr_keys):
+        return None
+    results = {_BASELINE_KEY: traced_from_json_dict(payload["baseline"])}
+    for k in sfr_keys:
+        results[k] = traced_from_json_dict(payload["faults"][k])
+    return results
+
+
+def _grading_from_payload(
+    payload: dict, sfr_keys: list[str]
+) -> tuple[MonteCarloResult, dict[str, MonteCarloResult]] | None:
+    """Replay a ``grading`` payload holding exactly ``sfr_keys``: the
+    baseline and the per-fault results; None otherwise."""
+    if "baseline" not in payload or set(payload.get("faults", ())) != set(sfr_keys):
+        return None
+    return MonteCarloResult.from_json_dict(payload["baseline"]), {
+        k: MonteCarloResult.from_json_dict(v) for k, v in payload["faults"].items()
+    }
 
 
 def grade_sfr_faults(
@@ -412,40 +412,18 @@ def grade_sfr_faults(
     # netlist content, SFR fault universe and Monte-Carlo knobs replays the
     # baseline and every per-fault power bit-identically (floats round-trip
     # exactly through canonical JSON) without simulating a single batch.
-    grading_store_key: str | None = None
-    store_hit = False
-    stage_timer: StageTimer | None = None
-    if store is not None:
-        grading_store_key = grading_stage_key(
-            "grading", system, pipeline_result, mc_params
-        )
-        cached = store.lookup("grading", grading_store_key)
-        if (
-            cached is not None
-            and "baseline" in cached
-            and set(cached.get("faults", ())) == set(sfr_keys)
-        ):
-            row = store.artifacts.row(grading_store_key)
-            store.record(
-                StageProvenance(
-                    stage="grading",
-                    key=grading_store_key,
-                    hit=True,
-                    saved_s=row.wall_s if row is not None else 0.0,
-                )
-            )
-            base = MonteCarloResult.from_json_dict(cached["baseline"])
-            mc_by_key: dict[str, MonteCarloResult] = {
-                k: MonteCarloResult.from_json_dict(v)
-                for k, v in cached["faults"].items()
-            }
-            store_hit = True
-            report = RunReport(n_items=len(records))
-            audited: list[FaultRecord] = []
-            quarantined_keys: set[str] = set()
-
-    if not store_hit:
-        stage_timer = StageTimer().__enter__()
+    stage = open_stage(
+        store,
+        "grading",
+        lambda: grading_stage_key("grading", system, pipeline_result, mc_params),
+        lambda payload: _grading_from_payload(payload, sfr_keys),
+    )
+    if stage.hit:
+        base, mc_by_key = stage.cached
+        report = RunReport(n_items=len(records))
+        audited: list[FaultRecord] = []
+        quarantined_keys: set[str] = set()
+    else:
         valid = set(sfr_keys) | {_BASELINE_KEY}
         mc_by_key = {k: v for k, v in (seed_results or {}).items() if k in valid}
         todo = [r for r in records if fault_key(r.system_site) not in mc_by_key]
@@ -468,7 +446,7 @@ def grade_sfr_faults(
             f"(must be finite, positive and <= the theoretical ceiling "
             f"{ceiling_uw:.6g} uW); a poisoned baseline poisons every grade"
         )
-    if not store_hit and todo:
+    if not stage.hit and todo:
 
         def _collect_fault(site, mc) -> None:
             key = fault_key(site)
@@ -490,7 +468,7 @@ def grade_sfr_faults(
         report.completed = len(todo)
         report.resumed = len(records) - len(todo)
 
-    if not store_hit:
+    if not stage.hit:
         # Differential audit: recompute the hash-selected subset through the
         # generate-per-call Monte-Carlo path (fresh data from the same seed
         # -- bit-identical to batch replay by construction) and require
@@ -550,51 +528,35 @@ def grade_sfr_faults(
         )
     guard.attach(report, audited=len(audited))
     captured = None
-    if not store_hit and all(
+    if not stage.hit and all(
         mc.activity is not None for mc in [base, *mc_by_key.values()]
     ):
         captured = {_BASELINE_KEY: base, **{k: mc_by_key[k] for k in sfr_keys}}
-    if store is not None and not store_hit:
-        assert stage_timer is not None and grading_store_key is not None
-        stage_timer.__exit__(None, None, None)
-        published = False
-        verify_timer = StageTimer()
-        if not report.violations:
-            if captured is not None:
-                with verify_timer:
-                    verify_traces(estimator, captured)
-            published = store.publish(
-                "grading",
-                grading_store_key,
-                {
-                    "baseline": base.to_json_dict(),
-                    "faults": {k: mc_by_key[k].to_json_dict() for k in sfr_keys},
-                },
-                design=pipeline_result.design,
-                meta={"faults": len(sfr_keys), "audited": len(audited)},
-                wall_s=stage_timer.wall_s,
-            )
-        store.record(
-            StageProvenance(
-                stage="grading",
-                key=grading_store_key,
-                hit=False,
-                wall_s=stage_timer.wall_s,
-                published=published,
-            )
+    published = not stage.hit and stage.publish(
+        lambda: {
+            "baseline": base.to_json_dict(),
+            "faults": {k: mc_by_key[k].to_json_dict() for k in sfr_keys},
+        },
+        report,
+        design=pipeline_result.design,
+        meta={"faults": len(sfr_keys), "audited": len(audited)},
+    )
+    if published and captured is not None:
+        # The traces are a by-product of the grading campaign: the
+        # activity row costs only their verification and its payload,
+        # so a later hit on both stages does not count the campaign
+        # twice in ``saved_s``.
+        activity = open_stage(
+            store,
+            "activity",
+            lambda: grading_stage_key("activity", system, pipeline_result, mc_params),
         )
-        if published and captured is not None:
-            # The traces are a by-product of the grading campaign: the
-            # activity row costs only its verification and publication,
-            # so a later hit on both stages does not count the campaign
-            # twice in ``saved_s``.
-            publish_activity(
-                store,
-                grading_stage_key("activity", system, pipeline_result, mc_params),
-                pipeline_result.design,
-                captured,
-                verify_timer.wall_s,
-            )
+        verify_traces(estimator, captured)
+        activity.publish(
+            lambda: activity_payload(captured),
+            design=pipeline_result.design,
+            meta={"faults": len(sfr_keys)},
+        )
     # Figure 7 ordering: select-only faults first, then load-line faults,
     # each sorted by increasing power.
     graded.sort(key=lambda g: (g.group != "select", g.power_uw))

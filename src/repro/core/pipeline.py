@@ -26,8 +26,15 @@ import numpy as np
 
 from ..hls.system import NormalModeStimulus, System, hold_masks_from_trace
 from ..logic.faults import FaultSite, collapse_faults, enumerate_faults, fault_key
-from ..logic.faultsim import FaultSimResult, Verdict, fault_simulate, run_golden
-from ..store.cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
+from ..logic.faultsim import (
+    FaultSimResult,
+    Verdict,
+    fault_simulate,
+    run_golden,
+    verdicts_from_payload,
+    verdicts_payload,
+)
+from ..store.cache import CampaignStore, open_stage
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
 from .classify import Classifier, FaultClassification
@@ -196,24 +203,28 @@ def _classify_undetected(
     report = RunReport(n_items=len(pending))
     guard = IntegrityGuard(strict=config.strict)
     keys = [fault_key(r.site) for r in pending]
-    key = ctx_digest = ctrl_fp = None
+    ctx_digest = ctrl_fp = None
     if store is not None or plan is not None:
         ctx_digest = classifier_context_digest(
             system.rtl, config.iteration_counts, classifier.hold_cycles
         )
         ctrl_fp = netlist_fingerprint(system.controller.netlist)
-    timer = StageTimer().__enter__()
-    cached = None
-    if store is not None:
-        key = stage_key("classify", ctrl_fp, {"context": ctx_digest, "faults": keys})
-        cached = store.lookup("classify", key)
-        if cached is not None and set(cached.get("classifications", ())) != set(keys):
-            cached = None
-    if cached is not None:
-        for record, k in zip(pending, keys):
-            record.classification = classification_from_json(
-                cached["classifications"][k], record.site
-            )
+
+    def decode(payload: dict) -> list[FaultClassification] | None:
+        stored = payload.get("classifications", {})
+        if set(stored) != set(keys):
+            return None
+        return [classification_from_json(stored[k], r.site) for k, r in zip(keys, pending)]
+
+    stage = open_stage(
+        store,
+        "classify",
+        lambda: stage_key("classify", ctrl_fp, {"context": ctx_digest, "faults": keys}),
+        decode,
+    )
+    if stage.hit:
+        for record, classification in zip(pending, stage.cached):
+            record.classification = classification
     else:
         todo = pending
         if plan is not None:
@@ -247,47 +258,19 @@ def _classify_undetected(
     for record in pending:
         record.quarantined = fault_key(record.system_site) in bad
     guard.attach(report)
-    timer.__exit__(None, None, None)
-    if store is not None:
-        if cached is not None:
-            row = store.artifacts.row(key)
-            store.record(
-                StageProvenance(
-                    stage="classify",
-                    key=key,
-                    hit=True,
-                    wall_s=timer.wall_s,
-                    saved_s=row.wall_s if row is not None else 0.0,
-                )
-            )
-        else:
-            payload = {
+    if not stage.hit:
+        stage.publish(
+            lambda: {
                 "classifications": {
                     k: classification_to_json(r.classification)
                     for k, r in zip(keys, pending)
                 }
-            }
-            published = (
-                clean_campaign(report)
-                and clean_campaign(result.campaign)
-                and store.publish(
-                    "classify",
-                    key,
-                    payload,
-                    design=system.rtl.name,
-                    meta={"faults": len(pending)},
-                    wall_s=timer.wall_s,
-                )
-            )
-            store.record(
-                StageProvenance(
-                    stage="classify",
-                    key=key,
-                    hit=False,
-                    wall_s=timer.wall_s,
-                    published=published,
-                )
-            )
+            },
+            report,
+            result.campaign,
+            design=system.rtl.name,
+            meta={"faults": len(pending)},
+        )
     return report
 
 
@@ -345,9 +328,10 @@ def run_pipeline(
         from ..testing.chaos import ChaosEngine
 
         chaos_engine = ChaosEngine.from_spec(config.chaos)
-    faultsim_store_key = None
-    if store is not None:
-        faultsim_store_key = stage_key(
+    stage = open_stage(
+        store,
+        "faultsim",
+        lambda: stage_key(
             "faultsim",
             netlist_fingerprint(system.netlist),
             {
@@ -362,13 +346,15 @@ def run_pipeline(
                 },
                 "pipeline": config.fingerprint_params(),
             },
-        )
+        ),
+        lambda payload: verdicts_from_payload(payload, system_sites),
+    )
     # Incremental planning: only worth attempting when the whole-stage
     # blob misses (a plain warm hit is strictly cheaper) and a baseline
     # resolves.  ``store.refresh`` naturally disables it -- the planner's
     # metadata lookup misses too, so refreshed runs stay honestly cold.
     plan = None
-    if store is not None and baseline is not None:
+    if store is not None and baseline is not None and not stage.hit:
         from ..incremental.replay import plan_recompute, resolve_baseline
 
         base_netlist = resolve_baseline(
@@ -377,10 +363,7 @@ def run_pipeline(
             design=system.rtl.name,
             exclude_fp=netlist_fingerprint(system.netlist),
         )
-        if (
-            base_netlist is not None
-            and store.lookup("faultsim", faultsim_store_key) is None
-        ):
+        if base_netlist is not None:
             plan = plan_recompute(
                 store,
                 base_netlist,
@@ -396,22 +379,21 @@ def run_pipeline(
             if plan is not None and not plan.reusable:
                 plan = None  # nothing replays; run the ordinary cold path
 
-    if plan is not None:
-        stage_timer = StageTimer().__enter__()
-        dirty_result = fault_simulate(
-            system.netlist,
-            plan.dirty,
-            stimulus,
-            observe=observe,
-            valid_masks=masks,
-            n_jobs=config.n_jobs,
-            timeout=config.timeout,
-            max_retries=config.max_retries,
-            audit_rate=config.audit_rate,
-            strict=config.strict,
-            chaos=chaos_engine,
-            golden=golden,
-        )
+    simulate = dict(
+        observe=observe,
+        valid_masks=masks,
+        n_jobs=config.n_jobs,
+        timeout=config.timeout,
+        max_retries=config.max_retries,
+        audit_rate=config.audit_rate,
+        strict=config.strict,
+        chaos=chaos_engine,
+        golden=golden,
+    )
+    if stage.hit:
+        sim_result = stage.cached
+    elif plan is not None:
+        dirty_result = fault_simulate(system.netlist, plan.dirty, stimulus, **simulate)
         # Merge: replayed entries and freshly simulated verdicts, in
         # universe order, indistinguishable from a cold full campaign.
         report = dirty_result.campaign or RunReport()
@@ -430,54 +412,17 @@ def run_pipeline(
                 sim_result.verdicts[site] = dirty_result.verdicts[site]
                 if site in dirty_result.detect_cycle:
                     sim_result.detect_cycle[site] = dirty_result.detect_cycle[site]
-        stage_timer.__exit__(None, None, None)
-        store.record(
-            StageProvenance(
-                stage="faultsim-incremental",
-                key=faultsim_store_key,
-                hit=True,
-                wall_s=stage_timer.wall_s,
-                saved_s=max(0.0, plan.baseline_wall_s - stage_timer.wall_s),
-            )
-        )
-        # The merged campaign graduates into the ordinary stage blob, so
-        # plain warm reruns of the edited design hit without a planner.
-        if clean_campaign(report):
-            store.publish(
-                "faultsim",
-                faultsim_store_key,
-                {
-                    "verdicts": {
-                        fault_key(s): [
-                            sim_result.verdicts[s].value,
-                            sim_result.detect_cycle.get(s, -1),
-                        ]
-                        for s in system_sites
-                    }
-                },
-                design=system.netlist.name,
-                meta={
-                    "faults": len(system_sites),
-                    "patterns": stimulus.n_patterns,
-                },
-                wall_s=stage_timer.wall_s,
-            )
     else:
-        sim_result = fault_simulate(
-            system.netlist,
-            system_sites,
-            stimulus,
-            observe=observe,
-            valid_masks=masks,
-            n_jobs=config.n_jobs,
-            timeout=config.timeout,
-            max_retries=config.max_retries,
-            audit_rate=config.audit_rate,
-            strict=config.strict,
-            chaos=chaos_engine,
-            store=store,
-            store_key=faultsim_store_key,
-            golden=golden,
+        sim_result = fault_simulate(system.netlist, system_sites, stimulus, **simulate)
+    if not stage.hit:
+        # A merged campaign graduates into the ordinary stage blob, so
+        # plain warm reruns of the edited design hit without a planner.
+        stage.publish(
+            lambda: verdicts_payload(sim_result, system_sites),
+            sim_result.campaign,
+            design=system.netlist.name,
+            meta={"faults": len(system_sites), "patterns": stimulus.n_patterns},
+            replaced_s=None if plan is None else plan.baseline_wall_s,
         )
 
     # Steps 2-4.
@@ -508,37 +453,25 @@ def run_pipeline(
     # whole-campaign blob (entries already exist from the original cold
     # run) and for dirty campaigns (quarantined results must never be
     # served warm, fault-granularly or otherwise).
-    if store is not None:
-        stage_was_hit = any(
-            p.stage == "faultsim" and p.key == faultsim_store_key and p.hit
-            for p in store.provenance
-        )
-        if (
-            not stage_was_hit
-            and clean_campaign(result.campaign)
-            and clean_campaign(result.classify_campaign)
-        ):
-            from ..incremental.replay import publish_incremental
+    if (
+        store is not None
+        and not stage.hit
+        and not sim_result.campaign.violations
+        and not result.classify_campaign.violations
+    ):
+        from ..incremental.replay import publish_incremental
 
-            computed_wall = next(
-                (
-                    p.wall_s
-                    for p in store.provenance
-                    if p.stage == "faultsim" and p.key == faultsim_store_key
-                ),
-                plan.baseline_wall_s if plan is not None else 0.0,
-            )
-            publish_incremental(
-                store,
-                system,
-                config,
-                stimulus,
-                observe,
-                masks,
-                result,
-                sim_result.detect_cycle,
-                classifier,
-                faultsim_wall_s=computed_wall,
-                golden=golden,
-            )
+        publish_incremental(
+            store,
+            system,
+            config,
+            stimulus,
+            observe,
+            masks,
+            result,
+            sim_result.detect_cycle,
+            classifier,
+            faultsim_wall_s=stage.wall_s if plan is None else plan.baseline_wall_s,
+            golden=golden,
+        )
     return result

@@ -30,8 +30,9 @@ from ..core.grading import (
     _BASELINE_KEY,
     GradingResult,
     _grade_baseline,
+    activity_from_payload,
+    activity_payload,
     grading_stage_key,
-    publish_activity,
     simulate_campaign,
     verify_traces,
 )
@@ -53,9 +54,8 @@ from ..power.montecarlo import (  # noqa: F401
     monte_carlo_power,
     monte_carlo_power_block,
     recovered_power_uw,
-    traced_from_json_dict,
 )
-from ..store.cache import CampaignStore, StageProvenance, StageTimer
+from ..store.cache import CampaignStore, open_stage
 
 
 @dataclass
@@ -118,59 +118,48 @@ def activity_campaign(
     sfr_keys = [fault_key(r.system_site) for r in records]
     estimator = estimator or PowerEstimator(system.netlist)
     mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
-    key: str | None = None
-    store_hit = False
     report = RunReport(n_items=len(records), resumed=len(records))
+    stage = None
     results = grading.captured if grading is not None else None
-    if results is None and store is not None:
-        key = activity_store_key(system, pipeline_result, mc_params)
-        cached = store.lookup("activity", key)
-        if (
-            cached is not None
-            and "baseline" in cached
-            and set(cached.get("faults", ())) == set(sfr_keys)
-        ):
-            results = {_BASELINE_KEY: traced_from_json_dict(cached["baseline"])}
-            for k in sfr_keys:
-                results[k] = traced_from_json_dict(cached["faults"][k])
-            row = store.artifacts.row(key)
-            store.record(
-                StageProvenance(
-                    stage="activity",
-                    key=key,
-                    hit=True,
-                    saved_s=row.wall_s if row is not None else 0.0,
-                )
-            )
-            store_hit = True
+    if results is None:
+        stage = open_stage(
+            store,
+            "activity",
+            lambda: activity_store_key(system, pipeline_result, mc_params),
+            lambda payload: activity_from_payload(payload, sfr_keys),
+        )
+        results = stage.cached
     fresh = results is None
     if fresh:
-        with StageTimer() as stage_timer:
-            context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
-            results = {_BASELINE_KEY: _grade_baseline(context)}
+        context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
+        results = {_BASELINE_KEY: _grade_baseline(context)}
 
-            def _collect(site, mc) -> None:
-                results[fault_key(site)] = mc
+        def _collect(site, mc) -> None:
+            results[fault_key(site)] = mc
 
-            report = simulate_campaign(
-                context,
-                [r.system_site for r in records],
-                _collect,
-                n_jobs=n_jobs,
-                timeout=timeout,
-                max_retries=max_retries,
-            )
+        report = simulate_campaign(
+            context,
+            [r.system_site for r in records],
+            _collect,
+            n_jobs=n_jobs,
+            timeout=timeout,
+            max_retries=max_retries,
+        )
         report.n_items = report.completed = len(records)
     verify_traces(estimator, results)
-    clean = grading is None or not grading.campaign.violations
-    if fresh and key is not None and clean:
-        publish_activity(store, key, pipeline_result.design, results, stage_timer.wall_s)
+    if fresh:
+        stage.publish(
+            lambda: activity_payload(results),
+            None if grading is None else grading.campaign,
+            design=pipeline_result.design,
+            meta={"faults": len(sfr_keys)},
+        )
     return ActivityCampaign(
         design=pipeline_result.design,
         baseline=results[_BASELINE_KEY],
         by_key={k: results[k] for k in sfr_keys},
-        key=key,
+        key=None if stage is None else stage.key,
         campaign=report,
-        store_hit=store_hit,
+        store_hit=stage is not None and stage.hit,
         fault_keys=sfr_keys,
     )

@@ -35,7 +35,7 @@ from ..power.montecarlo import (
     MC_DEFAULT_SEED,
     mc_campaign_params,
 )
-from ..store.cache import CampaignStore, StageProvenance, StageTimer
+from ..store.cache import CampaignStore, open_stage
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from .activity import ActivityCampaign, activity_campaign
 from .population import FleetConfig, FleetResult, activity_matrix, run_population
@@ -155,23 +155,20 @@ def calibrate_fleet(
     fault_keys = [k for k in campaign.fault_keys if k in survivors]
 
     mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
-    key: str | None = None
-    if store is not None and not grading.campaign.violations:
-        key = fleet_store_key(system, pipeline_result, mc_params, config)
-        cached = store.lookup("fleet", key)
-        if cached is not None and cached.get("params") == config.params_dict():
-            row = store.artifacts.row(key)
-            store.record(
-                StageProvenance(
-                    stage="fleet",
-                    key=key,
-                    hit=True,
-                    saved_s=row.wall_s if row is not None else 0.0,
-                )
-            )
-            return FleetResult.from_json_dict(cached), campaign, grading
+    # a campaign with integrity violations neither replays nor publishes
+    stage = open_stage(
+        None if grading.campaign.violations else store,
+        "fleet",
+        lambda: fleet_store_key(system, pipeline_result, mc_params, config),
+        lambda payload: (
+            FleetResult.from_json_dict(payload)
+            if payload.get("params") == config.params_dict()
+            else None
+        ),
+    )
+    if stage.hit:
+        return stage.cached, campaign, grading
 
-    stage_timer = StageTimer().__enter__()
     decomp = estimator.cap_decomposition(tag_prefix=DATAPATH_TAG)
     A = activity_matrix(campaign, estimator, fault_keys)
     result = run_population(
@@ -183,25 +180,11 @@ def calibrate_fleet(
         p_ref_uw=grading.fault_free_uw,
         design=pipeline_result.design,
     )
-    if store is not None and key is not None:
-        stage_timer.__exit__(None, None, None)
-        published = store.publish(
-            "fleet",
-            key,
-            result.to_json_dict(),
-            design=pipeline_result.design,
-            meta={"instances": config.instances, "faults": len(fault_keys)},
-            wall_s=stage_timer.wall_s,
-        )
-        store.record(
-            StageProvenance(
-                stage="fleet",
-                key=key,
-                hit=False,
-                wall_s=stage_timer.wall_s,
-                published=published,
-            )
-        )
+    stage.publish(
+        result.to_json_dict,
+        design=pipeline_result.design,
+        meta={"instances": config.instances, "faults": len(fault_keys)},
+    )
     return result, campaign, grading
 
 

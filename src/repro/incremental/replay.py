@@ -530,10 +530,10 @@ def publish_incremental(
 ) -> int:
     """Publish per-fault entries, the meta blob and the netlist payload.
 
-    Only called for clean campaigns (the caller gates on
-    :func:`~repro.store.cache.clean_campaign`).  Every entry lands under
-    both its aligned and its content key; the payload is serialized once
-    for both rows.  ``golden`` is the campaign's full fault-free trace
+    Only called for clean campaigns (the caller skips a fault simulation
+    or classification that recorded violations).  Every entry lands
+    under both its aligned and its content key; the payload is serialized
+    once for both rows.  ``golden`` is the campaign's full fault-free trace
     (None simulates it here).  Returns the number of index rows written.
     """
     netlist = system.netlist

@@ -53,7 +53,6 @@ from ..core.integrity import (
 )
 from ..core.parallel import ParallelExecutor, RunReport, resolve_n_jobs
 from ..netlist.netlist import Netlist
-from ..store.cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
 from . import values as V
 from .cones import chunk_by_cone, compute_cones
 from .faults import FaultSite, fault_key
@@ -748,8 +747,6 @@ def fault_simulate(
     strict: bool = False,
     chaos=None,
     eventsim_checks: int = DEFAULT_EVENTSIM_CHECKS,
-    store: CampaignStore | None = None,
-    store_key: str | None = None,
     golden: GoldenTrace | None = None,
 ) -> FaultSimResult:
     """Fault simulation of ``faults`` under ``stimulus``.
@@ -794,13 +791,6 @@ def fault_simulate(
             and CI use only).
         eventsim_checks: cap on audited faults also replayed through the
             event-driven reference engine (it is far slower per pattern).
-        store: optional persistent campaign store; a complete cached
-            stage result is replayed bit-identically (skipping simulation
-            *and* audit -- the result was audited before publication),
-            and a freshly computed clean campaign is published back.
-        store_key: this campaign's canonical stage key (computed by the
-            caller from the netlist/stimulus/config fingerprints -- see
-            :mod:`repro.store.fingerprint`); required for ``store`` use.
         golden: the fault-free trace of ``run_golden(netlist, stimulus,
             observe, full=True)`` when the caller already holds it; None
             simulates it here (only when there are faults to simulate).
@@ -809,35 +799,6 @@ def fault_simulate(
         observe = list(netlist.outputs)
     keys = {f: fault_key(f) for f in faults}
 
-    # Persistent-store fast path: a complete cached verdict map replays
-    # bit-identically without any simulation.  Partial/corrupt/foreign
-    # payloads degrade to a miss (corruption is flagged by the store).
-    if store is not None and store_key is not None:
-        with StageTimer() as timer:
-            cached = store.lookup("faultsim", store_key)
-        if cached is not None and set(cached.get("verdicts", ())) == set(keys.values()):
-            row = store.artifacts.row(store_key)
-            store.record(
-                StageProvenance(
-                    stage="faultsim",
-                    key=store_key,
-                    hit=True,
-                    wall_s=timer.wall_s,
-                    saved_s=row.wall_s if row is not None else 0.0,
-                )
-            )
-            result = FaultSimResult(
-                verdicts={}, campaign=RunReport(n_items=len(faults))
-            )
-            for fault in faults:
-                raw_verdict, cycle = cached["verdicts"][keys[fault]]
-                verdict = Verdict(raw_verdict)
-                result.verdicts[fault] = verdict
-                if verdict is Verdict.DETECTED:
-                    result.detect_cycle[fault] = int(cycle)
-            return result
-
-    stage_timer = StageTimer().__enter__()
     outcomes_by_fault: dict[FaultSite, tuple[Verdict, int]] = {}
     report = RunReport(n_items=len(faults))
     audit_keys = set(select_audit([keys[f] for f in faults], audit_rate))
@@ -974,34 +935,6 @@ def fault_simulate(
             )
             outcomes_by_fault[fault] = reference
     guard.attach(report, audited=len(audited))
-    stage_timer.__exit__()
-    if store is not None and store_key is not None:
-        # Publish only clean campaigns: quarantined/audit-corrected results
-        # must never be served stale from a warm cache.
-        published = False
-        if clean_campaign(report):
-            published = store.publish(
-                "faultsim",
-                store_key,
-                {
-                    "verdicts": {
-                        keys[f]: [outcomes_by_fault[f][0].value, outcomes_by_fault[f][1]]
-                        for f in faults
-                    }
-                },
-                design=netlist.name,
-                meta={"faults": len(faults), "patterns": stimulus.n_patterns},
-                wall_s=stage_timer.wall_s,
-            )
-        store.record(
-            StageProvenance(
-                stage="faultsim",
-                key=store_key,
-                hit=False,
-                wall_s=stage_timer.wall_s,
-                published=published,
-            )
-        )
     result = FaultSimResult(
         verdicts={}, campaign=report, cone=cone_stats if faults else None
     )
@@ -1010,4 +943,32 @@ def fault_simulate(
         result.verdicts[fault] = verdict
         if verdict is Verdict.DETECTED:
             result.detect_cycle[fault] = cycle
+    return result
+
+
+def verdicts_payload(result: FaultSimResult, faults: list[FaultSite]) -> dict:
+    """The ``faultsim`` store payload of ``result`` over ``faults``: each
+    fault's verdict and detect cycle (-1 unless detected) by fault key."""
+    return {
+        "verdicts": {
+            fault_key(f): [result.verdicts[f].value, result.detect_cycle.get(f, -1)]
+            for f in faults
+        }
+    }
+
+
+def verdicts_from_payload(payload: dict, faults: list[FaultSite]) -> FaultSimResult | None:
+    """Replay a :func:`verdicts_payload` over ``faults`` bit-identically;
+    None unless it holds exactly their verdicts."""
+    verdicts = payload.get("verdicts", {})
+    keys = [fault_key(f) for f in faults]
+    if set(verdicts) != set(keys):
+        return None
+    result = FaultSimResult(verdicts={}, campaign=RunReport(n_items=len(faults)))
+    for fault, key in zip(faults, keys):
+        raw_verdict, cycle = verdicts[key]
+        verdict = Verdict(raw_verdict)
+        result.verdicts[fault] = verdict
+        if verdict is Verdict.DETECTED:
+            result.detect_cycle[fault] = int(cycle)
     return result

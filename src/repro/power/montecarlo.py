@@ -535,8 +535,8 @@ def monte_carlo_power(
     With ``capture_activity=True`` the result additionally carries an
     :class:`ActivityTrace` of the per-batch integer counters every float
     was derived from; powers, histories and convergence are bit-identical
-    either way (the capture path runs the very same simulations and the
-    very same float pipeline -- it only snapshots the counters).
+    either way (every batch runs the same simulation and float pipeline;
+    capture only snapshots the counters).
     """
     _check_knobs(batch_patterns, max_batches, min_batches, rel_tol)
     batch_stim, max_batches = _batch_source(
@@ -550,21 +550,9 @@ def monte_carlo_power(
     )
     stream = _Convergence(min_batches, rel_tol, capture_activity, fault)
     for batch in range(1, max_batches + 1):
-        counts = None
-        if capture_activity:
-            sim = _run_batch(system, batch_stim(batch), fault)
-            counts = sim.counter_snapshot()
-            result = estimator.power(sim, tag_prefix=DATAPATH_TAG)
-        else:
-            result = measure_power(
-                system,
-                estimator,
-                batch_stim(batch),
-                fault=fault,
-                iterations_window=iterations_window,
-                hold_cycles=hold_cycles,
-            )
-        done = stream.add(batch, result, counts)
+        sim = _run_batch(system, batch_stim(batch), fault)
+        counts = sim.counter_snapshot() if capture_activity else None
+        done = stream.add(batch, estimator.power(sim, tag_prefix=DATAPATH_TAG), counts)
         if done is not None:
             return done
     return stream.unconverged(max_batches)

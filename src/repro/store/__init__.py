@@ -13,7 +13,7 @@ with the pipeline layers):
 """
 
 from .artifacts import ArtifactCorrupt, ArtifactStore, StoreError, StoreLockError
-from .cache import CampaignStore, StageProvenance, StageTimer, clean_campaign
+from .cache import CampaignStore, Stage, StageProvenance, open_stage
 from .fingerprint import (
     SCHEMA_VERSION,
     canonical_json,
@@ -27,13 +27,13 @@ __all__ = [
     "ArtifactStore",
     "CampaignStore",
     "SCHEMA_VERSION",
+    "Stage",
     "StageProvenance",
-    "StageTimer",
     "StoreError",
     "StoreLockError",
     "canonical_json",
-    "clean_campaign",
     "digest",
     "netlist_fingerprint",
+    "open_stage",
     "stage_key",
 ]

@@ -14,6 +14,35 @@ around :class:`~repro.store.artifacts.ArtifactStore` that
 * accumulates per-stage :class:`StageProvenance` (hit/miss, wall time
   spent, wall time saved on hits) for the CLI/report layer.
 
+Every cached stage of the pipeline goes through one protocol, the
+:class:`Stage` handle of :func:`open_stage` (:meth:`CampaignStore.stage`):
+
+* opening a stage starts its clock and, given a ``decode`` callable,
+  looks its payload up (:meth:`CampaignStore.lookup`).  ``decode``
+  checks the payload and turns it into the caller's result; a payload it
+  rejects (returns None for) is a miss.  A hit records its provenance
+  at once: ``wall_s`` is what the lookup and decode took, ``saved_s`` is
+  the row's ``wall_s``;
+* on a miss the caller computes, then calls :meth:`Stage.publish` with
+  a payload builder and the campaign reports the result came from.
+  The payload is built and published only when none of those reports
+  recorded a violation.  The stage's ``wall_s`` runs from opening it to
+  the built payload, and the published row carries the same number;
+* a stage opened without ``decode`` only publishes (``grade`` writes
+  the ``activity`` view of a campaign it just simulated);
+* each opened stage records exactly one provenance row per invocation
+  (a hit, or a miss once published or refused), and a store-less run
+  holds a handle that never hits, never publishes and records nothing.
+
+What a row's ``wall_s`` (a later hit's ``saved_s``) therefore measures
+per kind: ``faultsim`` the fault simulation with its audit (or, after a
+``--baseline`` merge, the planning, dirty simulation and merge);
+``classify`` the classification of the undetected faults with its
+audit; ``grading`` the Monte-Carlo campaign with its audit; ``activity``
+the verification and payload build of the traces ``grade`` captured,
+or the whole campaign when ``calibrate`` computed it; ``fleet`` the
+population kernel; ``report`` the build of the result report.
+
 Stage payload shapes (``kind`` -> canonical-JSON dict):
 
 * ``faultsim``: ``{"verdicts": {fault_key: [verdict_value, cycle]}}``
@@ -47,8 +76,8 @@ import logging
 import os
 import sqlite3
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..core.integrity import STORE_CORRUPT_CHECK, IntegrityViolation
 from .artifacts import ArtifactCorrupt, ArtifactRow, ArtifactStore, StoreError
@@ -119,11 +148,19 @@ class CampaignStore:
         if self.refresh:
             return None
         for row in self.artifacts.rows(kind=kind, design=design, newest_first=True):
-            try:
-                return row, self.artifacts.read(row)
-            except ArtifactCorrupt as exc:
-                self._corrupt(kind, exc)
+            data = self.read(kind, row)
+            if data is not None:
+                return row, data
         return None
+
+    def read(self, kind: str, row: ArtifactRow) -> bytes | None:
+        """``row``'s verified bytes; None once a corrupted blob has been
+        quarantined and recorded as :meth:`lookup` records it."""
+        try:
+            return self.artifacts.read(row)
+        except ArtifactCorrupt as exc:
+            self._corrupt(kind, exc)
+            return None
 
     def _corrupt(self, kind: str, exc: ArtifactCorrupt) -> None:
         """Record a quarantined, corrupted entry as an integrity violation."""
@@ -169,6 +206,33 @@ class CampaignStore:
             logger.warning("store: batch publication degraded: %s", exc)
             return 0
 
+    # ----------------------------------------------------------------- stages
+    def stage(
+        self, kind: str, key: str, decode: Callable[[Any], Any] | None = None
+    ) -> "Stage":
+        """Open one cached stage (see the module docstring): with
+        ``decode``, look it up and record a hit when ``decode`` accepts
+        the payload."""
+        stage = Stage(self, kind, key)
+        if decode is None:
+            return stage
+        payload = self.lookup(kind, key)
+        if payload is not None:
+            stage.cached = decode(payload)
+        if stage.hit:
+            stage.wall_s = time.perf_counter() - stage._t0
+            row = self.artifacts.row(key)
+            self.record(
+                StageProvenance(
+                    kind,
+                    key,
+                    hit=True,
+                    wall_s=stage.wall_s,
+                    saved_s=row.wall_s if row is not None else 0.0,
+                )
+            )
+        return stage
+
     # ------------------------------------------------------------ provenance
     def record(self, provenance: StageProvenance) -> None:
         self.provenance.append(provenance)
@@ -182,23 +246,70 @@ class CampaignStore:
         return sum(p.saved_s for p in self.provenance if p.hit)
 
 
-def clean_campaign(report: Any) -> bool:
-    """True when a campaign's results are publishable.
+class Stage:
+    """One cached stage of one invocation (see the module docstring).
 
-    A campaign that flagged integrity violations (diverged audits,
-    broken invariants, chaos-tampered values) holds quarantined or
-    reference-substituted results; publishing it would let a later warm
-    run serve data that the guard layer already distrusted once.
+    ``cached`` is the decoded payload on a hit, None on a miss.  A
+    store-less handle (``store`` None) never hits and never publishes.
     """
-    return report is None or not report.violations
 
-
-class StageTimer:
-    """Tiny perf_counter context used around each cacheable stage."""
-
-    def __enter__(self) -> "StageTimer":
+    def __init__(self, store: CampaignStore | None, kind: str, key: str | None):
+        self.store = store
+        self.kind = kind
+        self.key = key
+        self.cached: Any = None
+        #: seconds spent: the lookup on a hit, the whole stage on a miss
+        self.wall_s = 0.0
         self._t0 = time.perf_counter()
-        return self
 
-    def __exit__(self, *exc) -> None:
+    @property
+    def hit(self) -> bool:
+        return self.cached is not None
+
+    def publish(
+        self,
+        payload: Callable[[], Any],
+        *campaigns: Any,
+        design: str = "",
+        meta: dict | None = None,
+        replaced_s: float | None = None,
+    ) -> bool:
+        """Close a missed stage: build and publish ``payload()`` unless a
+        report in ``campaigns`` recorded violations, and record the miss.
+
+        ``replaced_s`` marks a fault-granular merge (``--baseline``): the
+        stage is recorded as ``<kind>-incremental``, a hit that saved
+        ``replaced_s`` (the baseline's full cost) minus its own wall.
+        Returns whether the payload was published.
+        """
+        assert not self.hit, "a stage that hit has nothing to publish"
+        if self.store is None:
+            return False
+        clean = all(c is None or not c.violations for c in campaigns)
+        data = payload() if clean else None
         self.wall_s = time.perf_counter() - self._t0
+        published = clean and self.store.publish(
+            self.kind, self.key, data, design=design, meta=meta, wall_s=self.wall_s
+        )
+        record = StageProvenance(
+            self.kind, self.key, hit=False, wall_s=self.wall_s, published=published
+        )
+        if replaced_s is not None:
+            record.stage = f"{self.kind}-incremental"
+            record.hit = True
+            record.saved_s = max(0.0, replaced_s - self.wall_s)
+        self.store.record(record)
+        return published
+
+
+def open_stage(
+    store: CampaignStore | None,
+    kind: str,
+    key: Callable[[], str],
+    decode: Callable[[Any], Any] | None = None,
+) -> Stage:
+    """:meth:`CampaignStore.stage`, or the inert handle of a store-less
+    run; ``key`` is only called with a store."""
+    if store is None:
+        return Stage(None, kind, None)
+    return store.stage(kind, key(), decode)

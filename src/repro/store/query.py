@@ -9,6 +9,7 @@ blob reads.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -65,10 +66,13 @@ def query_campaigns(
 ) -> list[CampaignMatch]:
     """Filter cached campaign reports; corruption degrades to a skip."""
     matches: list[CampaignMatch] = []
+    if store.refresh:  # a refreshed store serves nothing cached, as lookup
+        return matches
     for row in store.artifacts.rows(kind="report", design=design):
-        report = store.lookup("report", row.key)
-        if report is None:  # corrupted blob, quarantined by lookup
+        data = store.read("report", row)
+        if data is None:  # corrupted blob, quarantined and recorded
             continue
+        report = json.loads(data)
         grading = report.get("grading")
         if threshold is not None:
             if grading is None or abs(grading.get("threshold", -1.0) - threshold) > 1e-12:

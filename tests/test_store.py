@@ -284,43 +284,77 @@ def test_wiped_root_publish_recreates_the_layout(tmp_path):
 
 
 # ------------------------------------------------------- CLI cold/warm runs
+def _stages(report_json: Path) -> list[dict]:
+    return json.loads(report_json.read_text())["store"]["stages"]
+
+
 def test_cli_cold_warm_bit_identity(tmp_path, capsys):
-    """The acceptance loop: a warm store-backed grade replays faultsim,
-    classification and Monte-Carlo results from the store, reports a full stage hit ratio,
-    and writes a byte-identical deterministic result report."""
+    """The acceptance loop and the stage protocol: ``grade`` then
+    ``calibrate``, cold then warm, on one store.  Every stage records one
+    provenance row per run: a cold miss is published, a warm hit costs
+    its lookup and saves the row's ``wall_s``, and the warm runs write
+    byte-identical deterministic result reports."""
     store_dir = str(tmp_path / "store")
-    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
-    cold_rep, warm_rep = tmp_path / "cold-rep.json", tmp_path / "warm-rep.json"
     base = ["--patterns", "64", "--store-dir", store_dir]
-    assert main(base + ["--result-json", str(cold), "--report-json", str(cold_rep), "grade", "facet"]) == 0
+
+    def run(name: str, command: str, *extra: str) -> tuple[Path, Path]:
+        result, report = tmp_path / f"{name}.json", tmp_path / f"{name}-rep.json"
+        args = [*extra, "--result-json", str(result), "--report-json", str(report)]
+        assert main(base + args + [command, "facet"]) == 0
+        return result, report
+
+    cold, cold_rep = run("cold", "grade")
+    cold_cal, cold_cal_rep = run("cold-cal", "calibrate")
     capsys.readouterr()
-    assert main(base + ["--result-json", str(warm), "--report-json", str(warm_rep), "grade", "facet"]) == 0
-    out = capsys.readouterr().out
-    assert "store: 4/4 stage hits" in out
+    warm, warm_rep = run("warm", "grade")
+    assert "store: 4/4 stage hits" in capsys.readouterr().out
+    warm_cal, warm_cal_rep = run("warm-cal", "calibrate")
     assert cold.read_bytes() == warm.read_bytes()
-    warm_store = json.loads(warm_rep.read_text())["store"]
-    assert warm_store["hit_ratio"] == 1.0
-    assert [s["stage"] for s in warm_store["stages"]] == [
-        "faultsim",
-        "classify",
-        "grading",
-        "report",
-    ]
-    assert all(s["hit"] for s in warm_store["stages"])
+    assert cold_cal.read_bytes() == warm_cal.read_bytes()
+    assert json.loads(warm_rep.read_text())["store"]["hit_ratio"] == 1.0
     assert json.loads(warm_rep.read_text())["campaigns"]["classify"]["computed"] == 0
-    # the cold run published all five stages (grading and activity are
-    # two views of its one Monte-Carlo campaign)
-    cold_store = json.loads(cold_rep.read_text())["store"]
-    assert all(s["published"] and not s["hit"] for s in cold_store["stages"])
+
+    # the cold grade publishes all five stages (grading and activity are
+    # two views of its one Monte-Carlo campaign); calibrate replays four
+    # of them and publishes the fleet
+    grade_stages = ["faultsim", "classify", "grading", "activity", "report"]
+    replayed = [(stage, True) for stage in grade_stages[:4]]
+    expected = {
+        cold_rep: [(stage, False) for stage in grade_stages],
+        cold_cal_rep: [*replayed, ("fleet", False)],
+        warm_rep: [*replayed[:3], ("report", True)],
+        warm_cal_rep: [*replayed, ("fleet", True)],
+    }
+    artifacts = ArtifactStore(store_dir)
+    for report, outcomes in expected.items():
+        stages = _stages(report)
+        assert [(s["stage"], s["hit"]) for s in stages] == outcomes
+        for s in stages:
+            row_wall_s = artifacts.row(s["key"]).wall_s
+            assert s["wall_s"] > 0 and row_wall_s > 0
+            if s["hit"]:
+                assert s["saved_s"] == row_wall_s and not s["published"]
+            else:
+                assert s["wall_s"] == row_wall_s and s["published"]
+
+    # --store-refresh recomputes and republishes every stage
+    refreshed = run("refresh", "grade", "--store-refresh")[1]
+    assert [(s["stage"], s["hit"], s["published"]) for s in _stages(refreshed)] == [
+        (stage, False, True) for stage in grade_stages
+    ]
+
+    # a store-less run records nothing and writes no store
+    before = sorted(tmp_path.rglob("*"))
+    plain_rep = tmp_path / "plain-rep.json"
+    assert main(["--patterns", "64", "--report-json", str(plain_rep), "grade", "facet"]) == 0
+    assert "store" not in json.loads(plain_rep.read_text())
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, plain_rep])
 
     # corrupt the cached faultsim blob: the next run must fall back to
     # recompute, log the violation, and still produce identical results
-    artifacts = ArtifactStore(store_dir)
     fs_key = next(r.key for r in artifacts.rows(kind="faultsim"))
     _corrupt_blob(artifacts, fs_key)
-    again = tmp_path / "again.json"
-    again_rep = tmp_path / "again-rep.json"
-    assert main(base + ["--result-json", str(again), "--report-json", str(again_rep), "grade", "facet"]) == 0
+    again, again_rep = run("again", "grade")
     assert again.read_bytes() == cold.read_bytes()
     again_store = json.loads(again_rep.read_text())["store"]
     assert [v["check"] for v in again_store["violations"]] == ["store-blob-corrupt"]
@@ -533,6 +567,17 @@ def test_query_filters(tmp_path):
     assert [f["fault"] for f in missed[0].faults] == ["2:out:6:1"]
     rows = query_json(power)
     assert rows[0]["design"] == "facet" and rows[0]["matched_faults"] == 1
+
+
+def test_query_skips_and_records_a_corrupt_report(tmp_path):
+    store = CampaignStore(tmp_path / "store")
+    _publish_fake(store, "facet", 0.05)
+    bad = _publish_fake(store, "diffeq", 0.10)
+    _corrupt_blob(store.artifacts, bad)
+    assert [m.design for m in query_campaigns(store)] == ["facet"]
+    assert [(v.check, v.fault) for v in store.violations] == [("store-blob-corrupt", bad)]
+    assert store.artifacts.row(bad) is None  # quarantined
+    assert query_campaigns(CampaignStore(tmp_path / "store", refresh=True)) == []
 
 
 def test_cli_query(tmp_path, capsys):
