@@ -1,9 +1,9 @@
 """Micro-benchmarks of the substrate kernels (true pytest-benchmark use).
 
 These are the inner loops the whole reproduction stands on: compiled
-cycle simulation, serial fault simulation, Quine-McCluskey minimisation,
-and symbolic classification.  Useful for tracking performance regressions;
-no paper claims attached.
+cycle simulation, serial fault simulation, sequential cone closure,
+Quine-McCluskey minimisation, and symbolic classification.  Useful for
+tracking performance regressions; no paper claims attached.
 """
 
 import numpy as np
@@ -11,6 +11,8 @@ import numpy as np
 from repro.core.classify import Classifier
 from repro.core.pipeline import controller_fault_universe
 from repro.hls.system import NormalModeStimulus
+from repro.logic import cones
+from repro.logic.faults import enumerate_faults
 from repro.logic.faultsim import fault_simulate, simulate_one_fault, run_golden
 from repro.logic.simulator import CycleSimulator
 from repro.synth.qm import minimize_exact
@@ -70,6 +72,24 @@ def test_kernel_fault_list_simulation(benchmark, systems):
 
     result = benchmark(run)
     assert len(result.verdicts) == len(faults)
+
+
+def test_kernel_cone_closure(benchmark, systems):
+    """Cold sequential cones of every stem and branch fault of diffeq.
+
+    The closure cache is cleared before each round, so every round builds
+    the per-netlist reachability and decodes each seed's closure.
+    """
+    system = systems["diffeq"]
+    faults = enumerate_faults(system.netlist)
+    system.netlist.fanout_map()
+
+    def run():
+        cones._REACH_CACHE.clear()
+        return cones.compute_cones(system.netlist, faults)
+
+    result = benchmark(run)
+    assert len(result) == len(faults)
 
 
 def test_kernel_qm_minimisation(benchmark):

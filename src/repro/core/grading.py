@@ -20,6 +20,7 @@ from ..hls.system import System
 from ..power.estimator import PowerEstimator
 from ..logic import values as V
 from ..logic.faults import fault_key
+from ..logic.faultsim import chunk_capacity
 from ..power.montecarlo import (
     MC_DEFAULT_BATCH_PATTERNS,
     MC_DEFAULT_ITERATIONS_WINDOW,
@@ -51,21 +52,11 @@ from .integrity import (
     format_value,
     select_audit,
 )
-from .parallel import ParallelExecutor, RunReport, resolve_n_jobs
+from .parallel import ParallelExecutor, RunReport
 from .pipeline import FaultRecord, PipelineResult
 
 #: campaign key of the fault-free Monte-Carlo baseline
 _BASELINE_KEY = "__fault_free__"
-
-#: width cap (in 64-bit words) of one batched grading simulator; bounds
-#: chunk size so a huge SFR universe cannot blow up worker memory (the
-#: cone-engine cap of :mod:`repro.logic.faultsim`, applied to grading).
-_GRADE_MAX_WORDS = 8192
-
-#: target faults per batched grading chunk (before job balancing and the
-#: memory cap); the fixed per-cycle numpy dispatch cost amortizes across
-#: this many pattern blocks.
-_GRADE_CHUNK_FAULTS = 32
 
 
 def power_detected(pct_change: float, threshold: float) -> bool:
@@ -215,21 +206,18 @@ def simulate_campaign(
 
     ``context`` is the worker context ``(system, estimator, seed,
     batch_patterns, max_batches, iterations_window)``.  With ``batched``
-    the faults go in block-parallel chunks: order-preserving, balanced
-    over the job count, :data:`_GRADE_CHUNK_FAULTS` blocks for
-    numpy-dispatch amortization, and capped so the ``len(chunk) *
+    the faults go in order-preserving block-parallel chunks sized like
+    fault simulation's (:func:`~repro.logic.faultsim.chunk_capacity`):
+    one chunk per worker, capped so the ``len(chunk) *
     batch_patterns``-wide worker simulator stays within
-    :data:`_GRADE_MAX_WORDS`.  Campaigns whose ``batch_patterns`` is not
-    a multiple of 64 run per fault, as does ``batched=False``.
+    :data:`~repro.logic.faultsim.MAX_BLOCK_WORDS`.  Campaigns whose
+    ``batch_patterns`` is not a multiple of 64 run per fault, as does
+    ``batched=False``.
     """
     batch_patterns = context[3]
     use_block = batched and batch_patterns % V.WORD_BITS == 0
     if use_block:
-        jobs = max(1, resolve_n_jobs(n_jobs))
-        wpb = batch_patterns // V.WORD_BITS
-        size = max(
-            1, min(-(-len(sites) // jobs), _GRADE_CHUNK_FAULTS, _GRADE_MAX_WORDS // wpb)
-        )
+        size = chunk_capacity(len(sites), n_jobs, batch_patterns // V.WORD_BITS)
         items = [sites[i : i + size] for i in range(0, len(sites), size)]
         worker = _grade_chunk_worker
 

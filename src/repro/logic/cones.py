@@ -57,56 +57,121 @@ class FaultCone:
         return not self.nets.isdisjoint(observe)
 
 
-#: per-netlist reachability cache, keyed like the compile cache: object
-#: identity plus a cheap mutation stamp (entries drop with the netlist).
-#: Each entry carries the reach/input matrices plus a memo of per-seed
-#: closure sets, shared by every campaign on the same netlist.
-_REACH_CACHE: dict[
-    int, tuple[tuple[int, int], "np.ndarray", "np.ndarray", dict]
-] = {}
+class _Reach:
+    """Every net's sequential closure of one netlist, as bitsets.
 
+    Bit ``b`` of ``net_bits[a]`` is set when a disturbance on net ``a``
+    can ever (through any number of gates and clock edges) disturb net
+    ``b`` -- the reflexive-transitive closure of the one-step relation
+    "some gate reads ``a`` and outputs ``b``" -- and bit ``g`` of
+    ``gate_bits[a]`` when gate ``g`` reads a net of that closure.  The
+    closure crosses flip-flops like any other gate: a disturbed D or
+    enable pin disturbs the Q net one clock edge later, which is one more
+    step of the same static relation.
 
-def _reach_matrix(
-    netlist: Netlist, fanout: dict[int, list[tuple[int, int]]]
-) -> tuple["np.ndarray", "np.ndarray", dict]:
-    """All-pairs sequential reachability, vectorized.
-
-    Returns ``(reach, in_mat)``: ``reach[a, b]`` is True when a
-    disturbance on net ``a`` can ever (through any number of gates and
-    clock edges) disturb net ``b`` -- the reflexive-transitive closure of
-    the one-step relation "some gate reads ``a`` and outputs ``b``" --
-    and ``in_mat[a, g]`` marks gate ``g`` reading net ``a``.  The closure
-    crosses flip-flops like any other gate: a disturbed D or enable pin
-    disturbs the Q net one clock edge later, which is one more step of
-    the same static relation.  Repeated squaring doubles the covered path
-    length per matrix product, so the fixpoint lands in O(log diameter)
-    products instead of one python BFS per seed.
+    One pass of Tarjan's algorithm builds both: it completes each
+    strongly connected component after every component it reaches, so a
+    component's closure is its members OR'd with its successors'
+    already-final closures -- one big-integer OR per edge.
     """
+
+    def __init__(self, netlist: Netlist):
+        self.stamp = (len(netlist.gates), netlist.num_nets)
+        n = netlist.num_nets
+        fanout = netlist.fanout_map()
+        succ = [[netlist.gates[g].output for g, _pin in fanout[v]] for v in range(n)]
+        reads = [0] * n
+        for v in range(n):
+            for g, _pin in fanout[v]:
+                reads[v] |= 1 << g
+        net_bits = [0] * n
+        gate_bits = [0] * n
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, pending = work[-1]
+                for w in pending:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(succ[w])))
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] != index[v]:
+                        continue
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    nets = gates = 0
+                    for w in members:
+                        nets |= 1 << w
+                        gates |= reads[w]
+                        for x in succ[w]:  # members' own entries are still 0
+                            nets |= net_bits[x]
+                            gates |= gate_bits[x]
+                    for w in members:
+                        net_bits[w] = nets
+                        gate_bits[w] = gates
+        self.net_bits = net_bits
+        self.gate_bits = gate_bits
+        self._memo: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+
+    def closure(self, seed: int) -> tuple[frozenset[int], frozenset[int]]:
+        """``(gates, nets)`` of one seed net, decoded once and memoized."""
+        got = self._memo.get(seed)
+        if got is None:
+            got = self._memo[seed] = (
+                _members(self.gate_bits[seed]),
+                _members(self.net_bits[seed]),
+            )
+        return got
+
+
+def _members(bits: int) -> frozenset[int]:
+    """The set bit positions of a non-negative integer."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return frozenset(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
+#: per-netlist closure cache, keyed like the compile cache: object
+#: identity plus a cheap mutation stamp (entries drop with the netlist).
+#: Each entry memoizes its decoded per-seed closure sets, shared by every
+#: campaign on the same netlist.
+_REACH_CACHE: dict[int, _Reach] = {}
+
+
+def _reach(netlist: Netlist) -> _Reach:
     key = id(netlist)
-    stamp = (len(netlist.gates), netlist.num_nets)
     cached = _REACH_CACHE.get(key)
-    if cached is not None and cached[0] == stamp:
-        return cached[1], cached[2], cached[3]
-    n = netlist.num_nets
-    step = np.zeros((n, n), dtype=bool)
-    in_mat = np.zeros((n, len(netlist.gates)), dtype=bool)
-    for net in range(n):
-        for gate_idx, _pin in fanout[net]:
-            step[net, netlist.gates[gate_idx].output] = True
-            in_mat[net, gate_idx] = True
-    reach = step.copy()
-    np.fill_diagonal(reach, True)
-    while True:
-        sq = reach.astype(np.float32)
-        grown = (sq @ sq) > 0
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
+    if cached is not None and cached.stamp == (len(netlist.gates), netlist.num_nets):
+        return cached
     if key not in _REACH_CACHE:
         weakref.finalize(netlist, _REACH_CACHE.pop, key, None)
-    closures: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    _REACH_CACHE[key] = (stamp, reach, in_mat, closures)
-    return reach, in_mat, closures
+    reach = _REACH_CACHE[key] = _Reach(netlist)
+    return reach
 
 
 def net_closure(
@@ -121,21 +186,13 @@ def net_closure(
     (the incremental planner treats a netlist delta as a disturbance
     source and reuses this cache).
     """
-    fanout = netlist.fanout_map()
-    reach, in_mat, closures = _reach_matrix(netlist, fanout)
+    reach = _reach(netlist)
     gates: frozenset[int] = frozenset()
     nets: frozenset[int] = frozenset()
     for seed in seeds:
-        got = closures.get(seed)
-        if got is None:
-            row = reach[seed]
-            seed_nets = frozenset(np.flatnonzero(row).tolist())
-            seed_gates = frozenset(
-                np.flatnonzero(row.astype(np.float32) @ in_mat).tolist()
-            )
-            got = closures[seed] = (seed_gates, seed_nets)
-        gates |= got[0]
-        nets |= got[1]
+        seed_gates, seed_nets = reach.closure(seed)
+        gates |= seed_gates
+        nets |= seed_nets
     return gates, nets
 
 
@@ -149,27 +206,13 @@ def compute_cones(
     pin, so its cone is that gate plus the closure of the gate's output.
     A seed's driver is *not* pulled in (a stem force overrides whatever
     the driver computes) unless a sequential loop re-reaches it.
-    Closures come from one shared all-pairs reachability matrix and are
-    memoized per seed net -- the two polarities of a fault pair, and
-    every branch fault on the same gate, share one row.  The memo lives
-    in the netlist's reachability cache entry, so repeated campaigns on
-    one netlist (workers, benchmarks, reruns) never re-derive a
-    closure set.
+    Closures come from one per-netlist bitset pass and are memoized per
+    seed net -- the two polarities of a fault pair, and every branch
+    fault on the same gate, share one entry.  The memo lives in the
+    netlist's closure cache entry, so repeated campaigns on one netlist
+    (workers, benchmarks, reruns) never re-derive a closure set.
     """
-    fanout = netlist.fanout_map()
-    reach, in_mat, closures = _reach_matrix(netlist, fanout)
-
-    def closure(seed: int) -> tuple[frozenset[int], frozenset[int]]:
-        got = closures.get(seed)
-        if got is None:
-            row = reach[seed]
-            nets = frozenset(np.flatnonzero(row).tolist())
-            gates = frozenset(
-                np.flatnonzero(row.astype(np.float32) @ in_mat).tolist()
-            )
-            got = closures[seed] = (gates, nets)
-        return got
-
+    closure = _reach(netlist).closure
     cones: dict[FaultSite, FaultCone] = {}
     shared: dict[tuple[bool, int], FaultCone] = {}
     for fault in faults:

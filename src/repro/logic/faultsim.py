@@ -59,9 +59,24 @@ from .faults import FaultSite, fault_key
 from .simulator import CompiledNetlist, CycleSimulator, _Group, compile_netlist
 
 
-#: width cap (in 64-bit words) of one cone-engine simulator; bounds chunk
-#: auto-widening so a huge fault universe cannot blow up worker memory.
-_CONE_MAX_WORDS = 8192
+#: width cap (in 64-bit words) of one block-parallel simulator -- a
+#: cone-engine chunk here, a Monte-Carlo grading chunk in
+#: :mod:`repro.core.grading`; bounds chunk widening so a huge fault
+#: universe cannot blow up worker memory.
+MAX_BLOCK_WORDS = 8192
+
+
+def chunk_capacity(n_faults: int, n_jobs: int, wpb: int, floor: int = 1) -> int:
+    """Faults per block-parallel chunk: one chunk per worker.
+
+    Fixed numpy dispatch cost amortizes across the blocks of a chunk, so
+    chunks are as wide as balance allows -- the fault count over the job
+    count, at least ``floor`` -- capped so a chunk's ``wpb``-word blocks
+    stay within :data:`MAX_BLOCK_WORDS` (never below ``floor``).
+    """
+    jobs = max(1, resolve_n_jobs(n_jobs))
+    capacity = max(floor, -(-n_faults // jobs))
+    return min(capacity, max(floor, MAX_BLOCK_WORDS // wpb))
 
 
 class Stimulus(Protocol):
@@ -292,10 +307,12 @@ def _restrict_to_cone(compiled: CompiledNetlist, union_gates: set[int]):
         row_maps[group.gid] = {full: sub for sub, full in enumerate(sel)}
         idx = np.array(sel, dtype=np.int64)
         return _Group(
-            gtype=group.gtype,
+            kind=group.kind,
             gate_idx=group.gate_idx[idx],
             outputs=group.outputs[idx],
             inputs=group.inputs[idx],
+            src=group.src[:, idx],
+            dst=group.dst[:, idx],
             gid=group.gid,
             dffe_rows=None if group.dffe_rows is None else group.dffe_rows[idx],
         )
@@ -491,9 +508,7 @@ class _ConeSim:
         sim._apply_stems()
         for subs, reapply in self.schedule:
             for group in subs:
-                z, o = sim._eval_group(group)
-                sim.Z[group.outputs] = z
-                sim.O[group.outputs] = o
+                sim._eval_group(group)
             if reapply:
                 sim._apply_stems()
 
@@ -815,17 +830,12 @@ def fault_simulate(
         batch_faults = max(1, batch_faults)
         # Cone-overlap-aware chunking: faults whose cones share gates
         # land in the same chunk, shrinking each chunk's union cone.
-        # Chunks are auto-widened beyond ``batch_faults`` (fixed numpy
-        # dispatch cost amortizes across blocks), keeping one chunk per
-        # worker for balance and capping the simulator width for memory.
-        jobs = max(1, resolve_n_jobs(n_jobs))
+        # Chunks are auto-widened beyond ``batch_faults`` to one per worker.
         wpb = V.num_words(stimulus.n_patterns)
-        capacity = max(batch_faults, -(-len(faults) // jobs))
-        capacity = min(capacity, max(batch_faults, _CONE_MAX_WORDS // wpb))
         chunks = chunk_by_cone(
             faults,
             cones,
-            capacity,
+            chunk_capacity(len(faults), n_jobs, wpb, floor=batch_faults),
             netlist,
             key=lambda f: keys[f],
         )

@@ -1,8 +1,13 @@
 """Pattern-parallel, three-valued, zero-delay cycle simulator.
 
-The simulator compiles a netlist once into level-ordered *groups* of gates
-with identical (type, fan-in) so each group evaluates with a handful of
-vectorised numpy operations over all patterns at once.  It supports:
+The simulator compiles a netlist once into level-ordered *groups* so each
+group evaluates with a handful of vectorised numpy operations over all
+patterns at once.  A level holds at most three groups: one dual-rail
+*fold* for AND, NAND, OR, NOR, NOT and BUF (each gate an AND in its own
+rail space, ragged fan-ins padded with the identity), one *parity* group
+for XOR and XNOR, and one MUX2 group.  Every group gathers its inputs and
+scatters its outputs through flat row indices into both value planes,
+so one fancy index does each.  It supports:
 
 * stuck-at fault injection (stem faults force a net, branch faults poison a
   single gate's view of one input pin);
@@ -46,56 +51,108 @@ from .levelize import levelize
 _U64 = np.uint64
 
 
+#: evaluation kinds of a compiled group (combinational, then sequential)
+_FOLD, _PARITY, _MUX2, _DFF, _DFFE = "fold", "parity", "mux2", "dff", "dffe"
+
+#: gate type -> (kind, read inputs rail-swapped, write output rail-swapped).
+#: A fold group evaluates every gate as an AND in the gate's own rail
+#: space: OR/NOR read their inputs with the zero/one rails swapped (De
+#: Morgan: OR(a, b) = NOT AND(NOT a, NOT b)), and a result goes back
+#: through the gate's rail space, swapped once more for the inverting
+#: NAND, NOR and NOT -- so OR writes swapped and NOR straight.  XNOR is
+#: a parity gate written swapped.
+_RAILS = {
+    GateType.AND: (_FOLD, False, False),
+    GateType.NAND: (_FOLD, False, True),
+    GateType.OR: (_FOLD, True, True),
+    GateType.NOR: (_FOLD, True, False),
+    GateType.NOT: (_FOLD, False, True),
+    GateType.BUF: (_FOLD, False, False),
+    GateType.XOR: (_PARITY, False, False),
+    GateType.XNOR: (_PARITY, False, True),
+    GateType.MUX2: (_MUX2, False, False),
+    GateType.DFF: (_DFF, False, False),
+    GateType.DFFE: (_DFFE, False, False),
+}
+_KIND_ORDER = (_FOLD, _PARITY, _MUX2, _DFF, _DFFE)
+
+
 @dataclass
 class _Group:
-    gtype: GateType
+    """Gates evaluated together, addressed by flat row indices.
+
+    ``src``/``dst`` index the simulator's planes viewed as one
+    ``(2 * n_rows, words)`` array (zero plane first): ``src[r, i, p]`` is
+    the flat row gathered as rail ``r`` of pin ``p`` of gate ``i`` (in the
+    gate's own rail space), ``dst[r, i]`` the flat row its result rail
+    ``r`` is written to.  One fancy index gathers, one scatters.
+    """
+
+    kind: str
     gate_idx: np.ndarray  # (n,)
-    outputs: np.ndarray  # (n,)
-    inputs: np.ndarray  # (n, arity)
+    outputs: np.ndarray  # (n,) output net ids
+    inputs: np.ndarray  # (n, arity) input net ids, padding included
+    src: np.ndarray  # (2, n, arity) flat gather rows (DFFE: + Q column)
+    dst: np.ndarray  # (2, n) flat scatter rows
     gid: int = -1  # unique id assigned at compile time
     dffe_rows: np.ndarray | None = None  # DFFE groups: row into load_events
 
 
-#: per-type identity value used to pad mixed-arity groups: reading a virtual
-#: constant net with this value leaves the gate's fold unchanged.
-_PAD_IDENTITY = {
-    GateType.AND: 1,
-    GateType.NAND: 1,
-    GateType.OR: 0,
-    GateType.NOR: 0,
-    GateType.XOR: 0,
-    GateType.XNOR: 0,
-}
+def _rails(nets: np.ndarray, swap: np.ndarray, n_rows: int) -> np.ndarray:
+    """Flat (zero-rail, one-rail) rows of ``nets``, swapped where ``swap``."""
+    shift = np.where(swap, n_rows, 0).reshape(swap.shape + (1,) * (nets.ndim - 1))
+    return np.stack([nets + shift, nets + (n_rows - shift)])
+
+
+def _mux(sel: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3-valued ``sel ? b : a`` on stacked ``(2, ...)`` (zero, one) rails.
+
+    Rail ``r`` of the result is ``(sel1 & b_r) | (sel0 & a_r) | (a_r &
+    b_r)`` -- :func:`~repro.logic.values.v_mux2` with both rails at once.
+    """
+    return (sel[1] & b) | (sel[0] & a) | (a & b)
 
 
 def _make_groups(
     netlist: Netlist, gate_indices: list[int], v0: int, v1: int
 ) -> list[_Group]:
-    """Bucket gates by type only; pad ragged fan-ins with identity nets.
+    """At most one group per evaluation kind; ragged fan-ins padded.
 
-    ``v0``/``v1`` are the simulator's virtual always-0 / always-1 net rows.
-    Folding in an extra constant-1 input leaves AND/NAND unchanged, and a
-    constant 0 leaves OR/NOR/XOR/XNOR unchanged, so one group per gate type
-    per level suffices regardless of fan-in mix -- fewer, larger groups
-    keep the per-cycle numpy call count down.
+    ``v0``/``v1`` are the simulator's virtual always-0 / always-1 net
+    rows.  A fold pads with the AND identity in the gate's rail space
+    (an always-1 net, read swapped through ``v0`` for OR/NOR), parity
+    with an always-0 net; MUX2 and flip-flops have a fixed arity.  A
+    DFFE group gathers its own Q as a third pin (the hold value).
     """
-    buckets: dict[GateType, list[int]] = {}
+    n_rows = netlist.num_nets + 2
+    buckets: dict[str, list[int]] = {}
     for gi in gate_indices:
-        buckets.setdefault(netlist.gates[gi].gtype, []).append(gi)
+        buckets.setdefault(_RAILS[netlist.gates[gi].gtype][0], []).append(gi)
     groups = []
-    for gtype, idxs in sorted(buckets.items(), key=lambda kv: kv[0].value):
+    for kind in _KIND_ORDER:
+        idxs = buckets.get(kind)
+        if not idxs:
+            continue
         gates = [netlist.gates[i] for i in idxs]
+        swap_in = np.array([_RAILS[g.gtype][1] for g in gates], dtype=bool)
+        swap_out = np.array([_RAILS[g.gtype][2] for g in gates], dtype=bool)
         arity = max(len(g.inputs) for g in gates)
-        pad = v1 if _PAD_IDENTITY.get(gtype, 0) else v0
+        pins = [
+            g.inputs + [(v0 if sw else v1) if kind == _FOLD else v0]
+            * (arity - len(g.inputs))
+            for g, sw in zip(gates, swap_in)
+        ]
+        inputs = np.array(pins, dtype=np.int64)
+        outputs = np.array([g.output for g in gates], dtype=np.int64)
+        read = np.column_stack([inputs, outputs]) if kind == _DFFE else inputs
         groups.append(
             _Group(
-                gtype=gtype,
+                kind=kind,
                 gate_idx=np.array(idxs, dtype=np.int64),
-                outputs=np.array([g.output for g in gates], dtype=np.int64),
-                inputs=np.array(
-                    [g.inputs + [pad] * (arity - len(g.inputs)) for g in gates],
-                    dtype=np.int64,
-                ),
+                outputs=outputs,
+                inputs=inputs,
+                src=_rails(read, swap_in, n_rows),
+                dst=_rails(outputs, swap_out, n_rows),
             )
         )
     return groups
@@ -120,7 +177,8 @@ class CompiledNetlist:
     levels: list[list[_Group]]
     seq_groups: list[_Group]
     dffe_index: dict[int, int]  # DFFE gate index -> load_events row
-    gate_to_slot: dict[int, tuple[int, int]]  # gate index -> (gid, row)
+    #: gate index -> (gid, row, reads its inputs rail-swapped)
+    gate_to_slot: dict[int, tuple[int, int, bool]]
     net_level: dict[int, int]  # net id -> comb level writing it (-1 = latch)
     n_rows: int  # num_nets + 2 virtual constant rows for fan-in padding
     stamp: tuple[int, int]  # (num gates, num nets) at compile time
@@ -129,10 +187,16 @@ class CompiledNetlist:
     def n_dffe(self) -> int:
         return len(self.dffe_index)
 
-    def resolve_branch(self, gate_index: int, pin: int) -> tuple[int, int, int]:
-        """Return (group id, row, pin) for a branch-fault injection site."""
-        gid, row = self.gate_to_slot[gate_index]
-        return gid, row, pin
+    def resolve_branch(
+        self, gate_index: int, pin: int, value: int
+    ) -> tuple[int, int, int, int]:
+        """Return (group id, row, pin, value) for a branch-fault site.
+
+        The value is the stuck value in the gate's rail space: a gate
+        that reads its inputs rail-swapped sees the complement.
+        """
+        gid, row, swapped = self.gate_to_slot[gate_index]
+        return gid, row, pin, value ^ swapped
 
 
 def _compile(netlist: Netlist) -> CompiledNetlist:
@@ -148,25 +212,18 @@ def _compile(netlist: Netlist) -> CompiledNetlist:
     dffe = [g for g in netlist.gates if g.gtype is GateType.DFFE]
     dffe_index = {g.index: row for row, g in enumerate(dffe)}
 
-    gate_to_slot: dict[int, tuple[int, int]] = {}
+    gate_to_slot: dict[int, tuple[int, int, bool]] = {}
     net_level: dict[int, int] = {}
     gid = 0
-    for lvl, level in enumerate(levels):
-        for group in level:
-            group.gid = gid
-            gid += 1
-            for row, g in enumerate(group.gate_idx):
-                gate_to_slot[int(g)] = (group.gid, row)
-            for out in group.outputs:
-                net_level[int(out)] = lvl
-    for group in seq_groups:
+    scheduled = [(lvl, group) for lvl, level in enumerate(levels) for group in level]
+    for lvl, group in scheduled + [(-1, group) for group in seq_groups]:
         group.gid = gid
         gid += 1
-        for row, g in enumerate(group.gate_idx):
-            gate_to_slot[int(g)] = (group.gid, row)
-        for out in group.outputs:
-            net_level[int(out)] = -1
-        if group.gtype is GateType.DFFE:
+        for row, g in enumerate(group.gate_idx.tolist()):
+            gate_to_slot[g] = (group.gid, row, _RAILS[netlist.gates[g].gtype][1])
+        for out in group.outputs.tolist():
+            net_level[out] = lvl
+        if group.kind == _DFFE:
             group.dffe_rows = np.array(
                 [dffe_index[int(g)] for g in group.gate_idx], dtype=np.int64
             )
@@ -261,6 +318,9 @@ class CycleSimulator:
         self._ZO = np.zeros((2, c.n_rows, self.words), dtype=_U64)
         self.Z = self._ZO[0]
         self.O = self._ZO[1]
+        #: both planes as one ``(2 * n_rows, words)`` view: groups gather
+        #: and scatter through flat row indices (see :class:`_Group`)
+        self._flat = self._ZO.reshape(2 * c.n_rows, self.words)
         self._prev_Z = np.zeros_like(self.Z)
         self._prev_O = np.zeros_like(self.O)
         self._have_prev = False
@@ -290,7 +350,7 @@ class CycleSimulator:
             self.load_events = np.zeros(c.n_dffe, dtype=np.int64)
 
         # Fault bookkeeping: branch faults keyed by group id and resolved to
-        # (row, pin) positions against the shared compile; stem faults keyed
+        # (row, pin, rail-space value) against the shared compile; stem faults keyed
         # by net and re-forced exactly where the net gets written (drives,
         # the producing level, the latch step).  Each entry carries a word
         # slice: the whole pattern axis for ordinary faults, or the fault's
@@ -307,8 +367,8 @@ class CycleSimulator:
                 self._stem.setdefault(f.net, []).append((sl, f.value))
             else:
                 assert f.gate_index is not None
-                gid, row, pin = c.resolve_branch(f.gate_index, f.pin)
-                self._group_poison.setdefault(gid, []).append((row, pin, sl, f.value))
+                gid, row, pin, val = c.resolve_branch(f.gate_index, f.pin, f.value)
+                self._group_poison.setdefault(gid, []).append((row, pin, sl, val))
         self._stem_levels = {
             c.net_level[net] for net in self._stem if net in c.net_level
         }
@@ -390,61 +450,47 @@ class CycleSimulator:
             self.drive(net, (vals >> i) & 1)
 
     # ------------------------------------------------------------ evaluation
-    def _gather_all(self, group: _Group):
+    def _gather(self, group: _Group) -> np.ndarray:
         """Fetch every input pin of a group in one fancy index.
 
-        Returns (z, o) of shape ``(n_gates, arity, words)``.  Fancy indexing
-        yields fresh copies, so branch-fault poisons mutate them in place.
+        Returns the ``(2, n_gates, arity, words)`` rails in each gate's
+        own rail space.  Fancy indexing yields a fresh copy, so
+        branch-fault poisons (values resolved into that rail space at
+        construction) mutate it in place.
         """
-        zo = self._ZO[:, group.inputs]
-        z, o = zo[0], zo[1]
+        zo = self._flat[group.src]
         hits = self._group_poison.get(group.gid) if self._group_poison else None
         if hits:
             for row, pin, sl, val in hits:
-                if val:
-                    z[row, pin, sl] = 0
-                    o[row, pin, sl] = self.mask[sl]
-                else:
-                    z[row, pin, sl] = self.mask[sl]
-                    o[row, pin, sl] = 0
-        return z, o
+                zo[1 - val, row, pin, sl] = 0
+                zo[val, row, pin, sl] = self.mask[sl]
+        return zo
 
-    def _eval_group(self, group: _Group):
-        t = group.gtype
-        zi, oi = self._gather_all(group)
-        # Folds evaluate with one ufunc.reduce over the pin axis; mixed
-        # fan-ins were padded to the group arity with identity constants.
-        if t in (GateType.AND, GateType.NAND):
-            z = np.bitwise_or.reduce(zi, axis=1)
-            o = np.bitwise_and.reduce(oi, axis=1)
-            return (o, z) if t is GateType.NAND else (z, o)
-        if t in (GateType.OR, GateType.NOR):
-            z = np.bitwise_and.reduce(zi, axis=1)
-            o = np.bitwise_or.reduce(oi, axis=1)
-            return (o, z) if t is GateType.NOR else (z, o)
-        if t in (GateType.XOR, GateType.XNOR):
-            known = np.bitwise_and.reduce(zi | oi, axis=1)
-            o = np.bitwise_xor.reduce(oi, axis=1) & known
-            z = known & ~o
-            return (o, z) if t is GateType.XNOR else (z, o)
-        if t is GateType.NOT:
-            return oi[:, 0], zi[:, 0]
-        if t is GateType.BUF:
-            return zi[:, 0], oi[:, 0]
-        if t is GateType.MUX2:
-            return V.v_mux2(
-                zi[:, 0], oi[:, 0], zi[:, 1], oi[:, 1], zi[:, 2], oi[:, 2]
-            )
-        raise AssertionError(f"unexpected comb gate type {t}")
+    def _eval_group(self, group: _Group) -> None:
+        """Evaluate one combinational group and scatter its outputs."""
+        zo = self._gather(group)
+        kind = group.kind
+        if kind == _FOLD:
+            # AND fold over the (padded) pin axis in each gate's rail space.
+            out = np.empty_like(zo[:, :, 0])
+            np.bitwise_or.reduce(zo[0], axis=1, out=out[0])
+            np.bitwise_and.reduce(zo[1], axis=1, out=out[1])
+        elif kind == _PARITY:
+            out = np.empty_like(zo[:, :, 0])
+            known = np.bitwise_and.reduce(zo[0] | zo[1], axis=1)
+            np.bitwise_xor.reduce(zo[1], axis=1, out=out[1])
+            out[1] &= known
+            np.bitwise_xor(known, out[1], out=out[0])  # known & ~one
+        else:
+            out = _mux(zo[:, :, 0], zo[:, :, 1], zo[:, :, 2])
+        self._flat[group.dst] = out
 
     def settle(self) -> None:
         """Evaluate all combinational logic for the current cycle."""
         stem_levels = self._stem_levels
         for lvl, level in enumerate(self._levels):
             for group in level:
-                z, o = self._eval_group(group)
-                self.Z[group.outputs] = z
-                self.O[group.outputs] = o
+                self._eval_group(group)
             if lvl in stem_levels:
                 self._apply_stems()
         if self.count_toggles:
@@ -489,24 +535,19 @@ class CycleSimulator:
         """
         updates = []
         for group in groups:
-            zi, oi = self._gather_all(group)
-            if group.gtype is GateType.DFF:
-                updates.append((group.outputs, zi[:, 0], oi[:, 0]))
-            else:  # DFFE: pins (en, d)
-                ze, oe = zi[:, 0], oi[:, 0]
-                zq = self.Z[group.outputs]
-                oq = self.O[group.outputs]
-                z, o = V.v_mux2(ze, oe, zq, oq, zi[:, 1], oi[:, 1])
-                updates.append((group.outputs, z, o))
+            zo = self._gather(group)
+            if group.kind == _DFF:
+                updates.append((group.dst, zo[:, :, 0]))
+            else:  # DFFE: pins (en, d) plus the gathered Q as hold value
+                updates.append((group.dst, _mux(zo[:, :, 0], zo[:, :, 2], zo[:, :, 1])))
                 if self.count_toggles:
-                    counts = self._count_words(np.bitwise_count(oe))
+                    counts = self._count_words(np.bitwise_count(zo[1, :, 0]))
                     if self.toggle_blocks is None:
                         self.load_events[group.dffe_rows] += counts
                     else:
                         self.load_events[:, group.dffe_rows] += counts
-        for outputs, z, o in updates:
-            self.Z[outputs] = z
-            self.O[outputs] = o
+        for dst, out in updates:
+            self._flat[dst] = out
         if self._stem and self._stem_in_latch:
             self._apply_stems()
         self.cycles_run += 1

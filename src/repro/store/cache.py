@@ -72,9 +72,11 @@ Stage payload shapes (``kind`` -> canonical-JSON dict):
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import sqlite3
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -119,6 +121,10 @@ class CampaignStore:
         self.refresh = refresh
         self.provenance: list[StageProvenance] = []
         self.violations: list[IntegrityViolation] = []
+        #: per thread (``serve`` workers share one store), the index row
+        #: of the latest lookup hit: a stage hit reads its ``saved_s``
+        #: from it instead of querying the index again
+        self._last_hit = threading.local()
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, kind: str, key: str) -> dict | None:
@@ -127,7 +133,7 @@ class CampaignStore:
         if self.refresh:
             return None
         try:
-            return self.artifacts.get(key)
+            found = self.artifacts.get_bytes(key)
         except ArtifactCorrupt as exc:
             self._corrupt(kind, exc)
             return None
@@ -136,6 +142,10 @@ class CampaignStore:
             # and the next publish recreates the layout
             logger.warning("store: %s lookup degraded to a miss: %s", kind, exc)
             return None
+        if found is None:
+            return None
+        data, self._last_hit.row = found
+        return json.loads(data)
 
     def newest(self, kind: str, design: str) -> tuple[ArtifactRow, bytes] | None:
         """The newest intact ``kind`` entry of a design: its row and its
@@ -221,14 +231,13 @@ class CampaignStore:
             stage.cached = decode(payload)
         if stage.hit:
             stage.wall_s = time.perf_counter() - stage._t0
-            row = self.artifacts.row(key)
             self.record(
                 StageProvenance(
                     kind,
                     key,
                     hit=True,
                     wall_s=stage.wall_s,
-                    saved_s=row.wall_s if row is not None else 0.0,
+                    saved_s=self._last_hit.row.wall_s,
                 )
             )
         return stage

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.faults import FaultSite
-from repro.logic.simulator import CycleSimulator
+from repro.logic import values as V
+from repro.logic.eventsim import EventSimulator
+from repro.logic.faults import FaultSite, enumerate_faults
+from repro.logic.simulator import CycleSimulator, compile_netlist
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType, eval_gate_ints
 
@@ -299,3 +301,82 @@ class TestBusHelpers:
         sim = CycleSimulator(nl, 1)
         sim.settle()
         assert sim.sample_bus(outs)[0] == -1
+
+
+def _mixed_level_netlist():
+    """Every comb gate type on each of two levels, ragged fan-ins, plus a
+    DFF and a DFFE fed back into the first level."""
+    b = NetlistBuilder("mixed")
+    a, c, d, e = (b.input(n) for n in "acde")
+    q0, q1 = b.net("q0"), b.net("q1")
+    l1 = [
+        b.and_([a, c]),
+        b.nand_([a, c, q0]),
+        b.or_([a, c, d, e]),
+        b.nor_([d, q1]),
+        b.not_(a),
+        b.buf_(q1),
+        b.xor_([a, d]),
+        b.xnor_([c, d, e]),
+        b.mux2_(q0, a, e),
+    ]
+    l2 = [
+        b.and_([l1[0], l1[2], l1[5], l1[8]]),
+        b.or_([l1[4], l1[6]]),
+        b.nor_([l1[1], l1[3], l1[7]]),
+        b.nand_([l1[0], l1[4]]),
+        b.xor_([l1[1], l1[2], l1[3]]),
+        b.xnor_([l1[5], l1[6]]),
+        b.mux2_(l1[7], l1[8], l1[0]),
+        b.not_(l1[2]),
+        b.buf_(l1[6]),
+    ]
+    b.dff(l2[2], output=q0)
+    b.dffe(l2[6], l2[4], output=q1)
+    for n in l2:
+        b.output(n)
+    return b.done()
+
+
+class TestMixedGroups:
+    """The fold/parity/MUX2 groups against the event-driven reference."""
+
+    def test_level_holds_at_most_one_group_per_kind(self):
+        compiled = compile_netlist(_mixed_level_netlist())
+        assert len(compiled.levels) == 2
+        for level in compiled.levels:
+            kinds = [g.kind for g in level]
+            assert sorted(kinds) == ["fold", "mux2", "parity"]
+        assert sorted(g.kind for g in compiled.seq_groups) == ["dff", "dffe"]
+
+    def test_every_fault_matches_event_simulator_with_x_inputs(self):
+        nl = _mixed_level_netlist()
+        faults = enumerate_faults(nl, include_pi_stems=True)
+        n_pins = sum(len(g.inputs) for g in nl.gates)
+        assert len(faults) == 2 * (len(nl.gates) + len(nl.inputs) + n_pins)
+        rng = np.random.default_rng(5)
+        n_patterns, n_cycles = 24, 4
+        # per (cycle, input, pattern): 0, 1 or X (-1, the event engine's X)
+        stim = rng.integers(-1, 2, size=(n_cycles, len(nl.inputs), n_patterns))
+        for fault in faults:
+            sim = CycleSimulator(nl, n_patterns, faults=[fault])
+            got = []
+            for cycle in range(n_cycles):
+                for k, net in enumerate(nl.inputs):
+                    vals = stim[cycle, k]
+                    one = np.array(vals == 1, dtype=np.uint8)
+                    zero = np.array(vals == 0, dtype=np.uint8)
+                    sim.drive_words(net, V.pack_bits(zero), V.pack_bits(one))
+                sim.settle()
+                got.append([sim.sample(n) for n in range(nl.num_nets)])
+                sim.latch()
+            for p in range(n_patterns):
+                ref = EventSimulator(nl, faults=[fault])
+                for cycle in range(n_cycles):
+                    for k, net in enumerate(nl.inputs):
+                        ref.drive_const(net, int(stim[cycle, k, p]))
+                    ref.settle()
+                    want = [ref.sample(n) for n in range(nl.num_nets)]
+                    have = [int(got[cycle][n][p]) for n in range(nl.num_nets)]
+                    assert have == want, (fault, cycle, p)
+                    ref.latch()

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -143,6 +144,56 @@ def test_campaign_store_degrades_corruption_to_logged_miss(tmp_path):
     _corrupt_blob(store.artifacts, "k")
     assert store.lookup("faultsim", "k") is None  # miss, not a crash
     assert [v.check for v in store.violations] == ["store-blob-corrupt"]
+
+
+def test_stage_hit_makes_one_index_query(tmp_path, monkeypatch):
+    store = CampaignStore(tmp_path / "store")
+    store.artifacts.put("grading", "k", {"v": 1}, wall_s=1.25)
+    queries = []
+    connect = store.artifacts._connect
+
+    def counting_connect():
+        queries.append(1)
+        return connect()
+
+    monkeypatch.setattr(store.artifacts, "_connect", counting_connect)
+    stage = store.stage("grading", "k", decode=lambda payload: payload)
+    assert stage.hit and stage.cached == {"v": 1}
+    assert len(queries) == 1
+    (prov,) = store.provenance
+    assert prov.hit and prov.saved_s == store.artifacts.row("k").wall_s == 1.25
+
+
+def test_concurrent_stage_hits_keep_their_own_saved_s(tmp_path):
+    """``serve`` workers share one store: each thread's stage hit reports
+    the wall of the row it read, never another thread's."""
+    store = CampaignStore(tmp_path / "store")
+    keys = [f"k{i}" for i in range(4)]
+    for i, key in enumerate(keys):
+        store.artifacts.put("grading", key, {"v": i}, wall_s=float(i + 1))
+
+    def decode(payload):
+        time.sleep(0.0005)  # hand the interpreter to another thread mid-stage
+        return payload
+
+    def hits(key):
+        for _ in range(40):
+            assert store.stage("grading", key, decode=decode).hit
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hits, args=(key,)) for key in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert len(store.provenance) == 4 * 40
+    wall = {key: float(i + 1) for i, key in enumerate(keys)}
+    assert all(p.saved_s == wall[p.key] for p in store.provenance)
 
 
 def test_verify_reports_defects(tmp_path):
