@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.grading import grade_sfr_faults
 from repro.core.pipeline import controller_fault_universe
 from repro.hls.system import NormalModeStimulus, hold_masks
+from repro.logic.faults import fault_key
 from repro.logic.faultsim import (
     fault_simulate,
     run_golden,
@@ -24,6 +25,8 @@ from repro.logic.faultsim import (
     verdicts_from_payload,
     verdicts_payload,
 )
+from repro.power.estimator import PowerEstimator
+from repro.power.montecarlo import monte_carlo_power
 from repro.store.cache import CampaignStore
 from repro.store.fingerprint import netlist_fingerprint, stage_key
 from repro.tpg.tpgr import TPGR
@@ -140,46 +143,48 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
             }
         )
 
-    # Grading kernel: the serial per-fault reference vs the cone-restricted
-    # block-parallel kernel, bit-identical by contract.
-    n_sfr = len(pipelines["diffeq"].sfr_records)
-    kernel_rows = {}
-    for label, kwargs in (
-        ("serial", dict(batched=False)),
-        ("batched", dict(batched=True)),
-    ):
-        t0 = time.perf_counter()
-        grading = grade_sfr_faults(
-            system,
-            pipelines["diffeq"],
-            batch_patterns=MC_BATCH,
-            max_batches=MC_MAX_BATCHES,
-            audit_rate=0.0,
-            **kwargs,
-        )
-        elapsed = time.perf_counter() - t0
-        assert grading.fault_free_uw == base_grading.fault_free_uw
-        assert [
-            (g.power_uw, g.pct_change, g.group) for g in grading.graded
-        ] == [(g.power_uw, g.pct_change, g.group) for g in base_grading.graded]
-        kernel_rows[label] = {"wall_s": elapsed, "faults_per_s": n_sfr / elapsed}
+    # Grading kernel: the per-fault Monte-Carlo oracle vs the
+    # cone-restricted block-parallel kernel, bit-identical by contract.
+    sfr = pipelines["diffeq"].sfr_records
+    mc_kwargs = dict(batch_patterns=MC_BATCH, max_batches=MC_MAX_BATCHES)
+    estimator = PowerEstimator(system.netlist)
+    t0 = time.perf_counter()
+    oracle_base = monte_carlo_power(system, estimator, **mc_kwargs).power_uw
+    oracle = {
+        fault_key(r.system_site): monte_carlo_power(
+            system, estimator, fault=r.system_site, **mc_kwargs
+        ).power_uw
+        for r in sfr
+    }
+    mc_oracle_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    grading = grade_sfr_faults(
+        system, pipelines["diffeq"], audit_rate=0.0, **mc_kwargs
+    )
+    mc_kernel_s = time.perf_counter() - t0
+    assert grading.fault_free_uw == oracle_base == base_grading.fault_free_uw
+    assert {fault_key(g.record.system_site): g.power_uw for g in grading.graded} == oracle
+    kernel_rows = {
+        label: {"wall_s": wall, "faults_per_s": len(sfr) / wall}
+        for label, wall in (("oracle", mc_oracle_s), ("kernel", mc_kernel_s))
+    }
 
     fault_sim_fps = next(
         s["faults_per_s"]
         for s in metrics["stages"]
         if s["stage"] == "fault_sim" and s["n_jobs"] == 1
     )
-    grading_fps = kernel_rows["batched"]["faults_per_s"]
+    grading_fps = kernel_rows["kernel"]["faults_per_s"]
     ratio = fault_sim_fps / grading_fps
     metrics["grading_kernel"] = {
         **{f"{k}_{f}": v[f] for k, v in kernel_rows.items() for f in v},
-        "speedup": kernel_rows["serial"]["wall_s"] / kernel_rows["batched"]["wall_s"],
+        "speedup": mc_oracle_s / mc_kernel_s,
         "fault_sim_faults_per_s": fault_sim_fps,
         "fault_sim_to_grading_ratio": ratio,
     }
     lines += [
         "",
-        "grading kernel (audits off, bit-identical):",
+        "grading kernel vs per-fault oracle (audits off, bit-identical):",
     ] + [
         f"  {label:<14}{row['wall_s']:>8.2f}s{row['faults_per_s']:>10.1f} faults/s"
         for label, row in kernel_rows.items()

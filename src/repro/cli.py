@@ -313,15 +313,20 @@ def _print_incremental(result) -> None:
         )
 
 
+def _campaign_kwargs(args) -> dict:
+    """The fan-out and integrity knobs of every campaign the CLI runs."""
+    return {
+        "n_jobs": args.jobs,
+        "timeout": args.timeout,
+        "max_retries": args.max_retries,
+        "audit_rate": args.audit_rate,
+        "strict": args.strict,
+    }
+
+
 def _config(args) -> PipelineConfig:
     return PipelineConfig(
-        n_patterns=args.patterns,
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        audit_rate=args.audit_rate,
-        strict=args.strict,
-        chaos=args.chaos,
+        n_patterns=args.patterns, chaos=args.chaos, **_campaign_kwargs(args)
     )
 
 
@@ -395,14 +400,10 @@ def _cmd_grade(args) -> int:
         system,
         result,
         threshold=args.threshold,
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        audit_rate=args.audit_rate,
-        strict=args.strict,
         chaos=chaos_engine,
         store=store,
         seed_results=seeds,
+        **_campaign_kwargs(args),
     )
     _print_campaign(grading.campaign, "grading campaign")
     report = _result_report(store, system, config, result, grading, command="grade")
@@ -459,12 +460,8 @@ def _cmd_calibrate(args) -> int:
         result,
         _fleet_config(args),
         threshold=args.threshold,
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        audit_rate=args.audit_rate,
-        strict=args.strict,
         store=store,
+        **_campaign_kwargs(args),
     )
     _print_campaign(campaign.campaign, "activity campaign")
     _print_campaign(grading.campaign, "grading campaign")
@@ -569,12 +566,8 @@ def _compute_campaign(args, store: CampaignStore, design: str, threshold: float)
         system,
         result,
         threshold=threshold,
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        audit_rate=args.audit_rate,
-        strict=args.strict,
         store=store,
+        **_campaign_kwargs(args),
     )
     return _result_report(store, system, config, result, grading, command="grade")
 
@@ -596,12 +589,8 @@ def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) ->
         system,
         result,
         FleetConfig(**params),
-        n_jobs=args.jobs,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        audit_rate=args.audit_rate,
-        strict=args.strict,
         store=store,
+        **_campaign_kwargs(args),
     )
     return calibrate_report_dict(fleet)
 
@@ -705,7 +694,7 @@ def _cmd_strategies(args) -> int:
 
     system = _build(args)
     result = run_pipeline(system, _config(args))
-    grading = grade_sfr_faults(system, result, max_batches=4, n_jobs=args.jobs)
+    grading = grade_sfr_faults(system, result, max_batches=4, **_campaign_kwargs(args))
     rows = compare_strategies(system, result, grading, n_patterns=args.patterns)
     print(
         render_table(

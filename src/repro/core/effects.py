@@ -118,6 +118,14 @@ class ControlTrace:
     states: list[str] = field(default_factory=list)
 
 
+def _line_values(sim: CycleSimulator, out_nets: np.ndarray) -> np.ndarray:
+    """Bit 0 of every word of the control lines: ``(n_lines, words)``,
+    -1 == X, read with one gather per plane."""
+    is_zero = (sim.Z[out_nets] & np.uint64(1)).astype(bool)
+    is_one = (sim.O[out_nets] & np.uint64(1)).astype(bool)
+    return np.where(is_one, 1, np.where(is_zero, 0, -1))
+
+
 def _run_controller(
     ctrl: SynthesizedController,
     scenario: Scenario,
@@ -125,6 +133,8 @@ def _run_controller(
     cond_flips: set[int] | None = None,
 ) -> ControlTrace:
     sim = CycleSimulator(ctrl.netlist, 1, faults=[fault] if fault else None)
+    names = list(ctrl.output_nets)
+    out_nets = np.array(list(ctrl.output_nets.values()), dtype=np.int64)
     lines: list[dict[str, int]] = []
     states: list[str] = []
     has_cond = "cond" in ctrl.input_nets
@@ -137,9 +147,7 @@ def _run_controller(
                 cond = 1 - cond
             sim.drive_const(ctrl.input_nets["cond"], cond)
         sim.settle()
-        lines.append(
-            {name: int(sim.sample(net)[0]) for name, net in ctrl.output_nets.items()}
-        )
+        lines.append(dict(zip(names, _line_values(sim, out_nets)[:, 0].tolist())))
         states.append(scenario.golden_state(cycle))
         sim.latch()
     return ControlTrace(scenario=scenario, lines=lines, states=states)
@@ -205,9 +213,7 @@ def faulty_control_values(
             sim.drive_words(ctrl.input_nets["cond"], ~one, one)
         sim.settle()
         # Every bit of a word is the same machine: bit 0 stands for all.
-        is_zero = (sim.Z[out_nets] & np.uint64(1)).astype(bool)
-        is_one = (sim.O[out_nets] & np.uint64(1)).astype(bool)
-        values[cycle] = np.where(is_one, 1, np.where(is_zero, 0, -1))
+        values[cycle] = _line_values(sim, out_nets)
         sim.latch()
     return values
 

@@ -142,29 +142,13 @@ def _context_batches(context) -> list:
     )
 
 
-def _grade_worker(context, fault):
-    """Monte-Carlo one fault against shared precomputed batches (pickles).
-
-    Every result carries its activity trace.
-    """
-    system, estimator, _seed, _bp, max_batches, iterations_window = context
-    return monte_carlo_power(
-        system,
-        estimator,
-        fault=fault,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-        batches=_context_batches(context),
-        capture_activity=True,
-    )
-
-
 def _grade_chunk_worker(context, chunk):
     """Monte-Carlo a whole fault chunk through the block-parallel kernel.
 
     One wide simulation per Monte-Carlo batch for every still-unconverged
-    fault of the chunk; per-fault results (activity traces included) are
-    bit-identical to :func:`_grade_worker` on the same knobs.
+    fault of the chunk; every per-fault result carries its activity
+    trace and is bit-identical to a per-fault ``monte_carlo_power`` run
+    on the same knobs.
     """
     system, estimator, _seed, _bp, max_batches, iterations_window = context
     return monte_carlo_power_block(
@@ -198,52 +182,33 @@ def simulate_campaign(
     n_jobs: int = 1,
     timeout: float | None = None,
     max_retries: int = 2,
-    batched: bool = True,
     chaos=None,
 ) -> RunReport:
     """Monte-Carlo every fault site of one campaign; ``on_result(site, mc)``
     receives each result (activity trace attached) as its chunk finishes.
 
     ``context`` is the worker context ``(system, estimator, seed,
-    batch_patterns, max_batches, iterations_window)``.  With ``batched``
-    the faults go in order-preserving block-parallel chunks sized like
-    fault simulation's (:func:`~repro.logic.faultsim.chunk_capacity`):
-    one chunk per worker, capped so the ``len(chunk) *
-    batch_patterns``-wide worker simulator stays within
-    :data:`~repro.logic.faultsim.MAX_BLOCK_WORDS`.  Campaigns whose
-    ``batch_patterns`` is not a multiple of 64 run per fault, as does
-    ``batched=False``.
+    batch_patterns, max_batches, iterations_window)``.  The faults go in
+    order-preserving block-parallel chunks sized like fault simulation's
+    (:func:`~repro.logic.faultsim.chunk_capacity`): one chunk per worker,
+    capped so the chunk's ``V.num_words(batch_patterns)``-word blocks
+    stay within :data:`~repro.logic.faultsim.MAX_BLOCK_WORDS`.
     """
-    batch_patterns = context[3]
-    use_block = batched and batch_patterns % V.WORD_BITS == 0
-    if use_block:
-        size = chunk_capacity(len(sites), n_jobs, batch_patterns // V.WORD_BITS)
-        items = [sites[i : i + size] for i in range(0, len(sites), size)]
-        worker = _grade_chunk_worker
+    size = chunk_capacity(len(sites), n_jobs, V.num_words(context[3]))
+    chunks = [sites[i : i + size] for i in range(0, len(sites), size)]
 
-        def _collect(chunk_items, chunk_results) -> None:
-            for chunk, mcs in zip(chunk_items, chunk_results):
-                for site, mc in zip(chunk, mcs):
-                    on_result(site, mc)
-
-    else:
-        items = sites
-        worker = _grade_worker
-
-        def _collect(chunk_items, chunk_results) -> None:
-            for site, mc in zip(chunk_items, chunk_results):
+    def _collect(chunk_items, chunk_results) -> None:
+        for chunk, mcs in zip(chunk_items, chunk_results):
+            for site, mc in zip(chunk, mcs):
                 on_result(site, mc)
 
-    run_context = context
+    worker, run_context = _grade_chunk_worker, context
     if chaos is not None:
         worker, run_context = chaos.wrap(worker, context)
     executor = ParallelExecutor(
-        n_jobs,
-        chunk_size=1 if use_block else None,
-        timeout=timeout,
-        max_retries=max_retries,
+        n_jobs, chunk_size=1, timeout=timeout, max_retries=max_retries
     )
-    executor.run(worker, items, run_context, on_chunk=_collect)
+    executor.run(worker, chunks, run_context, on_chunk=_collect)
     assert executor.last_report is not None
     return executor.last_report
 
@@ -319,7 +284,6 @@ def grade_sfr_faults(
     strict: bool = False,
     chaos=None,
     store: CampaignStore | None = None,
-    batched: bool = True,
     seed_results: dict[str, "MonteCarloResult"] | None = None,
 ) -> GradingResult:
     """Monte-Carlo grade every SFR fault of a pipeline result.
@@ -330,15 +294,12 @@ def grade_sfr_faults(
     each batch that the block kernel simulates (and memoizes) anyway
     (:func:`~repro.power.montecarlo.monte_carlo_baseline`), bit-identical
     to a fault-free ``monte_carlo_power`` run on the same batches.  Faults
-    are graded in block-parallel chunks by default (``batched=True``):
-    each fault of a chunk owns one pattern block of a single wide
-    cone-restricted simulator, so every Monte-Carlo batch is one pass
-    over the chunk's union fault cone instead of one simulator per fault
-    per batch.  This is a pure performance lever -- powers, convergence
-    histories and store fingerprints are bit-identical to the per-fault
-    path (``batched=False``), which is retained as the differential-audit
-    reference; campaigns whose ``batch_patterns`` is not a multiple of 64
-    fall back to it automatically.  The chunks fan
+    are graded in block-parallel chunks: each fault of a chunk owns one
+    pattern block of a single wide cone-restricted simulator, so every
+    Monte-Carlo batch is one pass over the chunk's union fault cone
+    instead of one simulator per fault per batch.  Powers and
+    convergence histories are bit-identical to the per-fault
+    ``monte_carlo_power`` reference at any batch size, and the chunks fan
     out across ``n_jobs`` processes with bit-identical powers regardless
     of job count.
 
@@ -354,8 +315,8 @@ def grade_sfr_faults(
     baseline poisons every percentage).  Every per-fault power is held
     to the same finite/ceiling invariants, register-load-adding faults
     to Section-5 monotonicity, and a hash-selected ``audit_rate``
-    fraction is recomputed through the generate-per-call Monte-Carlo
-    path (independent of the batch-replay path used by the campaign).
+    fraction is recomputed through the per-fault generate-per-call
+    ``monte_carlo_power`` (independent of the campaign's block kernel).
     A violating fault is excluded from ``graded`` and recorded on the
     campaign report -- or, with ``strict=True``, aborts the run.
     ``chaos`` optionally injects worker crashes/hangs and power-word
@@ -449,7 +410,6 @@ def grade_sfr_faults(
             n_jobs=n_jobs,
             timeout=timeout,
             max_retries=max_retries,
-            batched=batched,
             chaos=chaos,
         )
         report.n_items = len(records)
@@ -458,7 +418,7 @@ def grade_sfr_faults(
 
     if not stage.hit:
         # Differential audit: recompute the hash-selected subset through the
-        # generate-per-call Monte-Carlo path (fresh data from the same seed
+        # per-fault generate-per-call oracle (fresh data from the same seed
         # -- bit-identical to batch replay by construction) and require
         # exact agreement with the campaign's value.  Replayed store hits
         # skip this: only audited-clean campaigns are ever published.
@@ -483,8 +443,8 @@ def grade_sfr_faults(
                         fault=key,
                         site=record.site.describe(system.controller.netlist),
                         detail=(
-                            "batch-replay Monte-Carlo power diverges from the "
-                            "generate-per-call recomputation; fault excluded "
+                            "block-kernel Monte-Carlo power diverges from the "
+                            "per-fault recomputation; fault excluded "
                             "from grading"
                         ),
                         expected=format_value(reference.power_uw),

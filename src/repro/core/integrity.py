@@ -12,8 +12,8 @@ This module makes campaign results self-verifying:
   on an independent path: cone-restricted fault-simulation verdicts are
   re-checked against the serial per-fault simulator, the compiled cycle
   simulator is spot-checked against the scalar event-driven engine, and
-  batch-replay Monte-Carlo powers are recomputed through the
-  generate-per-call path.  Any divergence becomes a structured
+  the block kernel's Monte-Carlo powers are recomputed through the
+  per-fault generate-per-call ``monte_carlo_power``.  Any divergence becomes a structured
   :class:`IntegrityViolation` naming the fault, the site and the first
   divergent cycle.  Cone-restricted campaigns additionally re-simulate a
   capped handful of death-pruned faults through the serial reference

@@ -292,6 +292,11 @@ class CycleSimulator:
             would have counted.  This is the counter side of the
             fault-parallel Monte-Carlo power kernel (each fault block
             gets its own power estimate from one wide pass).
+
+    ``count_mask`` is the per-word mask of the patterns the DFFE load
+    counters see: the real patterns (``mask``) unless a block-parallel
+    owner whose blocks pad their last word narrows it to each block's
+    tail mask.
     """
 
     def __init__(
@@ -309,6 +314,7 @@ class CycleSimulator:
         self.n_patterns = n_patterns
         self.words = V.num_words(n_patterns)
         self.mask = V.tail_mask(n_patterns)
+        self.count_mask = self.mask
         self.count_toggles = count_toggles
 
         c = self.compiled
@@ -541,7 +547,9 @@ class CycleSimulator:
             else:  # DFFE: pins (en, d) plus the gathered Q as hold value
                 updates.append((group.dst, _mux(zo[:, :, 0], zo[:, :, 2], zo[:, :, 1])))
                 if self.count_toggles:
-                    counts = self._count_words(np.bitwise_count(zo[1, :, 0]))
+                    counts = self._count_words(
+                        np.bitwise_count(zo[1, :, 0] & self.count_mask)
+                    )
                     if self.toggle_blocks is None:
                         self.load_events[group.dffe_rows] += counts
                     else:

@@ -10,26 +10,27 @@ relative tolerance, or a batch budget is exhausted.
 fixed-test-set experiments of Table 3 (where the data comes from a TPGR
 with a chosen seed instead of a Monte-Carlo RNG).
 
-A grading campaign runs the same random batches through the fault-free
-machine and every faulted one.  ``precompute_batches`` materialises each
-batch as a packed :class:`NormalModeStimulus` exactly once; passing the
-list to ``monte_carlo_power`` (via ``batches=``) replays it without
-regenerating or re-packing data, with results bit-identical to the
-generate-per-call path for the same seed and batch size.
-(``shared_batches`` memoizes that list on the system object, so pool
-workers regenerate it locally instead of receiving it pickled.)
+``monte_carlo_power_block`` is the campaign kernel every grading
+campaign runs: each fault of a chunk owns one pattern block of a single
+wide block-parallel simulator, every Monte-Carlo batch is one
+compiled-netlist pass for the whole chunk, per-fault convergence is
+tracked exactly as the per-fault loop does, and converged faults are
+compacted out of the next batch's simulator.  Each batch applies the
+cone restriction: one fault-free reference run per batch supplies the
+toggle counts of every net outside a fault's sequential fanout cone
+(those nets provably never diverge -- see docs/performance.md), and only
+the chunk's union cone is simulated.  A batch size that is not a
+multiple of 64 pads each block's last word, and the padding bits are
+masked out of the load counters.  The campaign replays its batches from
+``precompute_batches``, which packs each batch as a
+:class:`NormalModeStimulus` exactly once (``shared_batches`` memoizes
+that list on the system object, so pool workers regenerate it locally
+instead of receiving it pickled).
 
-``monte_carlo_power_block`` is the fault-parallel campaign kernel: each
-fault of a chunk owns one pattern block of a single wide block-parallel
-simulator, every Monte-Carlo batch is one compiled-netlist pass for the
-whole chunk, per-fault convergence is tracked exactly as the serial loop
-does, and converged faults are compacted out of the next batch's
-simulator.  Each batch applies the cone restriction: one fault-free
-reference run per batch supplies the toggle counts of every net outside
-a fault's sequential fanout cone (those nets provably never diverge --
-see docs/performance.md), and only the chunk's union cone is simulated.
-The per-fault ``MonteCarloResult`` is bit-identical to
-``monte_carlo_power``.
+``monte_carlo_power`` is the per-fault reference: it draws each batch
+from the seed as it goes and simulates the whole netlist, and the
+kernel's per-fault ``MonteCarloResult`` is bit-identical to it.  The
+grading audit, fault diagnosis and ``worstcase`` run it.
 
 ``monte_carlo_baseline`` is the fault-free result of the same campaign,
 read off those per-batch fault-free reference runs instead of
@@ -520,17 +521,14 @@ def monte_carlo_power(
     rel_tol: float = MC_REL_TOL,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
-    batches: list[NormalModeStimulus] | None = None,
     capture_activity: bool = False,
 ) -> MonteCarloResult:
     """Run random batches until the cumulative mean power converges.
 
     Convergence: the cumulative mean moved by less than ``rel_tol``
     (relative) over the last batch, after at least ``min_batches``.
-
-    Pass ``batches`` (from :func:`precompute_batches`) to reuse packed
-    batch stimuli across faulted runs; ``seed``/``batch_patterns`` are
-    then ignored in favour of the precomputed data.
+    Each batch is drawn from one RNG stream seeded with ``seed`` as the
+    loop reaches it -- the same data :func:`precompute_batches` packs.
 
     With ``capture_activity=True`` the result additionally carries an
     :class:`ActivityTrace` of the per-batch integer counters every float
@@ -546,7 +544,7 @@ def monte_carlo_power(
         max_batches,
         iterations_window,
         hold_cycles,
-        batches,
+        None,
     )
     stream = _Convergence(min_batches, rel_tol, capture_activity, fault)
     for batch in range(1, max_batches + 1):
@@ -608,9 +606,9 @@ def monte_carlo_baseline(
     :meth:`~repro.power.estimator.PowerEstimator.power_from_counts` under
     the default convergence rule, counter bounds check and batch guard
     of :func:`monte_carlo_power`.  The result, its :class:`ActivityTrace`
-    included, equals ``monte_carlo_power(fault=None, batches=batches,
-    capture_activity=True)`` field for field, without simulating any
-    batch a second time.
+    included, equals a fault-free ``monte_carlo_power(capture_activity=
+    True)`` on the seed and knobs that drew ``batches``, field for field,
+    without simulating any batch a second time.
     """
     if max_batches < 1:
         raise ValueError(f"max_batches must be >= 1, got {max_batches}")
@@ -645,6 +643,17 @@ class _ConeBlockKernel:
     instance serves every batch of an unchanged live-fault set (state
     reset and counters zeroed between batches); a narrower kernel is
     built when convergence compacts faults out.
+
+    Each block spans ``V.num_words(n_patterns)`` words.  When the batch
+    size is not a multiple of 64, the last word of every block carries
+    padding bits that full-word stem forces and branch poisons still
+    set.  Those bits never toggle: every padding source (golden boundary
+    rows, which are X there, forces, poisons and pinned constants) holds
+    one value for the whole batch and the state starts all-X, so
+    three-valued simulation only refines a padding bit from X to a known
+    value and never flips it.  A load event, though, counts an enable's
+    level, not a change, so the DFFE load counters see each block
+    through its tail mask (the simulator's ``count_mask``).
     """
 
     def __init__(
@@ -664,11 +673,12 @@ class _ConeBlockKernel:
         self.last_counts: tuple[np.ndarray, np.ndarray] | None = None
         self.cs = None
 
-    def _build(self, wpb: int) -> None:
+    def _build(self, n_patterns: int) -> None:
         from ..logic.faultsim import _ConeSim
 
         netlist = self.system.netlist
         n_blocks = len(self.faults)
+        wpb = V.num_words(n_patterns)
         self.cs = cs = _ConeSim(
             netlist,
             compile_netlist(netlist),
@@ -679,6 +689,7 @@ class _ConeBlockKernel:
             False,
             count_toggles=True,
         )
+        cs.sim.count_mask = np.tile(V.tail_mask(n_patterns), n_blocks)
         self.counted = np.array(sorted(cs.union_nets), dtype=np.int64)
         self.state = np.zeros(
             (2, len(cs.state_rows), n_blocks * wpb), dtype=np.uint64
@@ -689,9 +700,9 @@ class _ConeBlockKernel:
     def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
         golden = _golden_batch(self.system, stim)
         n_blocks = len(self.faults)
-        wpb = stim.n_patterns // V.WORD_BITS
+        wpb = V.num_words(stim.n_patterns)
         if self.cs is None:
-            self._build(wpb)
+            self._build(stim.n_patterns)
         else:
             self.cs.sim.reset_state()
             self.cs.sim.load_events[:] = 0
@@ -771,35 +782,18 @@ def monte_carlo_power_block(
     :class:`ActivityTrace` of per-batch integer counters (the counters
     the kernels already accumulate -- capture only snapshots them).
 
-    Batches whose pattern count is not a multiple of the 64-bit word
-    size cannot be block-partitioned and fall back to the serial
-    per-fault path.  Callers are responsible for keeping chunks small
-    enough for the ``len(faults) * batch_patterns``-wide simulator to
-    fit in memory (the grading layer chunks accordingly).
+    Any batch size works: each block pads to whole 64-bit words and
+    counts only its real patterns' load events.  Pass ``batches`` (from
+    :func:`shared_batches`) to replay packed batch stimuli across fault
+    chunks; ``seed``/``batch_patterns`` are then ignored in favour of
+    the precomputed data.  Callers are responsible for keeping chunks
+    small enough for the ``len(faults)``-block simulator to fit in
+    memory (the grading layer chunks accordingly).
     """
     faults = list(faults)
     if not faults:
         return []
     _check_knobs(batch_patterns, max_batches, min_batches, rel_tol)
-    patterns_per_batch = batches[0].n_patterns if batches else batch_patterns
-    if patterns_per_batch % V.WORD_BITS:
-        return [
-            monte_carlo_power(
-                system,
-                estimator,
-                fault=fault,
-                seed=seed,
-                batch_patterns=batch_patterns,
-                max_batches=max_batches,
-                min_batches=min_batches,
-                rel_tol=rel_tol,
-                iterations_window=iterations_window,
-                hold_cycles=hold_cycles,
-                batches=batches,
-                capture_activity=capture_activity,
-            )
-            for fault in faults
-        ]
     batch_stim, max_batches = _batch_source(
         system,
         seed,

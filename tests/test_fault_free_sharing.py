@@ -163,9 +163,8 @@ class TestGoldenBatchBaseline:
             facet_system,
             estimator,
             fault=None,
-            max_batches=max_batches,
-            batches=batches,
             capture_activity=True,
+            **{**kwargs, "max_batches": max_batches},
         )
         for name in ("power_uw", "batches", "patterns", "history", "converged"):
             assert getattr(got, name) == getattr(want, name), name

@@ -1,5 +1,7 @@
 """Tests for Monte-Carlo power grading of SFR faults."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core.grading import (
     table3_rows,
     power_under_test_set,
 )
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import PipelineConfig, controller_fault_universe, run_pipeline
 from repro.logic.faults import fault_key
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
@@ -154,37 +156,54 @@ def poly_pipeline(poly_system):
     return run_pipeline(poly_system, PipelineConfig(n_patterns=128))
 
 
+def _sampled_faults(system, pipeline, n_sfr: int = 8, n_stems: int = 6) -> list:
+    """SFR faults plus stem faults sampled evenly across the universe."""
+    universe = [system.to_system_fault(s) for s in controller_fault_universe(system)]
+    stems = [f for f in universe if f.is_stem]
+    sfr = [r.system_site for r in pipeline.sfr_records][:n_sfr]
+    return sfr + stems[:: max(1, len(stems) // n_stems)][:n_stems]
+
+
+def _assert_matches_oracle(grading, system, pipeline, **kwargs):
+    """Every grade equals the per-fault ``monte_carlo_power`` oracle's."""
+    est = PowerEstimator(system.netlist)
+    base = monte_carlo_power(system, est, **kwargs).power_uw
+    assert grading.fault_free_uw == base
+    graded = {fault_key(g.record.system_site): g for g in grading.graded}
+    assert len(graded) == len(pipeline.sfr_records)
+    for record in pipeline.sfr_records:
+        g = graded[fault_key(record.system_site)]
+        ref = monte_carlo_power(system, est, fault=record.system_site, **kwargs)
+        assert g.power_uw == ref.power_uw
+        assert g.pct_change == 100.0 * (ref.power_uw - base) / base
+
+
 class TestBlockKernelBitIdentity:
-    """monte_carlo_power_block vs the serial per-fault reference."""
+    """monte_carlo_power_block vs the per-fault reference."""
 
     @pytest.mark.parametrize("design", ["facet", "diffeq", "poly"])
     @pytest.mark.parametrize("capture_activity", [False, True])
     def test_matches_serial_per_fault(self, design, capture_activity, request):
         """Powers, histories and (when captured) every per-batch counter
-        equal the serial loop's: capturing the traces changes nothing."""
+        equal the per-fault loop's: capturing the traces changes nothing,
+        and replaying shared batches equals drawing them per call."""
         system = request.getfixturevalue(f"{design}_system")
         pipeline = request.getfixturevalue(f"{design}_pipeline")
         faults = [r.system_site for r in pipeline.sfr_records][:6]
         assert faults, f"{design} has no SFR faults to grade"
         est = PowerEstimator(system.netlist)
         kwargs = dict(batch_patterns=64, max_batches=4)
-        batches = shared_batches(system, **kwargs)
         block = monte_carlo_power_block(
             system,
             est,
             faults,
-            batches=batches,
+            batches=shared_batches(system, **kwargs),
             capture_activity=capture_activity,
             **kwargs,
         )
         for fault, got in zip(faults, block):
             ref = monte_carlo_power(
-                system,
-                est,
-                fault=fault,
-                batches=batches,
-                capture_activity=capture_activity,
-                **kwargs,
+                system, est, fault=fault, capture_activity=capture_activity, **kwargs
             )
             _assert_mc_equal(got, ref)
             assert (got.activity is None) == (not capture_activity)
@@ -198,7 +217,7 @@ class TestBlockKernelBitIdentity:
     def test_early_and_late_convergence(self, facet_system, facet_pipeline, rel_tol):
         """rel_tol=0.5 converges at min_batches; 1e-12 exhausts the budget
         (converged=False) -- compaction and the non-converged tail must
-        both reproduce the serial loop exactly."""
+        both reproduce the per-fault loop exactly."""
         faults = [r.system_site for r in facet_pipeline.sfr_records][:4]
         est = PowerEstimator(facet_system.netlist)
         kwargs = dict(batch_patterns=64, max_batches=5, rel_tol=rel_tol)
@@ -211,90 +230,84 @@ class TestBlockKernelBitIdentity:
         else:
             assert not any(r.converged for r in block)
 
-    def test_unaligned_batch_falls_back_to_serial(self, facet_system, facet_pipeline):
-        """batch_patterns not a multiple of 64 cannot be block-partitioned;
-        the kernel must hand each fault to the serial path unchanged."""
-        faults = [r.system_site for r in facet_pipeline.sfr_records][:3]
-        est = PowerEstimator(facet_system.netlist)
-        kwargs = dict(batch_patterns=96, max_batches=3)
-        block = monte_carlo_power_block(facet_system, est, faults, **kwargs)
+    @pytest.mark.parametrize("design", ["facet", "poly", "diffeq"])
+    @pytest.mark.parametrize("batch_patterns", [32, 96, 100, 160])
+    def test_padded_blocks_match_per_fault(self, design, batch_patterns, request):
+        """A batch size that is not a multiple of 64 pads every block's
+        last word, and full-word stem forces set those padding bits: the
+        masked load counters and the never-toggling padding keep every
+        block's counters equal to the per-fault oracle's (SFR faults plus
+        sampled stem faults)."""
+        system = request.getfixturevalue(f"{design}_system")
+        pipeline = request.getfixturevalue(f"{design}_pipeline")
+        faults = _sampled_faults(system, pipeline)
+        assert any(f.is_stem for f in faults)
+        est = PowerEstimator(system.netlist)
+        kwargs = dict(batch_patterns=batch_patterns, max_batches=3)
+        block = monte_carlo_power_block(
+            system,
+            est,
+            faults,
+            batches=shared_batches(system, **kwargs),
+            capture_activity=True,
+            **kwargs,
+        )
         for fault, got in zip(faults, block):
-            _assert_mc_equal(
-                got, monte_carlo_power(facet_system, est, fault=fault, **kwargs)
+            ref = monte_carlo_power(
+                system, est, fault=fault, capture_activity=True, **kwargs
+            )
+            _assert_mc_equal(got, ref)
+            np.testing.assert_array_equal(
+                got.activity.toggles, ref.activity.toggles, err_msg=str(fault)
+            )
+            np.testing.assert_array_equal(
+                got.activity.load_events, ref.activity.load_events, err_msg=str(fault)
             )
 
 
 class TestBatchedGradingBitIdentity:
-    """grade_sfr_faults(batched=True) vs the retained serial path."""
+    """grade_sfr_faults (the block kernel) vs the per-fault oracle."""
 
-    @pytest.fixture(scope="class")
-    def serial_grading(self, facet_system, facet_pipeline):
-        return grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            batched=False,
-        )
+    KWARGS = dict(batch_patterns=64, max_batches=3)
 
-    def test_batched_matches_serial(self, facet_system, facet_pipeline, serial_grading):
-        batched = grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            batched=True,
-        )
-        _assert_grading_equal(serial_grading, batched)
+    def test_batched_matches_serial(self, facet_system, facet_pipeline):
+        grading = grade_sfr_faults(facet_system, facet_pipeline, **self.KWARGS)
+        _assert_matches_oracle(grading, facet_system, facet_pipeline, **self.KWARGS)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
     def test_bit_identical_across_jobs(
-        self, facet_system, facet_pipeline, serial_grading, multicore, n_jobs
+        self, facet_system, facet_pipeline, multicore, n_jobs
     ):
-        batched = grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            n_jobs=n_jobs,
+        grading = grade_sfr_faults(
+            facet_system, facet_pipeline, n_jobs=n_jobs, **self.KWARGS
         )
-        _assert_grading_equal(serial_grading, batched)
+        _assert_matches_oracle(grading, facet_system, facet_pipeline, **self.KWARGS)
 
-    def test_warm_store_replay(
-        self, facet_system, facet_pipeline, serial_grading, tmp_path
-    ):
-        """A batched campaign publishes to the store under the same key the
-        serial path uses; a warm serial rerun replays it bit-identically."""
+    def test_warm_store_replay(self, facet_system, facet_pipeline, tmp_path):
+        """A campaign published to the store replays bit-identically, and
+        both runs equal the per-fault oracle."""
         store = CampaignStore(tmp_path / "store")
-        kwargs = dict(batch_patterns=64, max_batches=3)
-        cold = grade_sfr_faults(
-            facet_system, facet_pipeline, store=store, batched=True, **kwargs
-        )
-        warm = grade_sfr_faults(
-            facet_system, facet_pipeline, store=store, batched=False, **kwargs
-        )
+        cold = grade_sfr_faults(facet_system, facet_pipeline, store=store, **self.KWARGS)
+        warm = grade_sfr_faults(facet_system, facet_pipeline, store=store, **self.KWARGS)
         assert any(p.hit for p in store.provenance)
-        _assert_grading_equal(serial_grading, cold)
+        _assert_matches_oracle(cold, facet_system, facet_pipeline, **self.KWARGS)
         _assert_grading_equal(cold, warm)
 
-    def test_cli_result_json_byte_identical(self, tmp_path, monkeypatch):
+    def test_cli_result_json_byte_identical(self, tmp_path):
         """The deterministic --result-json report must not change a byte
-        between the batched kernel and the serial reference path."""
-        import repro.core.grading as grading_mod
-
-        batched = tmp_path / "batched.json"
-        serial = tmp_path / "serial.json"
+        when every fault is re-derived on the per-fault oracles under
+        --strict (which aborts on any divergence)."""
+        default = tmp_path / "default.json"
+        audited = tmp_path / "audited.json"
+        report = tmp_path / "report.json"
         argv = ["--patterns", "64"]
         tail = ["grade", "facet"]
-        assert main([*argv, "--result-json", str(batched), *tail]) == 0
-        real = grading_mod.simulate_campaign
-        monkeypatch.setattr(
-            grading_mod,
-            "simulate_campaign",
-            lambda *args, **kwargs: real(*args, **{**kwargs, "batched": False}),
-        )
-        assert main([*argv, "--result-json", str(serial), *tail]) == 0
-        assert batched.read_bytes() == serial.read_bytes()
+        assert main([*argv, "--result-json", str(default), *tail]) == 0
+        strict = ["--audit-rate", "0.999999", "--strict", "--report-json", str(report)]
+        assert main([*argv, *strict, "--result-json", str(audited), *tail]) == 0
+        assert default.read_bytes() == audited.read_bytes()
+        grading = json.loads(report.read_text())["campaigns"]["grading"]
+        assert grading["audited"] == grading["faults"] > 0
 
 
 class TestMonteCarloCacheLifetime:

@@ -297,14 +297,19 @@ class TestGradingGuards:
         records = facet_pipeline.sfr_records
         assert records, "facet must have SFR faults for this test"
         poisoned_key = fault_key(records[0].system_site)
-        real = grading_mod.monte_carlo_power
+        real = grading_mod.monte_carlo_power_block
 
-        def poison_one(system, estimator, fault=None, **kwargs):
-            if fault is not None and fault_key(fault) == poisoned_key:
-                return MonteCarloResult(power_uw=float("nan"), batches=1, patterns=1)
-            return real(system, estimator, fault=fault, **kwargs)
+        def poison_one(system, estimator, faults, **kwargs):
+            # The campaign kernel returns one result per fault of a chunk;
+            # replace the targeted fault's with a NaN power.
+            return [
+                MonteCarloResult(power_uw=float("nan"), batches=1, patterns=1)
+                if fault_key(fault) == poisoned_key
+                else mc
+                for fault, mc in zip(faults, real(system, estimator, faults, **kwargs))
+            ]
 
-        monkeypatch.setattr(grading_mod, "monte_carlo_power", poison_one)
+        monkeypatch.setattr(grading_mod, "monte_carlo_power_block", poison_one)
         grading = grade_sfr_faults(
             facet_system, facet_pipeline, batch_patterns=32, max_batches=2,
             audit_rate=0.0,
