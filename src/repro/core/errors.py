@@ -6,8 +6,9 @@ shapes, each with its own exception so callers can react precisely:
 
 * :class:`CampaignError` -- base class; also raised directly by the
   fail-fast validators below when a campaign's inputs are unusable;
-* :class:`WorkerCrash` -- a worker process died (OOM, ``os._exit``,
-  segfault) and recovery was exhausted or disabled;
+* :class:`WorkerCrash` -- a compute worker died (OOM, ``os._exit``,
+  segfault) under a job; retryable.  The executor replays a chunk that
+  keeps losing its worker in-process rather than raising it;
 * :class:`ChunkTimeout` -- a chunk of work exceeded its per-chunk budget
   on every allowed attempt;
 * :class:`IntegrityError` -- a result failed an integrity check (a
@@ -47,7 +48,7 @@ class CampaignError(RuntimeError):
 
 
 class WorkerCrash(CampaignError):
-    """A worker process died and the lost work could not be recovered."""
+    """A compute worker died under a job (retryable)."""
 
 
 class ChunkTimeout(CampaignError, TimeoutError):

@@ -383,7 +383,11 @@ def make_server(
     request_timeout: float | None = None,
     service: CampaignService | None = None,
 ) -> StoreHTTPServer:
-    """Build (but do not start) the threaded store server."""
+    """Build (but do not start) the threaded store server.
+
+    The service's compute pool starts with the first admitted job, so a
+    server with compute disabled runs no service thread.
+    """
     if service is None:
         service = CampaignService(
             store,
@@ -397,7 +401,6 @@ def make_server(
     handler = type("BoundHandler", (_Handler,), {"service": service})
     server = StoreHTTPServer((host, port), handler)
     server.service = service
-    service.start()
     return server
 
 

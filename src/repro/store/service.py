@@ -38,22 +38,18 @@ service core, transport-agnostic so protocol front ends
   content, so an entry can never be stale;
 * **graceful drain** -- :meth:`drain` refuses new compute jobs
   (cached reads still serve) and waits for in-flight jobs to finish,
-  the SIGTERM path of ``repro-faults serve``;
-* **supervised workers** -- a supervisor thread heartbeats the worker
-  pool every ``supervise_interval`` seconds.  A dead worker's claimed
-  job is requeued (its waiters never notice) and the worker is
-  restarted with exponential backoff; too many crashes inside a sliding
-  ``crash_window`` trip a **crash-budget circuit breaker**: restarts
-  stop, misses are refused with 503 + ``Retry-After`` (cache-only
-  serving -- warm traffic is unaffected and ``/readyz`` stays ready),
-  and after ``pool_cooldown`` seconds the breaker half-opens and the
-  pool is restarted.  Worker death is simulated in tests by an
-  ``on_job`` chaos hook raising :class:`WorkerKilled`, which -- being a
-  ``BaseException`` -- sails through the loop's ``except Exception``
-  exactly like a real thread death would take out a process worker.
+  the SIGTERM path of ``repro-faults serve``.
 
-Everything is stdlib threading; counters feed ``/stats`` and the
-``/readyz`` readiness probe.
+The compute pool is ``workers`` daemon threads draining one job queue,
+started by the first admitted job: a service that only serves cached
+reads (``serve --no-compute``) runs no thread of its own.  A worker
+never dies, so nothing supervises it: each attempt runs on a disposable
+thread whose ``_attempt`` catches ``BaseException`` and hands it to the
+waiters, and the worker loop catches ``Exception`` around the rest.
+The threads are daemons so that a compute wedged without a deadline
+cannot keep ``serve`` from exiting after the drain grace.
+
+Counters feed ``/stats`` and the ``/readyz`` readiness probe.
 """
 
 from __future__ import annotations
@@ -90,30 +86,8 @@ DEFAULT_WORKERS = 2
 DEFAULT_MAX_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
 
-#: how often the supervisor heartbeats the worker pool
-SUPERVISE_INTERVAL_S = 0.2
-#: base/backstop delays for restarting a crashed worker
-RESTART_BACKOFF_S = 0.05
-RESTART_BACKOFF_CAP_S = 2.0
-#: crash-budget circuit breaker: > budget crashes within the window
-#: stops restarts and degrades the service to cache-only
-CRASH_BUDGET = 5
-CRASH_WINDOW_S = 30.0
-POOL_COOLDOWN_S = 5.0
-
 #: report blobs whose parsed report and rendered bodies a service keeps
 MEMO_ENTRIES = 16
-
-
-class WorkerKilled(BaseException):
-    """Kills a service worker thread outright (chaos / test seam).
-
-    Raised from an ``on_job`` hook it escapes the worker loop's
-    ``except Exception`` containment, so the thread dies with its job
-    still claimed -- the closest stdlib-threading analogue of a worker
-    process taken out by a segfault or ``os._exit``.  The supervisor
-    must notice via heartbeat, requeue the claimed job, and restart.
-    """
 
 
 def json_body(payload: Any) -> bytes:
@@ -196,13 +170,6 @@ class CampaignService:
         max_retries: int = DEFAULT_MAX_RETRIES,
         retry_backoff: float = RETRY_BACKOFF_S,
         default_threshold: float = DEFAULT_THRESHOLD,
-        on_job: Callable[[Job], None] | None = None,
-        supervise_interval: float = SUPERVISE_INTERVAL_S,
-        restart_backoff: float = RESTART_BACKOFF_S,
-        restart_backoff_cap: float = RESTART_BACKOFF_CAP_S,
-        crash_budget: int = CRASH_BUDGET,
-        crash_window: float = CRASH_WINDOW_S,
-        pool_cooldown: float = POOL_COOLDOWN_S,
     ):
         self.store = store
         self.compute = compute
@@ -214,13 +181,6 @@ class CampaignService:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.default_threshold = default_threshold
-        self.on_job = on_job
-        self.supervise_interval = supervise_interval
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_cap = restart_backoff_cap
-        self.crash_budget = crash_budget
-        self.crash_window = crash_window
-        self.pool_cooldown = pool_cooldown
 
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}  # admitted: queued or running
@@ -229,14 +189,6 @@ class CampaignService:
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopped = False
-
-        # ---- supervisor state
-        self._supervisor: threading.Thread | None = None
-        self._claimed: dict[str, Job] = {}  # worker thread name -> running job
-        self._crash_times: list[float] = []  # sliding crash-budget window
-        self._worker_seq = 0  # unique worker names across restarts
-        self._pool_down = False
-        self._pool_down_until = 0.0
         # blob sha -> memoized read, least recently used first
         self._memo: OrderedDict[str, _Memo] = OrderedDict()
 
@@ -249,27 +201,21 @@ class CampaignService:
         self.deadline_expired = 0
         self.rejected_overload = 0
         self.compute_errors = 0
-        self.worker_crashes = 0
-        self.worker_restarts = 0
-        self.requeued_jobs = 0
-        self.rejected_pool_down = 0
         self.memo_hits = 0
         self.memo_misses = 0
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "CampaignService":
-        """Spawn the worker pool and its supervisor (idempotent)."""
+        """Spawn the worker pool (idempotent; :meth:`_admit` calls it)."""
         with self._lock:
             if self._threads or self._stopped:
                 return self
-            for _ in range(self.workers):
-                self._spawn_worker_locked()
-            self.worker_restarts = 0  # the initial pool is not a restart
-            if self._supervisor is None:
-                self._supervisor = threading.Thread(
-                    target=self._supervise_loop, name="svc-supervisor", daemon=True
+            for n in range(1, self.workers + 1):
+                t = threading.Thread(
+                    target=self._worker_loop, name=f"svc-worker-{n}", daemon=True
                 )
-                self._supervisor.start()
+                t.start()
+                self._threads.append(t)
         return self
 
     def stop(self) -> None:
@@ -279,13 +225,10 @@ class CampaignService:
                 return
             self._stopped = True
             threads, self._threads = self._threads, []
-            supervisor, self._supervisor = self._supervisor, None
         for _ in threads:
             self._queue.put(None)
         for t in threads:
             t.join(timeout=1.0)
-        if supervisor is not None:
-            supervisor.join(timeout=self.supervise_interval * 5 + 1.0)
 
     def drain(self, grace: float = 30.0) -> bool:
         """Refuse new compute work and wait for in-flight jobs.
@@ -327,10 +270,6 @@ class CampaignService:
             if len(self._jobs) >= self.queue_depth:
                 detail["queue_saturated"] = True
                 ok = False
-            # cache-only mode is degraded but *ready*: warm traffic still
-            # serves, and flipping readyz would take the node out of
-            # rotation for its healthy cache too.
-            detail["cache_only"] = self._pool_down
         try:
             self.store.artifacts.stats()
         except Exception as exc:  # unreadable index/lock dir -> not ready
@@ -353,12 +292,6 @@ class CampaignService:
                 "rejected_overload": self.rejected_overload,
                 "compute_errors": self.compute_errors,
                 "draining": self._draining,
-                "workers_alive": sum(1 for t in self._threads if t.is_alive()),
-                "worker_crashes": self.worker_crashes,
-                "worker_restarts": self.worker_restarts,
-                "requeued_jobs": self.requeued_jobs,
-                "cache_only": self._pool_down,
-                "rejected_pool_down": self.rejected_pool_down,
                 "memo_hits": self.memo_hits,
                 "memo_misses": self.memo_misses,
                 "quarantined": sorted(
@@ -479,17 +412,6 @@ class CampaignService:
                     "service is draining and accepts no new compute jobs",
                     retry_after=5.0,
                 )
-            if self._pool_down:
-                # crash-budget breaker open: cache-only serving.  Cached
-                # reads never reach _admit, so only misses pay the 503.
-                self.rejected_pool_down += 1
-                raise ServiceOverloaded(
-                    "compute pool is down after repeated worker crashes; "
-                    "serving cached campaigns only",
-                    retry_after=max(
-                        1.0, self._pool_down_until - time.monotonic()
-                    ),
-                )
             stale = self._quarantine.get(key)
             if stale is not None:
                 # fail fast instead of stacking a second compute behind a
@@ -540,108 +462,18 @@ class CampaignService:
         return job.report
 
     # ------------------------------------------------------------- workers
-    def _spawn_worker_locked(self) -> threading.Thread:
-        """Start one worker thread; caller holds ``self._lock``."""
-        self._worker_seq += 1
-        t = threading.Thread(
-            target=self._worker_loop,
-            name=f"svc-worker-{self._worker_seq}",
-            daemon=True,
-        )
-        t.start()
-        self._threads.append(t)
-        return t
-
     def _worker_loop(self) -> None:
-        name = threading.current_thread().name
         while True:
             job = self._queue.get()
             if job is None:
                 return
             if job.abandoned:  # every waiter gave up before we started
                 continue
-            with self._lock:
-                self._claimed[name] = job
             try:
-                if self.on_job is not None:
-                    # chaos seam; a WorkerKilled (BaseException) raised here
-                    # escapes this loop and kills the thread mid-claim
-                    self.on_job(job)
                 self._run_job(job)
             except Exception:  # pragma: no cover - defensive: keep the pool alive
                 logger.exception("service: job %s crashed the worker loop", job.key)
                 self._finish(job, error=job.error or RuntimeError("worker loop error"))
-            # reached only on a clean hand-off: a dying thread leaves its
-            # claim behind for the supervisor to requeue
-            with self._lock:
-                self._claimed.pop(name, None)
-
-    # ---------------------------------------------------------- supervisor
-    def _supervise_loop(self) -> None:
-        """Heartbeat the pool: reap dead workers, requeue their claimed
-        jobs, restart with backoff under a crash-budget breaker."""
-        consecutive = 0  # crashes since the pool last ran at full strength
-        restart_at = 0.0
-        while True:
-            time.sleep(self.supervise_interval)
-            with self._lock:
-                if self._stopped:
-                    return
-                now = time.monotonic()
-                dead = [t for t in self._threads if not t.is_alive()]
-                for t in dead:
-                    self._threads.remove(t)
-                    self.worker_crashes += 1
-                    self._crash_times.append(now)
-                    orphan = self._claimed.pop(t.name, None)
-                    if orphan is not None and not orphan.done.is_set():
-                        self.requeued_jobs += 1
-                        self._queue.put(orphan)  # waiters never notice
-                        logger.warning(
-                            "supervisor: worker %s died; requeued job for %r",
-                            t.name, orphan.design,
-                        )
-                    else:
-                        logger.warning("supervisor: worker %s died idle", t.name)
-                self._crash_times = [
-                    ts for ts in self._crash_times if now - ts <= self.crash_window
-                ]
-                if dead:
-                    consecutive += len(dead)
-                    delay = min(
-                        self.restart_backoff_cap,
-                        self.restart_backoff * 2 ** max(0, consecutive - 1),
-                    )
-                    restart_at = max(restart_at, now + delay)
-                alive = len(self._threads)
-                if not dead and alive == self.workers:
-                    consecutive = 0
-                # ---- crash-budget circuit breaker
-                if len(self._crash_times) > self.crash_budget:
-                    if not self._pool_down:
-                        self._pool_down = True
-                        self._pool_down_until = now + self.pool_cooldown
-                        logger.error(
-                            "supervisor: %d worker crashes in %.0fs exceed the "
-                            "budget (%d); compute pool down, serving cache only "
-                            "for %.1fs",
-                            len(self._crash_times), self.crash_window,
-                            self.crash_budget, self.pool_cooldown,
-                        )
-                    if now < self._pool_down_until:
-                        continue  # breaker open: no restarts
-                    # half-open: forgive history and try a fresh pool
-                    self._pool_down = False
-                    self._crash_times.clear()
-                    consecutive = 0
-                    restart_at = now
-                    logger.warning(
-                        "supervisor: cool-down elapsed; restarting compute pool"
-                    )
-                if alive < self.workers and now >= restart_at:
-                    for _ in range(self.workers - alive):
-                        self._spawn_worker_locked()
-                        self.worker_restarts += 1
 
     def _run_job(self, job: Job) -> None:
         deadline = (

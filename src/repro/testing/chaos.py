@@ -253,12 +253,11 @@ class ServiceChaos:
     * **corrupt** -- after a listed design's report is computed and
       published, one byte of the newest ``report`` blob in the store is
       damaged, so the next cached read must quarantine-and-recompute
-      instead of serving garbage;
-    * **kill-worker** -- the service worker *thread* that claims a
-      listed design's job dies outright (via
-      :class:`repro.store.service.WorkerKilled` raised from the
-      service's ``on_job`` hook), driving the supervisor's
-      requeue-and-restart path instead of the in-compute retry path.
+      instead of serving garbage.
+
+    No injection kills a service worker thread: a worker never dies
+    (each attempt runs on a disposable thread that hands every exception
+    to the waiters), so there is no recovery path to exercise.
 
     All decisions are per-design and first-N-attempts only, tracked
     in-memory under a lock (the service runs its computes in threads of
@@ -270,9 +269,7 @@ class ServiceChaos:
         crash: tuple[str, ...] = (),
         hang: tuple[str, ...] = (),
         corrupt: tuple[str, ...] = (),
-        kill_worker: tuple[str, ...] = (),
         crash_attempts: int = 1,
-        kill_attempts: int = 1,
         hang_seconds: float = HANG_SECONDS,
         store: Any = None,
     ):
@@ -281,18 +278,14 @@ class ServiceChaos:
         self.crash = tuple(crash)
         self.hang = tuple(hang)
         self.corrupt = tuple(corrupt)
-        self.kill_worker = tuple(kill_worker)
         self.crash_attempts = crash_attempts
-        self.kill_attempts = kill_attempts
         self.hang_seconds = hang_seconds
         self.store = store
         self._lock = threading.Lock()
         self._calls: dict[str, int] = {}
-        self._kills: dict[str, int] = {}
         self.crashed = 0
         self.hung = 0
         self.corrupted = 0
-        self.workers_killed = 0
 
     def wrap(self, compute: Callable[[str, float], dict]) -> Callable[[str, float], dict]:
         """Wrap a service compute hook with the configured injections."""
@@ -324,29 +317,6 @@ class ServiceChaos:
     def attempts(self, design: str) -> int:
         with self._lock:
             return self._calls.get(design, 0)
-
-    # ----------------------------------------------------------- worker kill
-    def on_job(self, job: Any) -> None:
-        """Service ``on_job`` hook: kill the claiming worker *thread*.
-
-        Raises :class:`repro.store.service.WorkerKilled` (a
-        ``BaseException``) for the first ``kill_attempts`` claims of a
-        listed design, so the thread dies with the job still claimed --
-        the supervisor must requeue it and restart the worker.
-        """
-        if job.design not in self.kill_worker:
-            return
-        with self._lock:
-            n = self._kills[job.design] = self._kills.get(job.design, 0) + 1
-            if n > self.kill_attempts:
-                return
-            self.workers_killed += 1
-        from ..store.service import WorkerKilled
-
-        raise WorkerKilled(
-            f"chaos: worker thread died holding the job for {job.design!r} "
-            f"(claim {n})"
-        )
 
     @staticmethod
     def corrupt_report_blob(store: Any, design: str) -> bool:

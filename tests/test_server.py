@@ -41,6 +41,13 @@ from repro.store.server import make_server
 from repro.store.service import MEMO_ENTRIES, CampaignService, campaign_view
 from repro.testing.chaos import ServiceChaos
 
+#: A service worker never dies: every compute attempt's exception is
+#: handed to its waiters.  Any thread that dies with an unhandled
+#: exception fails the test it happened in.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 # ----------------------------------------------------------------- helpers
 def _wait_until(predicate, timeout: float = 10.0, interval: float = 0.01,
@@ -372,6 +379,31 @@ def test_readyz_endpoint(served):
     assert status == 503 and body["ready"] is False and body["draining"] is True
 
 
+# -------------------------------------------------------- thread start-up
+def test_service_threads_start_on_first_miss(served):
+    """With compute disabled a server runs no service thread; with it
+    enabled, the first miss starts exactly ``workers`` workers."""
+    before = set(threading.enumerate())
+
+    def started(prefix):
+        return [t.name for t in threading.enumerate()
+                if t not in before and t.name.startswith(prefix)]
+
+    base, store, _ = served(compute=None)
+    _publish(store, "facet", 0.05)
+    status, report, _, _ = _fetch(f"{base}/campaigns/facet")
+    assert status == 200 and report["design"] == "facet"
+    assert started("svc-") == []
+
+    # the fixture roots both servers at one store directory
+    base, _, _ = served(compute=_publishing_compute(store), workers=3)
+    status, _, _, _ = _fetch(f"{base}/campaigns/facet")  # cached: no pool
+    assert status == 200 and started("svc-") == []
+    status, report, _, _ = _fetch(f"{base}/campaigns/diffeq?threshold=0.05")
+    assert status == 200 and report["design"] == "diffeq"
+    assert sorted(started("svc-worker-")) == ["svc-worker-1", "svc-worker-2", "svc-worker-3"]
+
+
 # -------------------------------------------------------- structured errors
 def test_structured_errors_for_bad_requests(served):
     base, _, _ = served(compute=None)
@@ -575,106 +607,6 @@ def test_client_retries_connection_failures_then_raises():
 def test_client_single_endpoint_base_url_compat():
     client = StoreClient("http://127.0.0.1:8357/")
     assert client.base_url == "http://127.0.0.1:8357"
-
-
-# ------------------------------------------------------- worker supervisor
-#: WorkerKilled escaping the worker loop IS the scenario under test --
-#: pytest's unhandled-thread-exception watchdog must not flag it.
-_lets_threads_die = pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
-
-@_lets_threads_die
-def test_supervisor_restarts_killed_workers_and_requeues(tmp_path):
-    """A worker thread dying mid-claim loses nothing: the supervisor
-    requeues the claimed job, restarts the worker, and the original
-    request is served as if nothing happened."""
-    store = CampaignStore(tmp_path / "store")
-    chaos = ServiceChaos(kill_worker=("facet",), kill_attempts=2)
-    service = CampaignService(
-        store,
-        compute=_publishing_compute(store),
-        workers=2,
-        on_job=chaos.on_job,
-        supervise_interval=0.02,
-        restart_backoff=0.005,
-        crash_budget=10,
-    ).start()
-    try:
-        report = service.campaign("facet", 0.05)
-        assert report["design"] == "facet"
-        assert chaos.workers_killed == 2
-        stats = service.stats()["service"]
-        assert stats["worker_crashes"] == 2
-        assert stats["requeued_jobs"] == 2
-        _wait_until(
-            lambda: service.stats()["service"]["workers_alive"] == 2,
-            message="pool back to full strength",
-        )
-        # both dead workers were replaced (restarts, not the initial pool)
-        assert service.stats()["service"]["worker_restarts"] >= 2
-    finally:
-        service.stop()
-
-
-@_lets_threads_die
-def test_crash_budget_breaker_degrades_to_cache_only_then_recovers(tmp_path):
-    store = CampaignStore(tmp_path / "store")
-    _publish(store, "facet", 0.05)  # warm cache survives the outage
-    chaos = ServiceChaos(kill_worker=("diffeq",), kill_attempts=99)
-    service = CampaignService(
-        store,
-        compute=_publishing_compute(store),
-        workers=2,
-        on_job=chaos.on_job,
-        supervise_interval=0.02,
-        restart_backoff=0.005,
-        crash_budget=3,
-        crash_window=30.0,
-        pool_cooldown=60.0,  # long: the down state stays stable under asserts
-    ).start()
-    try:
-        # a poisonous miss keeps killing workers until the budget trips
-        miss = threading.Thread(
-            target=lambda: _swallow(service, "diffeq"), daemon=True
-        )
-        miss.start()
-        _wait_until(
-            lambda: service.stats()["service"]["cache_only"],
-            message="crash budget tripped",
-        )
-        # cache-only mode: warm traffic serves, misses get a typed 503
-        assert service.campaign("facet", 0.05)["design"] == "facet"
-        with pytest.raises(ServiceOverloaded, match="pool is down"):
-            service.campaign("poly", 0.05)
-        assert service.stats()["service"]["rejected_pool_down"] >= 1
-        # degraded but *ready*: the node stays in rotation for its cache
-        ok, detail = service.ready()
-        assert ok is True and detail["cache_only"] is True
-        # stop the killing and collapse the cool-down (waiting out a
-        # realistic one would be a wall-clock sleep, the thing this suite
-        # bans); the supervisor's next heartbeat half-opens the breaker
-        service.on_job = None
-        with service._lock:
-            service._pool_down_until = 0.0
-        _wait_until(
-            lambda: (
-                not service.stats()["service"]["cache_only"]
-                and service.stats()["service"]["workers_alive"] == 2
-            ),
-            message="pool recovered after cool-down",
-        )
-        assert service.campaign("poly", 0.05)["design"] == "poly"
-    finally:
-        service.stop()
-
-
-def _swallow(service, design):
-    try:
-        service.campaign(design, 0.05)
-    except Exception:
-        pass
 
 
 def test_client_against_real_server(served):
