@@ -26,9 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..logic.eventsim import X, _eval3
 from ..logic.faults import FaultSite
 from ..logic.levelize import levelize
+from ..logic.values import X, eval3
 from ..netlist.gates import GateType, is_constant, is_sequential
 from ..netlist.netlist import Netlist
 
@@ -84,18 +84,18 @@ class Podem:
             bad[net] = v
         for g in self.netlist.gates:
             if is_constant(g.gtype):
-                v = _eval3(g.gtype, [])
+                v = eval3(g.gtype, [])
                 good[g.output] = v
                 bad[g.output] = v
         if fault.is_stem:
             bad[fault.net] = fault.value
         for gi in self._order:
             gate = self.netlist.gates[gi]
-            good[gate.output] = _eval3(gate.gtype, [good[i] for i in gate.inputs])
+            good[gate.output] = eval3(gate.gtype, [good[i] for i in gate.inputs])
             bad_in = [bad[i] for i in gate.inputs]
             if not fault.is_stem and fault.gate_index == gate.index:
                 bad_in[fault.pin] = fault.value
-            bad[gate.output] = _eval3(gate.gtype, bad_in)
+            bad[gate.output] = eval3(gate.gtype, bad_in)
             if fault.is_stem and gate.output == fault.net:
                 bad[gate.output] = fault.value
         return good, bad

@@ -6,11 +6,9 @@ shapes, each with its own exception so callers can react precisely:
 
 * :class:`CampaignError` -- base class; also raised directly by the
   fail-fast validators below when a campaign's inputs are unusable;
-* :class:`WorkerCrash` -- a compute worker died (OOM, ``os._exit``,
-  segfault) under a job; retryable.  The executor replays a chunk that
-  keeps losing its worker in-process rather than raising it;
 * :class:`ChunkTimeout` -- a chunk of work exceeded its per-chunk budget
-  on every allowed attempt;
+  on every allowed attempt; retryable.  The executor replays a chunk
+  that keeps losing its worker in-process rather than raising;
 * :class:`IntegrityError` -- a result failed an integrity check (a
   differential audit diverged, a power value went non-finite or broke a
   theory-grounded invariant) and the campaign runs in strict mode, or
@@ -47,10 +45,6 @@ class CampaignError(RuntimeError):
     """A fault-analysis campaign could not run or complete."""
 
 
-class WorkerCrash(CampaignError):
-    """A compute worker died under a job (retryable)."""
-
-
 class ChunkTimeout(CampaignError, TimeoutError):
     """A chunk of campaign work exceeded its timeout on every attempt."""
 
@@ -83,7 +77,6 @@ class DeadlineExceeded(CampaignError, TimeoutError):
 
 #: exception classes a job-level retry can plausibly outwait
 _RETRYABLE = (
-    WorkerCrash,
     ChunkTimeout,
     ServiceOverloaded,
     DeadlineExceeded,
@@ -93,9 +86,9 @@ _RETRYABLE = (
 def is_retryable(exc: BaseException) -> bool:
     """True when retrying the failed operation can plausibly succeed.
 
-    Worker crashes and chunk timeouts are transient (the next attempt
-    replays every stage the failed one published to the store); overload
-    and deadline expiries clear as load drains.  Validation and integrity failures are
+    Chunk timeouts are transient (the next attempt replays every stage
+    the failed one published to the store); overload and deadline
+    expiries clear as load drains.  Validation and integrity failures are
     deterministic -- retrying replays the same rejection.
     """
     if isinstance(exc, (InputValidationError, IntegrityError)):

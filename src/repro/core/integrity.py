@@ -9,11 +9,12 @@ This module makes campaign results self-verifying:
 * **Differential auditing.**  A deterministic, hash-selected fraction of
   faults (:func:`select_audit`, keyed only by the fault key, so the
   choice is identical for any job count) is re-evaluated
-  on an independent path: cone-restricted fault-simulation verdicts are
-  re-checked against the serial per-fault simulator, the compiled cycle
-  simulator is spot-checked against the scalar event-driven engine, and
-  the block kernel's Monte-Carlo powers are recomputed through the
-  per-fault generate-per-call ``monte_carlo_power``.  Any divergence becomes a structured
+  on one independent reference per layer: cone-restricted
+  fault-simulation verdicts are re-checked against the serial per-fault
+  simulator ``simulate_one_fault``, classification verdicts against the
+  per-fault ``faulty_control_trace``, and the block kernel's Monte-Carlo
+  powers are recomputed through the per-fault generate-per-call
+  ``monte_carlo_power``.  Any divergence becomes a structured
   :class:`IntegrityViolation` naming the fault, the site and the first
   divergent cycle.  Cone-restricted campaigns additionally re-simulate a
   capped handful of death-pruned faults through the serial reference
@@ -61,11 +62,6 @@ from .errors import IntegrityError
 
 #: default fraction of faults re-simulated on an independent path
 DEFAULT_AUDIT_RATE = 0.02
-
-#: default number of audited faults additionally cross-checked against the
-#: scalar event-driven engine (it is 10-100x slower per pattern, so the
-#: spot-check is capped rather than rate-scaled)
-DEFAULT_EVENTSIM_CHECKS = 2
 
 #: default number of death-pruned faults re-simulated serially per campaign.
 #: The cone engine's fault-effect death pruning ends a fault early once its
@@ -294,15 +290,3 @@ def diff_summary(expected: Sequence[Any], actual: Sequence[Any]) -> str:
     if len(expected) != len(actual):
         return f"length mismatch: expected {len(expected)}, got {len(actual)}"
     return "identical"
-
-
-@dataclass
-class AuditPlan:
-    """Resolved audit knobs for one campaign stage."""
-
-    rate: float = DEFAULT_AUDIT_RATE
-    strict: bool = False
-    eventsim_checks: int = DEFAULT_EVENTSIM_CHECKS
-
-    def selected(self, keys: Iterable[str], salt: str = "audit") -> list[str]:
-        return select_audit(keys, self.rate, salt)

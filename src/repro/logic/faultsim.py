@@ -45,7 +45,6 @@ import numpy as np
 from ..core.integrity import (
     DEFAULT_AUDIT_RATE,
     DEFAULT_DEATH_AUDIT_CHECKS,
-    DEFAULT_EVENTSIM_CHECKS,
     IntegrityGuard,
     IntegrityViolation,
     audit_fraction,
@@ -761,7 +760,6 @@ def fault_simulate(
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
     chaos=None,
-    eventsim_checks: int = DEFAULT_EVENTSIM_CHECKS,
     golden: GoldenTrace | None = None,
 ) -> FaultSimResult:
     """Fault simulation of ``faults`` under ``stimulus``.
@@ -775,10 +773,8 @@ def fault_simulate(
 
     A hash-selected ``audit_rate`` fraction of the final verdicts is then
     re-derived through the serial per-fault simulator (an independent
-    code path from the cone-restricted workers), with the first few
-    audited faults additionally cross-checked against the scalar
-    event-driven engine.  A divergence is flagged as an
-    :class:`~repro.core.integrity.IntegrityViolation` on the campaign
+    code path from the cone-restricted workers).  A divergence is flagged
+    as an :class:`~repro.core.integrity.IntegrityViolation` on the campaign
     report, and the fault's verdict falls back to the trusted serial
     reference (or, with ``strict=True``, the campaign aborts).
 
@@ -804,8 +800,6 @@ def fault_simulate(
         chaos: optional :class:`~repro.testing.chaos.ChaosEngine`
             injecting worker crashes/hangs and verdict bit-flips (test
             and CI use only).
-        eventsim_checks: cap on audited faults also replayed through the
-            event-driven reference engine (it is far slower per pattern).
         golden: the fault-free trace of ``run_golden(netlist, stimulus,
             observe, full=True)`` when the caller already holds it; None
             simulates it here (only when there are faults to simulate).
@@ -869,48 +863,28 @@ def fault_simulate(
     # serial per-fault path and compare against the campaign's verdicts.
     guard = IntegrityGuard(strict=strict)
     audited = [f for f in faults if keys[f] in audit_keys]
-    if audited:
-        for fault in audited:
-            reference = simulate_one_fault(
-                netlist, fault, stimulus, observe, golden, valid_masks
+    for fault in audited:
+        reference = simulate_one_fault(
+            netlist, fault, stimulus, observe, golden, valid_masks
+        )
+        got = outcomes_by_fault[fault]
+        if got != reference:
+            guard.flag(
+                IntegrityViolation(
+                    check="faultsim-differential",
+                    fault=keys[fault],
+                    site=fault.describe(netlist),
+                    detail=(
+                        "campaign verdict diverges from the serial "
+                        "reference simulation; quarantined to the "
+                        "reference"
+                    ),
+                    cycle=max(got[1], reference[1]),
+                    expected=f"{reference[0].value}@{reference[1]}",
+                    actual=f"{got[0].value}@{got[1]}",
+                )
             )
-            got = outcomes_by_fault[fault]
-            if got != reference:
-                guard.flag(
-                    IntegrityViolation(
-                        check="faultsim-differential",
-                        fault=keys[fault],
-                        site=fault.describe(netlist),
-                        detail=(
-                            "campaign verdict diverges from the serial "
-                            "reference simulation; quarantined to the "
-                            "reference"
-                        ),
-                        cycle=max(got[1], reference[1]),
-                        expected=f"{reference[0].value}@{reference[1]}",
-                        actual=f"{got[0].value}@{got[1]}",
-                    )
-                )
-                outcomes_by_fault[fault] = reference
-        # Spot-check the compiled engine itself against the scalar
-        # event-driven reference on a capped handful of audited faults.
-        from .eventsim import crosscheck_compiled
-
-        for fault in sorted(audited, key=lambda f: keys[f])[: max(0, eventsim_checks)]:
-            divergent = crosscheck_compiled(netlist, stimulus, observe, fault)
-            if divergent >= 0:
-                guard.flag(
-                    IntegrityViolation(
-                        check="eventsim-crosscheck",
-                        fault=keys[fault],
-                        site=fault.describe(netlist),
-                        detail=(
-                            "compiled simulator diverges from the "
-                            "event-driven reference on an observed net"
-                        ),
-                        cycle=divergent,
-                    )
-                )
+            outcomes_by_fault[fault] = reference
     # Death-pruning spot check: a capped, hash-ranked handful of faults the
     # cone engine retired early is re-simulated through the full serial
     # reference, continuously validating the pruning proof at runtime.

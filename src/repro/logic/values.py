@@ -10,13 +10,20 @@ A bit position with neither plane set is X (unknown); both set is illegal.
 This is the classic "dual-rail" encoding used by parallel-pattern fault
 simulators; every gate evaluates with a handful of bitwise word operations
 regardless of how many patterns are in flight.
+
+:func:`eval3` is the scalar counterpart: one pattern, plain ints
+(0, 1 and :data:`X` = -1), for the PODEM test generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..netlist.gates import GateType
+
 WORD_BITS = 64
+#: the scalar unknown value of :func:`eval3`
+X = -1
 _U64 = np.uint64
 
 
@@ -111,3 +118,44 @@ def diff_mask(z1, o1, z2, o2) -> np.ndarray:
 def toggle_count(z_prev, o_prev, z_cur, o_cur) -> int:
     """Count known 0->1 / 1->0 transitions between two value planes."""
     return popcount((z_prev & o_cur) | (o_prev & z_cur))
+
+
+def eval3(gtype: GateType, vals: list[int]) -> int:
+    """Three-valued evaluation of one combinational gate on scalars."""
+    if gtype in (GateType.AND, GateType.NAND):
+        if 0 in vals:
+            out = 0
+        elif X in vals:
+            out = X
+        else:
+            out = 1
+        return out if gtype is GateType.AND else (X if out == X else 1 - out)
+    if gtype in (GateType.OR, GateType.NOR):
+        if 1 in vals:
+            out = 1
+        elif X in vals:
+            out = X
+        else:
+            out = 0
+        return out if gtype is GateType.OR else (X if out == X else 1 - out)
+    if gtype in (GateType.XOR, GateType.XNOR):
+        if X in vals:
+            return X
+        out = sum(vals) % 2
+        return out if gtype is GateType.XOR else 1 - out
+    if gtype is GateType.NOT:
+        return X if vals[0] == X else 1 - vals[0]
+    if gtype is GateType.BUF:
+        return vals[0]
+    if gtype is GateType.MUX2:
+        s, a, b = vals
+        if s == 0:
+            return a
+        if s == 1:
+            return b
+        return a if (a == b and a != X) else X
+    if gtype is GateType.CONST0:
+        return 0
+    if gtype is GateType.CONST1:
+        return 1
+    raise AssertionError(f"not combinational: {gtype}")

@@ -25,8 +25,8 @@ service core, transport-agnostic so protocol front ends
   finishes, it resolves the quarantine -- its result was published to
   the content-addressed store, so the next request is a cache hit;
 * **job-level retries** -- a compute attempt that dies with a retryable
-  failure (:func:`repro.core.errors.is_retryable`: worker crashes,
-  chunk timeouts, store lock contention) is retried with exponential
+  failure (:func:`repro.core.errors.is_retryable`: chunk timeouts,
+  store lock contention) is retried with exponential
   backoff.  The CLI's compute hook publishes every finished stage to
   the store, so a retry replays them bit-identically and recomputes
   only the stage that was in flight;

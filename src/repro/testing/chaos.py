@@ -243,8 +243,9 @@ class ServiceChaos:
     report`` compute hook the service calls on a cache miss:
 
     * **crash** -- the first ``crash_attempts`` compute attempts for a
-      listed design raise :class:`~repro.core.errors.WorkerCrash`
-      (retryable: the service's job-level retry must absorb it and,
+      listed design raise :class:`~repro.core.errors.ChunkTimeout`, as
+      the executor does when a chunk exhausts its attempts (retryable:
+      the service's job-level retry must absorb it and,
       when the hook is store-backed, replay the stages the failed
       attempt published);
     * **hang** -- the first attempt for a listed design sleeps
@@ -300,9 +301,9 @@ class ServiceChaos:
             if design in self.crash and attempt <= self.crash_attempts:
                 with self._lock:
                     self.crashed += 1
-                from ..core.errors import WorkerCrash
+                from ..core.errors import ChunkTimeout
 
-                raise WorkerCrash(
+                raise ChunkTimeout(
                     f"chaos: compute worker for {design!r} died on attempt {attempt}"
                 )
             report = compute(design, threshold)

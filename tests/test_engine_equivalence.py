@@ -17,8 +17,9 @@ import pytest
 from repro.core.pipeline import controller_fault_universe
 from repro.designs.catalog import build_rtl, design_names
 from repro.hls.system import NormalModeStimulus, build_system
-from repro.logic.eventsim import crosscheck_compiled
 from repro.logic.simulator import _COMPILE_CACHE, CycleSimulator, compile_netlist
+
+from .eventsim import crosscheck_compiled
 
 
 def _system_and_stimulus(name: str):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.eventsim import EventSimulator
 from repro.logic.faults import enumerate_faults
 from repro.logic.simulator import CycleSimulator
 from repro.netlist.builder import NetlistBuilder
+
+from .eventsim import EventSimulator
 
 
 def _random_netlist(seed: int, n_gates: int = 14):

@@ -267,6 +267,72 @@ class TestFaultSimAudit:
             )
 
 
+class TestDeathAudit:
+    """The cone engine's death-pruning spot check re-simulates a capped
+    handful of early-retired faults through the serial reference; a
+    disagreement must surface as ``cone-death-differential``."""
+
+    @staticmethod
+    def _lying_reference(monkeypatch, faults, audit_rate):
+        """Make the serial reference disagree on every fault outside the
+        ordinary audit selection, i.e. on exactly the death-checked ones;
+        return the faults it lied about, each with the outcome it gave."""
+        real = faultsim_mod.simulate_one_fault
+        audit_keys = set(select_audit([fault_key(f) for f in faults], audit_rate))
+        asked = {}
+
+        def lying(netlist, fault, *args):
+            verdict, cycle = real(netlist, fault, *args)
+            if fault_key(fault) in audit_keys:
+                return verdict, cycle
+            if verdict is Verdict.DETECTED:
+                asked[fault] = (Verdict.UNDETECTED, -1)
+            else:
+                asked[fault] = (Verdict.DETECTED, max(0, cycle))
+            return asked[fault]
+
+        monkeypatch.setattr(faultsim_mod, "simulate_one_fault", lying)
+        return asked
+
+    def test_divergence_flagged_and_quarantined_to_reference(
+        self, small_campaign, monkeypatch
+    ):
+        system, stim, masks, observe, faults = small_campaign
+        rate = 0.02
+        asked = self._lying_reference(monkeypatch, faults, rate)
+        result = fault_simulate(
+            system.netlist, faults, stim, observe=observe, valid_masks=masks,
+            audit_rate=rate,
+        )
+        report = result.campaign
+        assert result.cone.dead > 0 and asked
+        deaths = [v for v in report.violations if v.check == "cone-death-differential"]
+        assert {v.fault for v in deaths} == {fault_key(f) for f in asked}
+        assert len(deaths) == len(report.violations) == report.quarantined
+        for fault, (verdict, _cycle) in asked.items():
+            assert result.verdicts[fault] is verdict
+
+    def test_strict_mode_aborts_on_divergence(self, small_campaign, monkeypatch):
+        system, stim, masks, observe, faults = small_campaign
+        self._lying_reference(monkeypatch, faults, 0.02)
+        with pytest.raises(IntegrityError, match="cone-death-differential"):
+            fault_simulate(
+                system.netlist, faults, stim, observe=observe, valid_masks=masks,
+                audit_rate=0.02, strict=True,
+            )
+
+    def test_zero_audit_rate_runs_no_death_check(self, small_campaign, monkeypatch):
+        system, stim, masks, observe, faults = small_campaign
+        asked = self._lying_reference(monkeypatch, faults, 0.0)
+        result = fault_simulate(
+            system.netlist, faults, stim, observe=observe, valid_masks=masks,
+            audit_rate=0.0,
+        )
+        assert result.cone.dead > 0
+        assert asked == {}
+        assert result.campaign.violations == []
+
+
 # ------------------------------------------------------ grading guard layer
 class TestGradingGuards:
     def test_poisoned_baseline_always_aborts(

@@ -25,10 +25,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.errors import (
+    ChunkTimeout,
     DeadlineExceeded,
     InputValidationError,
     ServiceOverloaded,
-    WorkerCrash,
     is_retryable,
 )
 from repro.core.integrity import STORE_CORRUPT_CHECK
@@ -316,7 +316,7 @@ def test_crash_retry_replays_published_stages_bit_identical(served):
                 if payload is None:
                     stage_computes.append(stage)
                     if stage_computes == ["faultsim", "classify", "grading"]:
-                        raise WorkerCrash("chaos: worker died mid-campaign")
+                        raise ChunkTimeout("chaos: worker died mid-campaign")
                     payload = {"stage": stage}
                     store.publish(stage, key, payload, design=design)
                 replayed.append(payload["stage"])

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic import values as V
-from repro.logic.eventsim import EventSimulator
 from repro.logic.faults import FaultSite, enumerate_faults
 from repro.logic.simulator import CycleSimulator, compile_netlist
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType, eval_gate_ints
+
+from .eventsim import EventSimulator
 
 
 def _comb_netlist():
