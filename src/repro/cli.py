@@ -47,112 +47,49 @@ from .hls.system import build_system
 from .netlist.bench import write_bench
 from .netlist.stats import analyze
 from .netlist.verilog import write_verilog
+from .power.montecarlo import (
+    MC_DEFAULT_BATCH_PATTERNS,
+    MC_DEFAULT_ITERATIONS_WINDOW,
+    MC_DEFAULT_MAX_BATCHES,
+    MC_DEFAULT_SEED,
+    mc_campaign_params,
+)
 from .store.cache import CampaignStore, open_stage
 from .store.fingerprint import netlist_fingerprint, stage_key
 from .store.query import QUERY_VERDICTS
 
+#: (seed, batch patterns, max batches, iterations window) of every
+#: Monte-Carlo campaign the CLI runs: they key its published powers.
+_MC_DEFAULTS = (
+    MC_DEFAULT_SEED,
+    MC_DEFAULT_BATCH_PATTERNS,
+    MC_DEFAULT_MAX_BATCHES,
+    MC_DEFAULT_ITERATIONS_WINDOW,
+)
 
-def _positive_int(text: str) -> int:
-    """argparse type: an int >= 1, rejected with a readable error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind, ok, rule: str):
+    """argparse type: a ``kind`` (int or float) for which ``ok(value)``
+    holds; anything else is rejected with a readable error naming ``rule``."""
+    noun = "an integer" if kind is int else "a number"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _jobs_arg(text: str) -> int:
-    """argparse type for --jobs: a positive worker count or -1 (all cores)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value != -1 and value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs takes a worker count >= 1 or -1 for all cores, got {value}"
-        )
-    return value
+    return parse
 
 
-def _port_arg(text: str) -> int:
-    """argparse type for --port: a TCP port, 0 (ephemeral) to 65535."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"port must be in [0, 65535] (0 = ephemeral), got {value}"
-        )
-    return value
-
-
-def _queue_depth_arg(text: str) -> int:
-    """argparse type for --queue-depth: admitted-job bound, 1..4096."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not 1 <= value <= 4096:
-        raise argparse.ArgumentTypeError(
-            f"queue depth must be in [1, 4096], got {value}"
-        )
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _fraction_arg(text: str) -> float:
-    value = _positive_float(text)
-    if value >= 1:
-        raise argparse.ArgumentTypeError(f"must be a fraction in (0, 1), got {value}")
-    return value
-
-
-def _audit_rate_arg(text: str) -> float:
-    """argparse type for --audit-rate: a fraction in [0, 1); 0 disables."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a fraction in [0, 1) (0 disables auditing), got {value}"
-        )
-    return value
-
-
-def _sigma_arg(text: str) -> float:
-    """argparse type for fleet sigmas/budgets: a fraction in [0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a fraction in [0, 1), got {value}"
-        )
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "must be >= 1")
+_nonnegative_int = _number(int, lambda v: v >= 0, "must be >= 0")
+_positive_float = _number(float, lambda v: v > 0, "must be > 0")
+_fraction = _number(float, lambda v: 0 < v < 1, "must be a fraction in (0, 1)")
+#: fleet sigmas and budgets
+_unit_interval = _number(float, lambda v: 0 <= v < 1, "must be a fraction in [0, 1)")
 
 
 def _chaos_arg(text: str) -> str:
@@ -222,14 +159,6 @@ def _result_report(
     ``query``/``serve`` can answer without simulating.  Campaigns that
     recorded integrity violations are never published.
     """
-    from .power.montecarlo import (
-        MC_DEFAULT_BATCH_PATTERNS,
-        MC_DEFAULT_ITERATIONS_WINDOW,
-        MC_DEFAULT_MAX_BATCHES,
-        MC_DEFAULT_SEED,
-        mc_campaign_params,
-    )
-
     from .logic.faults import fault_key
 
     # The fault list pins the campaign identity: fingerprints are
@@ -244,12 +173,7 @@ def _result_report(
     }
     if grading is not None:
         params["threshold"] = grading.threshold
-        params["mc"] = mc_campaign_params(
-            MC_DEFAULT_SEED,
-            MC_DEFAULT_BATCH_PATTERNS,
-            MC_DEFAULT_MAX_BATCHES,
-            MC_DEFAULT_ITERATIONS_WINDOW,
-        )
+        params["mc"] = mc_campaign_params(*_MC_DEFAULTS)
     stage = open_stage(
         store,
         "report",
@@ -361,52 +285,54 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_grade(args) -> int:
-    system = _build(args)
-    store = _store(args)
-    config = _config(args)
-    result = run_pipeline(
-        system, config, store=store, baseline=_baseline_spec(args, system)
-    )
-    _print_campaign(result.campaign, "fault-sim campaign")
-    _print_campaign(result.classify_campaign, "classify campaign")
-    _print_incremental(result)
-    chaos_engine = None
-    if args.chaos:
-        from .testing.chaos import ChaosEngine
+def _grade(args, store, system, baseline, threshold: float):
+    """Pipeline, grading and result report of one design: the one grade
+    path of the ``grade`` command and of serve's compute-on-miss.
 
-        chaos_engine = ChaosEngine.from_spec(args.chaos)
+    When the pipeline replayed a baseline, its published Monte-Carlo
+    powers seed the grading campaign wherever they still hold.
+    """
+    config = _config(args)
+    result = run_pipeline(system, config, store=store, baseline=baseline)
     seeds = None
     if store is not None and result.incremental_plan is not None:
         from .incremental.replay import grading_seed_results
-        from .power.montecarlo import (
-            MC_DEFAULT_BATCH_PATTERNS,
-            MC_DEFAULT_ITERATIONS_WINDOW,
-            MC_DEFAULT_MAX_BATCHES,
-            MC_DEFAULT_SEED,
-        )
 
         seeds = grading_seed_results(
             store,
             result.incremental_plan,
             result.design,
             [r.system_site for r in result.sfr_records],
-            MC_DEFAULT_SEED,
-            MC_DEFAULT_BATCH_PATTERNS,
-            MC_DEFAULT_MAX_BATCHES,
-            MC_DEFAULT_ITERATIONS_WINDOW,
+            *_MC_DEFAULTS,
         )
+    chaos_engine = None
+    if args.chaos:
+        from .testing.chaos import ChaosEngine
+
+        chaos_engine = ChaosEngine.from_spec(args.chaos)
     grading = grade_sfr_faults(
         system,
         result,
-        threshold=args.threshold,
+        threshold=threshold,
         chaos=chaos_engine,
         store=store,
         seed_results=seeds,
         **_campaign_kwargs(args),
     )
-    _print_campaign(grading.campaign, "grading campaign")
     report = _result_report(store, system, config, result, grading, command="grade")
+    return result, grading, report
+
+
+def _cmd_grade(args) -> int:
+    system = _build(args)
+    store = _store(args)
+    result, grading, report = _grade(
+        args, store, system, _baseline_spec(args, system), args.threshold
+    )
+    _print_campaign(result.campaign, "fault-sim campaign")
+    _print_campaign(result.classify_campaign, "classify campaign")
+    _print_incremental(result)
+    _print_campaign(grading.campaign, "grading campaign")
     _print_store(store)
     _write_result_json(args, report)
     _write_report_json(
@@ -442,31 +368,43 @@ def _fleet_config(args):
     )
 
 
+def _calibrate(args, store, system, baseline, fleet_config, threshold: float):
+    """Pipeline, fleet calibration and result report of one design: the
+    one calibrate path of the ``calibrate`` command and of serve."""
+    from .fleet import calibrate_fleet, calibrate_report_dict
+
+    result = run_pipeline(system, _config(args), store=store, baseline=baseline)
+    fleet, campaign, grading = calibrate_fleet(
+        system,
+        result,
+        fleet_config,
+        threshold=threshold,
+        store=store,
+        **_campaign_kwargs(args),
+    )
+    return result, fleet, campaign, grading, calibrate_report_dict(fleet)
+
+
 def _cmd_calibrate(args) -> int:
     from .core.report import render_table
-    from .fleet import calibrate_fleet, calibrate_report_dict
 
     system = _build(args)
     store = _store(args)
-    config = _config(args)
-    result = run_pipeline(
-        system, config, store=store, baseline=_baseline_spec(args, system)
+    result, fleet, campaign, grading, report = _calibrate(
+        args,
+        store,
+        system,
+        _baseline_spec(args, system),
+        _fleet_config(args),
+        args.threshold,
     )
     _print_campaign(result.campaign, "fault-sim campaign")
     _print_campaign(result.classify_campaign, "classify campaign")
     _print_incremental(result)
-    fleet, campaign, grading = calibrate_fleet(
-        system,
-        result,
-        _fleet_config(args),
-        threshold=args.threshold,
-        store=store,
-        **_campaign_kwargs(args),
-    )
     _print_campaign(campaign.campaign, "activity campaign")
     _print_campaign(grading.campaign, "grading campaign")
     _print_store(store)
-    _write_result_json(args, calibrate_report_dict(fleet))
+    _write_result_json(args, report)
     _write_report_json(
         args,
         {
@@ -556,43 +494,30 @@ def _cmd_table2(args) -> int:
 
 
 def _compute_campaign(args, store: CampaignStore, design: str, threshold: float) -> dict:
-    """Full cache-aware grade flow for one design (the serve miss path)."""
-    system = _system(args, design)
-    config = _config(args)
-    # "auto" replays from the most recent published version of this
-    # design, so a near-duplicate upload hits warm per-fault entries.
-    result = run_pipeline(system, config, store=store, baseline="auto")
-    grading = grade_sfr_faults(
-        system,
-        result,
-        threshold=threshold,
-        store=store,
-        **_campaign_kwargs(args),
-    )
-    return _result_report(store, system, config, result, grading, command="grade")
+    """Serve's compute-on-miss for one graded campaign.
+
+    ``"auto"`` replays from the most recent published version of this
+    design, so a near-duplicate upload hits warm per-fault entries.
+    """
+    return _grade(args, store, _system(args, design), "auto", threshold)[-1]
 
 
 def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) -> dict:
-    """Cache-aware fleet calibration for one design (the serve hook).
+    """Serve's compute-on-miss for one fleet calibration.
 
     ``params`` holds validated :class:`~repro.fleet.FleetConfig` field
-    overrides straight from the endpoint's query string; everything the
-    hook computes (activity counters, grading, fleet ROC) is store-backed,
-    so a warm repeat is a pure replay.
+    overrides straight from the endpoint's query string.
     """
-    from .fleet import FleetConfig, calibrate_fleet, calibrate_report_dict
+    from .fleet import FleetConfig
 
-    system = _system(args, design)
-    config = _config(args)
-    result = run_pipeline(system, config, store=store, baseline="auto")
-    fleet, _campaign, _grading = calibrate_fleet(
-        system,
-        result,
+    return _calibrate(
+        args,
+        store,
+        _system(args, design),
+        "auto",
         FleetConfig(**params),
-        store=store,
-        **_campaign_kwargs(args),
-    )
-    return calibrate_report_dict(fleet)
+        0.05,  # the calibrate command's --threshold default
+    )[-1]
 
 
 def _cmd_store(args) -> int:
@@ -641,8 +566,8 @@ def _cmd_serve(args) -> int:
     compute_calibrate = None
     if not args.no_compute:
         # Compute jobs publish every finished stage to the store, so a
-        # job-level retry after a mid-request worker crash replays them
-        # and recomputes only the stage that was in flight.
+        # job-level retry after a ChunkTimeout replays them and
+        # recomputes only the stage that was in flight.
 
         def compute(design: str, threshold: float) -> dict:
             return _compute_campaign(args, store, design, threshold)
@@ -792,7 +717,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_number(
+            int,
+            lambda v: v >= 1 or v == -1,
+            "--jobs takes a worker count >= 1 or -1 for all cores",
+        ),
         default=1,
         help="worker processes for per-fault loops (-1 = all cores, capped at "
         "the machine's core count; results are identical for any value -- "
@@ -815,7 +744,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--audit-rate",
-        type=_audit_rate_arg,
+        type=_number(
+            float,
+            lambda v: 0 <= v < 1,
+            "must be a fraction in [0, 1) (0 disables auditing)",
+        ),
         default=DEFAULT_AUDIT_RATE,
         metavar="FRACTION",
         help="fraction of faults re-simulated on an independent path to "
@@ -887,7 +820,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("grade", help="classify + Monte-Carlo power grading")
     p.add_argument("design", choices=design_names())
-    p.add_argument("--threshold", type=_fraction_arg, default=0.05)
+    p.add_argument("--threshold", type=_fraction, default=0.05)
     p.add_argument("--baseline", default=None, help=baseline_help)
     p.set_defaults(func=_cmd_grade)
 
@@ -906,25 +839,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--sigma-cap",
-        type=_sigma_arg,
+        type=_unit_interval,
         default=0.05,
         help="per-gate-type log-normal capacitance spread (default: 0.05)",
     )
     p.add_argument(
         "--sigma-leak",
-        type=_sigma_arg,
+        type=_unit_interval,
         default=0.30,
         help="per-gate-type log-normal leakage spread (default: 0.30)",
     )
     p.add_argument(
         "--sigma-meas",
-        type=_sigma_arg,
+        type=_unit_interval,
         default=0.02,
         help="multiplicative tester measurement noise (default: 0.02)",
     )
     p.add_argument(
         "--yield-budget",
-        type=_sigma_arg,
+        type=_unit_interval,
         default=0.01,
         help="tolerated fault-free yield loss for the threshold chooser "
         "(default: 0.01)",
@@ -938,7 +871,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--threshold",
-        type=_fraction_arg,
+        type=_fraction,
         default=0.05,
         help="threshold of the embedded scalar grading report (the fleet "
         "sweeps its own grid; default: 0.05)",
@@ -975,14 +908,20 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("query", help="filter cached campaigns without simulating")
     p.add_argument("--design", choices=design_names(), default=None)
-    p.add_argument("--threshold", type=_fraction_arg, default=None)
+    p.add_argument("--threshold", type=_fraction, default=None)
     p.add_argument("--verdict", choices=list(QUERY_VERDICTS), default=None)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("serve", help="HTTP endpoint over cached campaign results")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port_arg, default=8357)
+    p.add_argument(
+        "--port",
+        type=_number(
+            int, lambda v: 0 <= v <= 65535, "port must be in [0, 65535] (0 = ephemeral)"
+        ),
+        default=8357,
+    )
     p.add_argument(
         "--no-compute",
         action="store_true",
@@ -991,7 +930,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--queue-depth",
-        type=_queue_depth_arg,
+        type=_number(int, lambda v: 1 <= v <= 4096, "queue depth must be in [1, 4096]"),
         default=8,
         help="max compute jobs admitted (queued + running); excess "
         "requests get 503 + Retry-After instead of piling up (default: 8)",

@@ -861,30 +861,7 @@ def fault_simulate(
 
     # Differential audit: re-derive the hash-selected subset through the
     # serial per-fault path and compare against the campaign's verdicts.
-    guard = IntegrityGuard(strict=strict)
     audited = [f for f in faults if keys[f] in audit_keys]
-    for fault in audited:
-        reference = simulate_one_fault(
-            netlist, fault, stimulus, observe, golden, valid_masks
-        )
-        got = outcomes_by_fault[fault]
-        if got != reference:
-            guard.flag(
-                IntegrityViolation(
-                    check="faultsim-differential",
-                    fault=keys[fault],
-                    site=fault.describe(netlist),
-                    detail=(
-                        "campaign verdict diverges from the serial "
-                        "reference simulation; quarantined to the "
-                        "reference"
-                    ),
-                    cycle=max(got[1], reference[1]),
-                    expected=f"{reference[0].value}@{reference[1]}",
-                    actual=f"{got[0].value}@{got[1]}",
-                )
-            )
-            outcomes_by_fault[fault] = reference
     # Death-pruning spot check: a capped, hash-ranked handful of faults the
     # cone engine retired early is re-simulated through the full serial
     # reference, continuously validating the pruning proof at runtime.
@@ -896,28 +873,32 @@ def fault_simulate(
         (f for f in dead_faults if keys[f] not in audit_keys),
         key=lambda f: audit_fraction(keys[f], "death-audit"),
     )[: max(0, DEFAULT_DEATH_AUDIT_CHECKS) if audit_rate > 0 else 0]
-    for fault in death_checked:
-        reference = simulate_one_fault(
-            netlist, fault, stimulus, observe, golden, valid_masks
-        )
-        got = outcomes_by_fault[fault]
-        if got != reference:
-            guard.flag(
-                IntegrityViolation(
-                    check="cone-death-differential",
-                    fault=keys[fault],
-                    site=fault.describe(netlist),
-                    detail=(
-                        "death-pruned verdict diverges from the serial "
-                        "reference simulation; quarantined to the "
-                        "reference"
-                    ),
-                    cycle=max(got[1], reference[1]),
-                    expected=f"{reference[0].value}@{reference[1]}",
-                    actual=f"{got[0].value}@{got[1]}",
-                )
+    guard = IntegrityGuard(strict=strict)
+    for checked, check, what in (
+        (audited, "faultsim-differential", "campaign verdict"),
+        (death_checked, "cone-death-differential", "death-pruned verdict"),
+    ):
+        for fault in checked:
+            reference = simulate_one_fault(
+                netlist, fault, stimulus, observe, golden, valid_masks
             )
-            outcomes_by_fault[fault] = reference
+            got = outcomes_by_fault[fault]
+            if got != reference:
+                guard.flag(
+                    IntegrityViolation(
+                        check=check,
+                        fault=keys[fault],
+                        site=fault.describe(netlist),
+                        detail=(
+                            f"{what} diverges from the serial reference "
+                            "simulation; quarantined to the reference"
+                        ),
+                        cycle=max(got[1], reference[1]),
+                        expected=f"{reference[0].value}@{reference[1]}",
+                        actual=f"{got[0].value}@{got[1]}",
+                    )
+                )
+                outcomes_by_fault[fault] = reference
     guard.attach(report, audited=len(audited))
     result = FaultSimResult(
         verdicts={}, campaign=report, cone=cone_stats if faults else None

@@ -8,8 +8,8 @@ with the pipeline layers):
 * :mod:`~repro.store.artifacts` -- SQLite-indexed blob store;
 * :mod:`~repro.store.cache` -- campaign-level cache with provenance;
 * :mod:`~repro.store.query` -- filter cached campaigns;
-* :mod:`~repro.store.server` -- stdlib HTTP serve layer;
-* :mod:`~repro.store.client` -- retrying remote client.
+* :mod:`~repro.store.service` -- request coalescing and compute jobs;
+* :mod:`~repro.store.server` -- stdlib HTTP serve layer.
 """
 
 from .artifacts import ArtifactCorrupt, ArtifactStore, StoreError, StoreLockError

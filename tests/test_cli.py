@@ -64,7 +64,21 @@ def test_bad_design_rejected():
         ["--max-retries", "-1", "classify", "facet"],
         ["grade", "facet", "--threshold", "0"],
         ["grade", "facet", "--threshold", "1.5"],
+        ["grade", "facet", "--threshold", "nan"],
+        ["--timeout", "nan", "classify", "facet"],
         ["dump-vcd", "facet", "out.vcd", "--seed", "-2"],
+        ["--audit-rate", "1", "classify", "facet"],
+        ["serve", "--port", "70000"],
+        ["serve", "--queue-depth", "0"],
+        ["serve", "--serve-workers", "0"],
+        ["serve", "--request-timeout", "0"],
+        ["serve", "--drain-grace", "-1"],
+        ["calibrate", "facet", "--instances", "0"],
+        ["calibrate", "facet", "--sigma-cap", "1"],
+        ["calibrate", "facet", "--sigma-leak", "-0.1"],
+        ["calibrate", "facet", "--sigma-meas", "2"],
+        ["calibrate", "facet", "--yield-budget", "1"],
+        ["calibrate", "facet", "--fleet-seed", "-1"],
     ],
 )
 def test_bad_argument_values_rejected_by_argparse(argv, capsys):
@@ -73,6 +87,11 @@ def test_bad_argument_values_rejected_by_argparse(argv, capsys):
         main(argv)
     assert exc_info.value.code == 2  # argparse usage error
     assert "usage:" in capsys.readouterr().err
+
+
+def test_range_edges_accepted(capsys):
+    """-1 (all cores) and 0 (auditing off) sit outside the plain ranges."""
+    assert main(["--jobs", "-1", "--audit-rate", "0", "stats", "facet"]) == 0
 
 
 def test_requires_subcommand():

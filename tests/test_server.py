@@ -1,5 +1,5 @@
 """Tests for the crash-tolerant campaign service (:mod:`repro.store.service`,
-:mod:`repro.store.server`, :mod:`repro.store.client`).
+:mod:`repro.store.server`) and the CLI's serve compute hooks.
 
 Covers the robustness acceptance surface of the serve layer: request
 coalescing (one compute for N concurrent identical requests),
@@ -7,8 +7,8 @@ backpressure (503 + ``Retry-After`` at queue depth), per-request
 deadlines (504, quarantine, worker slot reclaimed), crash-retry that
 replays published stages (bit-identical to a cold single-threaded run),
 graceful drain, structured JSON errors, fail-fast upload validation,
-client retry behavior against a flaky stub server, and the combined
-chaos scenario from the issue's acceptance criteria.
+the combined chaos scenario, and ``serve``'s compute-on-miss hooks,
+which must answer what ``grade``/``calibrate`` write.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.core.integrity import STORE_CORRUPT_CHECK
 from repro.netlist.bench import parse_bench_upload
 from repro.netlist.verilog import parse_verilog_upload
 from repro.store.cache import CampaignStore
-from repro.store.client import RemoteStoreError, StoreClient
 from repro.store.fingerprint import canonical_json, digest
 from repro.store.server import make_server
 from repro.store.service import MEMO_ENTRIES, CampaignService, campaign_view
@@ -518,109 +517,6 @@ def test_upload_endpoint(served):
     assert status == 400 and "format" in body["message"]
 
 
-# ------------------------------------------------------------------ client
-class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list  # (status, payload, headers) consumed per request
-    hits: list
-
-    def log_message(self, fmt, *args):
-        pass
-
-    def do_GET(self):
-        self.hits.append(self.path)
-        status, payload, headers = (
-            self.script.pop(0) if self.script else (200, {"ok": True}, {})
-        )
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for k, v in headers.items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(body)
-
-
-@pytest.fixture()
-def scripted_server():
-    servers = []
-
-    def start(script):
-        handler = type(
-            "Scripted", (_ScriptedHandler,), {"script": list(script), "hits": []}
-        )
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append((server, thread))
-        return f"http://127.0.0.1:{server.server_address[1]}", handler
-
-    yield start
-    for server, thread in servers:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-def test_client_retries_503_honoring_retry_after(scripted_server):
-    overloaded = {"error": "ServiceOverloaded", "message": "full", "retryable": True}
-    base, handler = scripted_server(
-        [
-            (503, overloaded, {"Retry-After": "3"}),
-            (503, overloaded, {}),
-            (200, {"design": "facet"}, {}),
-        ]
-    )
-    naps: list[float] = []
-    client = StoreClient(
-        base, max_retries=4, backoff=0.5, jitter=0.0, sleep=naps.append
-    )
-    assert client.campaign("facet") == {"design": "facet"}
-    assert client.attempts == 3 and len(handler.hits) == 3
-    assert naps[0] == 3.0  # Retry-After honored over computed backoff
-    assert naps[1] == 1.0  # exponential backoff (0.5 * 2**1) for attempt 1
-
-
-def test_client_does_not_retry_terminal_errors(scripted_server):
-    bad = {"error": "InputValidationError", "message": "nope", "retryable": False}
-    base, handler = scripted_server([(400, bad, {})])
-    client = StoreClient(base, sleep=lambda s: None)
-    with pytest.raises(RemoteStoreError) as exc_info:
-        client.campaign("facet")
-    assert exc_info.value.status == 400
-    assert exc_info.value.payload["error"] == "InputValidationError"
-    assert client.attempts == 1 and len(handler.hits) == 1
-
-
-def test_client_retries_connection_failures_then_raises():
-    naps: list[float] = []
-    client = StoreClient(
-        "http://127.0.0.1:9", timeout=0.2, max_retries=2, jitter=0.0,
-        sleep=naps.append,
-    )
-    with pytest.raises(RemoteStoreError, match="unreachable"):
-        client.healthz()
-    assert client.attempts == 3
-    assert naps == [0.25, 0.5]  # exponential backoff between attempts
-
-
-def test_client_single_endpoint_base_url_compat():
-    client = StoreClient("http://127.0.0.1:8357/")
-    assert client.base_url == "http://127.0.0.1:8357"
-
-
-def test_client_against_real_server(served):
-    base, store, _ = served(compute=None)
-    _publish(store, "facet", 0.05)
-    client = StoreClient(base)
-    assert client.healthz() == {"ok": True}
-    assert client.readyz()["ready"] is True
-    assert client.campaign("facet", threshold=0.05)["design"] == "facet"
-    assert client.faults("facet", verdict="power-detected")[0]["fault"] == "1:out:5:0"
-    assert client.validate_design(GOOD_BENCH)["ok"] is True
-    assert client.stats()["requests"] >= 5
-
-
 # --------------------------------------------------- memoized cached reads
 def _dumps(payload) -> bytes:
     return json.dumps(payload, indent=2, allow_nan=False).encode("utf-8")
@@ -845,3 +741,87 @@ def test_serve_cli_rejects_bad_flags(tmp_path, capsys):
             main(argv)
         assert exc_info.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+
+# ------------------------------------------------ the CLI's compute hooks
+def _serve_cli(store_dir, paths, monkeypatch) -> list:
+    """Run ``serve --port 0`` on ``store_dir`` and GET each of ``paths``
+    from the server it builds before it returns: [(status, body, raw,
+    headers)]."""
+    import repro.store.server as server_module
+
+    replies = []
+
+    def serve_forever(server, drain_grace=30.0):
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            replies.extend(_fetch(base + path) for path in paths)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    monkeypatch.setattr(server_module, "serve_forever", serve_forever)
+    assert main(["--store-dir", str(store_dir), "serve", "--port", "0"]) == 0
+    return replies
+
+
+def _cli_result(tmp_path, name: str, argv: list[str]) -> dict:
+    """The ``--result-json`` of one CLI run into its own fresh store."""
+    out = tmp_path / f"{name}.json"
+    store_dir = tmp_path / f"{name}-store"
+    assert main(["--store-dir", str(store_dir), "--result-json", str(out), *argv]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_serve_misses_compute_what_the_commands_write(tmp_path, monkeypatch):
+    (status, grade, _, _), (cal_status, calibrate, _, _) = _serve_cli(
+        tmp_path / "served",
+        ["/campaigns/facet?threshold=0.05", "/campaigns/facet/calibrate?instances=5000"],
+        monkeypatch,
+    )
+    assert status == 200 and cal_status == 200
+    assert grade == _cli_result(tmp_path, "grade", ["grade", "facet"])
+    assert calibrate == _cli_result(
+        tmp_path, "calibrate", ["calibrate", "facet", "--instances", "5000"]
+    )
+
+
+def test_serve_miss_seeds_grading_from_a_published_edit(tmp_path, monkeypatch):
+    """A miss replays the newest published version of the design
+    (``baseline="auto"``) and seeds its Monte-Carlo powers, as
+    ``grade --baseline`` does, without changing the served report."""
+    import repro.cli as cli
+    from repro.incremental import edit_system_controller, pick_editable_gate
+
+    build, grade = cli._build, cli.grade_sfr_faults
+
+    def renamed(args):
+        system = build(args)
+        gate = pick_editable_gate(system, "rename")
+        return edit_system_controller(system, gate, "rename")
+
+    store_dir = tmp_path / "served"
+    monkeypatch.setattr(cli, "_build", renamed)
+    assert main(["--store-dir", str(store_dir), "grade", "facet"]) == 0
+    monkeypatch.setattr(cli, "_build", build)
+
+    seeds: list = []
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs.get("seed_results"))
+        return grade(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "grade_sfr_faults", spy)
+    # 0.06: the edit's report was published at 0.05, which would be a hit
+    ((status, served, _, _),) = _serve_cli(
+        store_dir, ["/campaigns/facet?threshold=0.06"], monkeypatch
+    )
+    assert status == 200
+    assert len(seeds) == 1 and seeds[0]
+    monkeypatch.setattr(cli, "grade_sfr_faults", grade)
+    assert served == _cli_result(
+        tmp_path, "cold", ["grade", "facet", "--threshold", "0.06"]
+    )
