@@ -1,0 +1,84 @@
+"""Store-backed ``grade`` stage walls on the two largest catalog designs.
+
+Runs ``grade`` the way the CLI does -- :func:`run_pipeline` then
+:func:`grade_sfr_faults` against a fresh store, at the CLI's default
+pattern count and Monte-Carlo knobs -- and reads each stage's wall time
+off the store's provenance rows (the ``--report-json`` ``store.stages``
+of ``repro-faults --store-dir DIR --audit-rate 0 grade DESIGN``).  Audits
+are off so the ``grading`` row times the block kernel alone.  e2ebench
+covers only facet, poly and diffeq; this bench is where a chunking or
+pass-width change on biquad and ewf shows up.  Writes
+``benchmarks/results/BENCH_grade_stages.json`` and ``grade_stages.txt``.
+"""
+
+import os
+import statistics
+import time
+
+from repro.core.grading import grade_sfr_faults
+from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.designs.catalog import build_rtl
+from repro.hls.system import build_system
+from repro.store.cache import CampaignStore
+
+from _config import FULL
+
+DESIGNS = ("biquad", "ewf")
+STAGES = ("faultsim", "classify", "grading")
+ROUNDS = 3 if FULL else 2
+
+
+def _cold_grade(design: str, store_dir) -> dict:
+    """One cold store-backed grade: stage walls, process wall, counts."""
+    t0 = time.perf_counter()
+    system = build_system(build_rtl(design))
+    store = CampaignStore(store_dir)
+    result = run_pipeline(system, PipelineConfig(audit_rate=0.0), store=store)
+    grading = grade_sfr_faults(system, result, store=store, audit_rate=0.0)
+    wall = time.perf_counter() - t0
+    walls = {p.stage: p.wall_s for p in store.provenance if p.stage in STAGES}
+    assert set(walls) == set(STAGES) and not any(
+        p.hit for p in store.provenance
+    ), store.provenance
+    assert grading.captured is not None
+    return {
+        **walls,
+        "wall_s": wall,
+        "sfr": len(grading.graded),
+        "mc_batches": sum(mc.batches for mc in grading.captured.values()),
+    }
+
+
+def test_grade_stage_walls(save_result, save_json, tmp_path):
+    metrics = {"bench": "grade_stages", "host_cores": os.cpu_count(),
+               "rounds": ROUNDS, "audit_rate": 0.0, "designs": {}}
+    lines = [
+        "store-backed cold grade, stage walls (s), median of "
+        f"{ROUNDS} rounds, audits off",
+        f"host cores: {os.cpu_count()}",
+        "",
+        f"{'design':<8}{'sfr':>5}{'mc_batches':>12}"
+        + "".join(f"{s:>10}" for s in STAGES)
+        + f"{'process':>10}",
+    ]
+    for design in DESIGNS:
+        runs = [_cold_grade(design, tmp_path / f"{design}-{r}") for r in range(ROUNDS)]
+        # Same inputs, same store keys: every round grades the same faults
+        # with the same Monte-Carlo batch counts.
+        assert len({(r["sfr"], r["mc_batches"]) for r in runs}) == 1
+        row = {
+            f"{k}_s": statistics.median(r[k] for r in runs)
+            for k in (*STAGES, "wall_s")
+        }
+        row["process_s"] = row.pop("wall_s_s")
+        row["rounds_s"] = {k: [r[k] for r in runs] for k in (*STAGES, "wall_s")}
+        row["sfr"] = runs[0]["sfr"]
+        row["mc_batches"] = runs[0]["mc_batches"]
+        metrics["designs"][design] = row
+        lines.append(
+            f"{design:<8}{row['sfr']:>5}{row['mc_batches']:>12}"
+            + "".join(f"{row[f'{s}_s']:>10.2f}" for s in STAGES)
+            + f"{row['process_s']:>10.2f}"
+        )
+    save_result("grade_stages", "\n".join(lines))
+    save_json("grade_stages", metrics)

@@ -27,6 +27,7 @@ from ..power.montecarlo import (
     MC_DEFAULT_MAX_BATCHES,
     MC_DEFAULT_SEED,
     MonteCarloResult,
+    first_pass_batches,
     mc_campaign_params,
     measure_power,
     monte_carlo_baseline,
@@ -145,8 +146,9 @@ def _context_batches(context) -> list:
 def _grade_chunk_worker(context, chunk):
     """Monte-Carlo a whole fault chunk through the block-parallel kernel.
 
-    One wide simulation per Monte-Carlo batch for every still-unconverged
-    fault of the chunk; every per-fault result carries its activity
+    One wide simulation of the batches every fault must run, then one
+    per later Monte-Carlo batch for every still-unconverged fault of the
+    chunk; every per-fault result carries its activity
     trace and is bit-identical to a per-fault ``monte_carlo_power`` run
     on the same knobs.
     """
@@ -165,9 +167,9 @@ def _grade_chunk_worker(context, chunk):
 def _grade_baseline(context) -> MonteCarloResult:
     """The campaign's fault-free result, activity trace included.
 
-    Read off the golden batches the block kernel simulates for every
+    Read off the fault-free runs the block kernel simulates for every
     fault chunk anyway (:func:`~repro.power.montecarlo.monte_carlo_baseline`),
-    so the fault-free machine runs once per batch in this process.
+    so the fault-free machine runs once per batch group in this process.
     """
     system, estimator, _seed, _bp, max_batches, _iw = context
     return monte_carlo_baseline(
@@ -191,10 +193,14 @@ def simulate_campaign(
     batch_patterns, max_batches, iterations_window)``.  The faults go in
     order-preserving block-parallel chunks sized like fault simulation's
     (:func:`~repro.logic.faultsim.chunk_capacity`): one chunk per worker,
-    capped so the chunk's ``V.num_words(batch_patterns)``-word blocks
-    stay within :data:`~repro.logic.faultsim.MAX_BLOCK_WORDS`.
+    capped so the chunk's widest blocks -- the first pass lays
+    :func:`~repro.power.montecarlo.first_pass_batches` batches of
+    ``V.num_words(batch_patterns)`` words side by side in each -- stay
+    within :data:`~repro.logic.faultsim.MAX_BLOCK_WORDS`.
     """
-    size = chunk_capacity(len(sites), n_jobs, V.num_words(context[3]))
+    _system, _estimator, _seed, batch_patterns, max_batches, _iw = context
+    wpb = V.num_words(batch_patterns) * first_pass_batches(max_batches)
+    size = chunk_capacity(len(sites), n_jobs, wpb)
     chunks = [sites[i : i + size] for i in range(0, len(sites), size)]
 
     def _collect(chunk_items, chunk_results) -> None:
@@ -291,13 +297,14 @@ def grade_sfr_faults(
     Each random batch is generated and packed once (``shared_batches``)
     and replayed for every SFR fault.  The fault-free baseline is not a
     campaign of its own: it is read off the fault-free reference run of
-    each batch that the block kernel simulates (and memoizes) anyway
+    each batch group that the block kernel simulates (and memoizes) anyway
     (:func:`~repro.power.montecarlo.monte_carlo_baseline`), bit-identical
     to a fault-free ``monte_carlo_power`` run on the same batches.  Faults
     are graded in block-parallel chunks: each fault of a chunk owns one
-    pattern block of a single wide cone-restricted simulator, so every
-    Monte-Carlo batch is one pass over the chunk's union fault cone
-    instead of one simulator per fault per batch.  Powers and
+    pattern block of a single wide cone-restricted simulator, so the
+    batches every fault must run are one pass over the chunk's union
+    fault cone, and each later Monte-Carlo batch one more, instead of one
+    simulator per fault per batch.  Powers and
     convergence histories are bit-identical to the per-fault
     ``monte_carlo_power`` reference at any batch size, and the chunks fan
     out across ``n_jobs`` processes with bit-identical powers regardless

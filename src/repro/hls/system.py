@@ -218,17 +218,19 @@ class NormalModeStimulus:
         self._cycle0_planes = planes
         self._reset_off = (system.reset_net, mask, zeros)  # reset = 0
 
-    def apply(self, sim, cycle: int) -> None:
+    def drive_planes(self, cycle: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The ``(net, zero, one)`` planes :meth:`apply` drives at ``cycle``."""
         if cycle == 0:
-            if sim.n_patterns != self.n_patterns:
-                raise ValueError(
-                    f"simulator carries {sim.n_patterns} patterns; "
-                    f"stimulus was packed for {self.n_patterns}"
-                )
-            for net, z, o in self._cycle0_planes:
-                sim.drive_words(net, z, o)
-        elif cycle == 1:
-            net, z, o = self._reset_off
+            return self._cycle0_planes
+        return [self._reset_off] if cycle == 1 else []
+
+    def apply(self, sim, cycle: int) -> None:
+        if cycle == 0 and sim.n_patterns != self.n_patterns:
+            raise ValueError(
+                f"simulator carries {sim.n_patterns} patterns; "
+                f"stimulus was packed for {self.n_patterns}"
+            )
+        for net, z, o in self.drive_planes(cycle):
             sim.drive_words(net, z, o)
 
 

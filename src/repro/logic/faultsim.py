@@ -369,22 +369,23 @@ class _ConeSim:
         observe: list[int],
         wpb: int,
         has_masks: bool,
-        count_toggles: bool = False,
+        count_splits: int = 0,
     ):
         self.n_blocks = n_b = len(faults)
         self.wpb = wpb
         blocks = [(b * wpb, (b + 1) * wpb) for b in range(n_b)]
-        # ``count_toggles`` arms the per-block counters for the Monte-Carlo
-        # power kernel: the restricted schedule never calls ``settle()``
-        # (the power kernel counts its union-net toggles itself), but
-        # ``latch_groups`` accumulates per-block DFFE load events.
+        # ``count_splits`` arms the counters of the Monte-Carlo power
+        # kernel, that many per fault block (the kernel lays its batches
+        # side by side in each block): the restricted schedule never calls
+        # ``settle()`` (the power kernel counts its union-net toggles
+        # itself), but ``latch_groups`` accumulates the DFFE load events.
         self.sim = sim = CycleSimulator(
             netlist,
             n_b * wpb * V.WORD_BITS,
             faults=faults,
             fault_blocks=blocks,
-            count_toggles=count_toggles,
-            toggle_blocks=n_b if count_toggles else None,
+            count_toggles=count_splits > 0,
+            toggle_blocks=n_b * count_splits if count_splits else None,
         )
         union_gates = set().union(*(cones[f].gates for f in faults))
         union_nets = set().union(*(cones[f].nets for f in faults))

@@ -292,6 +292,11 @@ class CycleSimulator:
             would have counted.  This is the counter side of the
             fault-parallel Monte-Carlo power kernel (each fault block
             gets its own power estimate from one wide pass).
+        mask: per-word mask of the real patterns, which constants and
+            drives set (the first ``n_patterns`` bits when omitted).  An
+            owner of several batches laid side by side, each padding its
+            last word, passes the batch tail mask tiled, so every block
+            holds exactly what a simulator of that batch alone holds.
 
     ``count_mask`` is the per-word mask of the patterns the DFFE load
     counters see: the real patterns (``mask``) unless a block-parallel
@@ -308,12 +313,13 @@ class CycleSimulator:
         compiled: CompiledNetlist | None = None,
         fault_blocks: list[tuple[int, int] | None] | None = None,
         toggle_blocks: int | None = None,
+        mask: np.ndarray | None = None,
     ):
         self.netlist = netlist
         self.compiled = compiled if compiled is not None else compile_netlist(netlist)
         self.n_patterns = n_patterns
         self.words = V.num_words(n_patterns)
-        self.mask = V.tail_mask(n_patterns)
+        self.mask = V.tail_mask(n_patterns) if mask is None else mask
         self.count_mask = self.mask
         self.count_toggles = count_toggles
 

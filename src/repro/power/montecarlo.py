@@ -12,15 +12,20 @@ with a chosen seed instead of a Monte-Carlo RNG).
 
 ``monte_carlo_power_block`` is the campaign kernel every grading
 campaign runs: each fault of a chunk owns one pattern block of a single
-wide block-parallel simulator, every Monte-Carlo batch is one
-compiled-netlist pass for the whole chunk, per-fault convergence is
-tracked exactly as the per-fault loop does, and converged faults are
-compacted out of the next batch's simulator.  Each batch applies the
-cone restriction: one fault-free reference run per batch supplies the
+wide block-parallel simulator, per-fault convergence is tracked exactly
+as the per-fault loop does, and converged faults are compacted out of
+the next pass's simulator.  No stream can converge before
+``MC_MIN_BATCHES``, so the first pass lays those batches side by side
+(:func:`first_pass_batches`): fault ``f``'s block holds one word-aligned
+sub-block per batch, the counters are kept per (fault, batch), and the
+convergence rule reads them in batch order.  Every later batch is one
+pass of its own over the still-unconverged faults.  Each pass applies
+the cone restriction: one fault-free reference run per batch group (the
+first pass's batches side by side, then each later batch) supplies the
 toggle counts of every net outside a fault's sequential fanout cone
 (those nets provably never diverge -- see docs/performance.md), and only
 the chunk's union cone is simulated.  A batch size that is not a
-multiple of 64 pads each block's last word, and the padding bits are
+multiple of 64 pads each batch's last word, and the padding bits are
 masked out of the load counters.  The campaign replays its batches from
 ``precompute_batches``, which packs each batch as a
 :class:`NormalModeStimulus` exactly once (``shared_batches`` memoizes
@@ -33,9 +38,9 @@ kernel's per-fault ``MonteCarloResult`` is bit-identical to it.  The
 grading audit, fault diagnosis and ``worstcase`` run it.
 
 ``monte_carlo_baseline`` is the fault-free result of the same campaign,
-read off those per-batch fault-free reference runs instead of
-simulating the batches a second time.  All three share one
-convergence rule (``_Convergence``).
+read off those per-group fault-free reference runs (one memo serves it
+and the kernel) instead of simulating the batches a second time.  All
+three share one convergence rule (``_Convergence``).
 """
 
 from __future__ import annotations
@@ -474,7 +479,8 @@ class _Convergence:
         self.totals.append(result.total_uw)
         mean = float(np.mean(self.totals))
         self.history.append(mean)
-        if batch >= self.min_batches:
+        # The mean can only have moved from the second batch on.
+        if batch >= self.min_batches and batch > 1:
             prev = self.history[-2]
             if prev > 0 and abs(mean - prev) / prev < self.rel_tol:
                 return MonteCarloResult(
@@ -556,38 +562,85 @@ def monte_carlo_power(
     return stream.unconverged(max_batches)
 
 
-@dataclass
-class _GoldenBatch:
-    """Fault-free reference of one batch: per-cycle planes + counters."""
+def first_pass_batches(max_batches: int, min_batches: int = MC_MIN_BATCHES) -> int:
+    """Batches the first simulation pass of a campaign lays side by side.
 
-    planes: list[np.ndarray]  # (2, n_rows, words) snapshot per settled cycle
-    toggles: np.ndarray  # (num_nets,) fault-free toggle counts
-    load_events: np.ndarray  # (n_dffe,) fault-free DFFE load counts
+    No stream can converge before ``min_batches`` (:class:`_Convergence`),
+    so every stream runs batches ``1..min(min_batches, max_batches)``
+    whatever its data: those run as one pass.
+    """
+    return min(min_batches, max_batches)
+
+
+def _batch_groups(max_batches: int, min_batches: int) -> list[list[int]]:
+    """The 1-based batches of a campaign, one list per simulation pass.
+
+    The first pass runs :func:`first_pass_batches` batches side by side;
+    every later batch runs alone, so converged streams can be compacted
+    out before it.
+    """
+    m = first_pass_batches(max_batches, min_batches)
+    return [list(range(1, m + 1))] + [[b] for b in range(m + 1, max_batches + 1)]
+
+
+@dataclass
+class _GoldenGroup:
+    """Fault-free reference of a batch group: per-cycle planes + counters."""
+
+    planes: list[np.ndarray]  # (2, n_rows, batches * wpb) snapshot per settled cycle
+    toggles: np.ndarray  # (batches, num_nets) fault-free toggle counts
+    load_events: np.ndarray  # (batches, n_dffe) fault-free DFFE load counts
     cycles: int
 
 
-# Golden batch runs, memoized per live stimulus object (grading replays
-# the same precomputed batches for every fault chunk, so each worker
-# simulates each batch's fault-free reference exactly once).
-_GOLDEN_CACHE: dict[int, _GoldenBatch] = {}
+# Golden runs, memoized per batch group of live stimulus objects (grading
+# replays the same precomputed batches for every fault chunk and for the
+# baseline, so each worker simulates each group's fault-free reference
+# exactly once).
+_GOLDEN_CACHE: dict[tuple[int, ...], _GoldenGroup] = {}
 
 
-def _golden_batch(system: System, stim: NormalModeStimulus) -> _GoldenBatch:
-    key = id(stim)
+def _golden_group(system: System, stims: list[NormalModeStimulus]) -> _GoldenGroup:
+    """One fault-free run over equal-shape ``stims`` side by side.
+
+    Batch ``k`` occupies words ``[k * wpb, (k + 1) * wpb)``, its padding
+    bits included, and the simulator's mask is each batch's tail mask:
+    every block holds exactly what a simulator of that batch alone holds,
+    and the counters are kept per batch.
+    """
+    key = tuple(map(id, stims))
     golden = _GOLDEN_CACHE.get(key)
     if golden is not None:
         return golden
-    sim = CycleSimulator(system.netlist, stim.n_patterns, count_toggles=True)
+    first = stims[0]
+    assert all(
+        (s.n_patterns, s.n_cycles) == (first.n_patterns, first.n_cycles)
+        for s in stims
+    )
+    sim = CycleSimulator(
+        system.netlist,
+        len(stims) * V.num_words(first.n_patterns) * V.WORD_BITS,
+        count_toggles=True,
+        toggle_blocks=len(stims),
+        mask=np.tile(V.tail_mask(first.n_patterns), len(stims)),
+    )
     planes = []
-    for cycle in range(stim.n_cycles):
-        stim.apply(sim, cycle)
+    for cycle in range(first.n_cycles):
+        drives = [s.drive_planes(cycle) for s in stims]
+        for i, (net, _, _) in enumerate(drives[0]):
+            sim.drive_words(
+                net,
+                np.concatenate([d[i][1] for d in drives]),
+                np.concatenate([d[i][2] for d in drives]),
+            )
         sim.settle()
         planes.append(sim.snapshot_planes())
         sim.latch()
-    golden = _GoldenBatch(
+    golden = _GoldenGroup(
         planes, sim.toggles.copy(), sim.load_events.copy(), sim.cycles_run
     )
-    weakref.finalize(stim, _GOLDEN_CACHE.pop, key, None)
+    for stim in stims:
+        weakref.finalize(stim, _GOLDEN_CACHE.pop, key, None)
     _GOLDEN_CACHE[key] = golden
     return golden
 
@@ -598,11 +651,11 @@ def monte_carlo_baseline(
     batches: list[NormalModeStimulus],
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
 ) -> MonteCarloResult:
-    """Fault-free Monte-Carlo power, read off the golden batches.
+    """Fault-free Monte-Carlo power, read off the golden runs.
 
-    The block kernel simulates each batch's fault-free reference anyway
-    (:func:`_golden_batch`, memoized per stimulus object); the baseline
-    converts those counters through
+    The block kernel simulates each batch group's fault-free reference
+    anyway (:func:`_golden_group`, memoized per group of stimulus
+    objects); the baseline converts those counters through
     :meth:`~repro.power.estimator.PowerEstimator.power_from_counts` under
     the default convergence rule, counter bounds check and batch guard
     of :func:`monte_carlo_power`.  The result, its :class:`ActivityTrace`
@@ -614,17 +667,18 @@ def monte_carlo_baseline(
         raise ValueError(f"max_batches must be >= 1, got {max_batches}")
     max_batches = min(max_batches, len(batches))
     stream = _Convergence(MC_MIN_BATCHES, MC_REL_TOL, True, None)
-    for batch in range(1, max_batches + 1):
-        stim = batches[batch - 1]
-        golden = _golden_batch(system, stim)
-        counts = (golden.toggles, golden.load_events)
-        estimator._check_counters(*counts, golden.cycles, stim.n_patterns)
-        result = estimator.power_from_counts(
-            *counts, golden.cycles, stim.n_patterns, DATAPATH_TAG
-        )
-        done = stream.add(batch, result, counts)
-        if done is not None:
-            return done
+    for group in _batch_groups(max_batches, MC_MIN_BATCHES):
+        golden = _golden_group(system, [batches[b - 1] for b in group])
+        for j, batch in enumerate(group):
+            n_patterns = batches[batch - 1].n_patterns
+            counts = (golden.toggles[j], golden.load_events[j])
+            estimator._check_counters(*counts, golden.cycles, n_patterns)
+            result = estimator.power_from_counts(
+                *counts, golden.cycles, n_patterns, DATAPATH_TAG
+            )
+            done = stream.add(batch, result, counts)
+            if done is not None:
+                return done
     return stream.unconverged(max_batches)
 
 
@@ -635,25 +689,29 @@ class _ConeBlockKernel:
     fault-free machine (the PR-5 cone theorem, docs/performance.md), so a
     fault's power differs from golden only through the toggle counts of
     its cone nets and the load counts of its cone DFFEs.  One golden run
-    per batch (memoized across chunks) supplies every other counter; the
-    chunk simulates just its union cone on the block-parallel
-    :class:`~repro.logic.faultsim._ConeSim`, counting toggles per block
-    over the union nets.  Counters are exact integers, so the resulting
-    powers are bit-identical to a standalone faulted simulation's.  One
-    instance serves every batch of an unchanged live-fault set (state
-    reset and counters zeroed between batches); a narrower kernel is
-    built when convergence compacts faults out.
+    per batch group (memoized across chunks) supplies every other
+    counter; the chunk simulates just its union cone on the
+    block-parallel :class:`~repro.logic.faultsim._ConeSim`, counting
+    toggles over the union nets.  Counters are exact integers, so the
+    resulting powers are bit-identical to a standalone faulted
+    simulation's.  One instance serves every pass of an unchanged
+    live-fault set and batch count (state reset and counters zeroed
+    between passes); a new kernel is built when convergence compacts
+    faults out or the batch count changes.
 
-    Each block spans ``V.num_words(n_patterns)`` words.  When the batch
-    size is not a multiple of 64, the last word of every block carries
-    padding bits that full-word stem forces and branch poisons still
-    set.  Those bits never toggle: every padding source (golden boundary
-    rows, which are X there, forces, poisons and pinned constants) holds
-    one value for the whole batch and the state starts all-X, so
-    three-valued simulation only refines a padding bit from X to a known
-    value and never flips it.  A load event, though, counts an enable's
-    level, not a change, so the DFFE load counters see each block
-    through its tail mask (the simulator's ``count_mask``).
+    A pass simulates ``n_batches`` batches side by side: fault ``f``'s
+    block spans one ``V.num_words(n_patterns)``-word sub-block per batch,
+    laid out as the golden group's planes are, and the counters are kept
+    per (fault, batch) sub-block.  When the batch size is not a multiple
+    of 64, the last word of every sub-block carries padding bits that
+    full-word stem forces and branch poisons still set.  Those bits never
+    toggle: every padding source (golden boundary rows, which are X
+    there, forces, poisons and pinned constants) holds one value for the
+    whole batch and the state starts all-X, so three-valued simulation
+    only refines a padding bit from X to a known value and never flips
+    it.  A load event, though, counts an enable's level, not a change, so
+    the DFFE load counters see each sub-block through its tail mask (the
+    simulator's ``count_mask``).
     """
 
     def __init__(
@@ -662,14 +720,16 @@ class _ConeBlockKernel:
         estimator: PowerEstimator,
         faults: list[FaultSite],
         cones,
+        n_batches: int,
         capture: bool = False,
     ):
         self.system = system
         self.estimator = estimator
         self.faults = list(faults)
         self.cones = cones
+        self.n_batches = n_batches
         self.capture = capture
-        #: per-block counter snapshot of the last ``run`` (capture mode)
+        #: (fault, batch, counter) snapshot of the last ``run`` (capture mode)
         self.last_counts: tuple[np.ndarray, np.ndarray] | None = None
         self.cs = None
 
@@ -677,7 +737,7 @@ class _ConeBlockKernel:
         from ..logic.faultsim import _ConeSim
 
         netlist = self.system.netlist
-        n_blocks = len(self.faults)
+        n_sub = len(self.faults) * self.n_batches
         wpb = V.num_words(n_patterns)
         self.cs = cs = _ConeSim(
             netlist,
@@ -685,53 +745,64 @@ class _ConeBlockKernel:
             self.faults,
             self.cones,
             [],
-            wpb,
+            self.n_batches * wpb,
             False,
-            count_toggles=True,
+            count_splits=self.n_batches,
         )
-        cs.sim.count_mask = np.tile(V.tail_mask(n_patterns), n_blocks)
+        cs.sim.count_mask = np.tile(V.tail_mask(n_patterns), n_sub)
         self.counted = np.array(sorted(cs.union_nets), dtype=np.int64)
-        self.state = np.zeros(
-            (2, len(cs.state_rows), n_blocks * wpb), dtype=np.uint64
-        )
-        self.prev = np.empty((2, len(self.counted), n_blocks * wpb), dtype=np.uint64)
-        self.counts = np.zeros((n_blocks, len(self.counted)), dtype=np.int64)
+        self.state = np.zeros((2, len(cs.state_rows), n_sub * wpb), dtype=np.uint64)
+        # the union nets' planes after the previous and the current settle
+        self.prev = np.empty((2, len(self.counted), n_sub * wpb), dtype=np.uint64)
+        self.cur = np.empty_like(self.prev)
 
-    def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
-        golden = _golden_batch(self.system, stim)
-        n_blocks = len(self.faults)
-        wpb = V.num_words(stim.n_patterns)
+    def run(
+        self, stims: list[NormalModeStimulus], tag_prefix: str | None
+    ) -> list[list[PowerResult]]:
+        """Powers of every live fault over ``stims``: ``[fault][batch]``."""
+        assert len(stims) == self.n_batches
+        golden = _golden_group(self.system, stims)
+        n_patterns = stims[0].n_patterns
+        n_blocks, n_batches = len(self.faults), self.n_batches
+        n_sub = n_blocks * n_batches
+        wpb = V.num_words(n_patterns)
         if self.cs is None:
-            self._build(stim.n_patterns)
+            self._build(n_patterns)
         else:
             self.cs.sim.reset_state()
             self.cs.sim.load_events[:] = 0
             self.state[:] = 0
-            self.counts[:] = 0
-        cs, counted, state, prev, counts = (
-            self.cs, self.counted, self.state, self.prev, self.counts,
+        cs, counted, state, prev, cur = (
+            self.cs, self.counted, self.state, self.prev, self.cur,
         )
         sim = cs.sim
-        have_prev = False
-        for cycle in range(stim.n_cycles):
+        # Per-word toggle counts accumulate over the cycles (at most 64
+        # per word per cycle, so the dtype holds the whole pass) and
+        # reduce to per-sub-block counters once, after the last cycle.
+        words = np.zeros(
+            (len(counted), n_sub * wpb),
+            dtype=np.min_scalar_type(V.WORD_BITS * golden.cycles),
+        )
+        for cycle in range(golden.cycles):
             cs.run_cycle(golden.planes[cycle], state)
-            if have_prev:
-                flips = (prev[0] & sim.O[counted]) | (prev[1] & sim.Z[counted])
-                counts += (
-                    np.bitwise_count(flips)
-                    .reshape(len(counted), n_blocks, wpb)
-                    .sum(axis=2, dtype=np.int64)
-                    .T
-                )
-            prev[0] = sim.Z[counted]
-            prev[1] = sim.O[counted]
-            have_prev = True
+            np.take(sim._ZO, counted, axis=1, out=cur, mode="clip")
+            if cycle:
+                # flips, computed in place: ``prev`` is spent after this
+                prev[0] &= cur[1]
+                prev[1] &= cur[0]
+                prev[0] |= prev[1]
+                np.add(words, np.bitwise_count(prev[0]), out=words)
+            prev, cur = cur, prev
             cs.latch(state)
+        counts = (
+            words.reshape(len(counted), n_sub, wpb).sum(axis=2, dtype=np.int64).T
+        )
         # Splice: golden counters everywhere, simulated counters on the
         # union cone.  For a block whose fault's own cone is a strict
         # subset of the union, the extra union rows carry fault-free
         # values in that block (they are outside the fault's cone), so
         # the spliced counts still equal the standalone faulted run's.
+        # Row ``f * n_batches + j`` is fault ``f`` on batch ``j``.
         estimator = self.estimator
         toggles = np.tile(golden.toggles, (n_blocks, 1))
         toggles[:, counted] = counts
@@ -739,20 +810,26 @@ class _ConeBlockKernel:
         for group in cs.seq_subs:
             if group.dffe_rows is not None:
                 loads[:, group.dffe_rows] = sim.load_events[:, group.dffe_rows]
+        toggles = toggles.reshape(n_blocks, n_batches, -1)
+        loads = loads.reshape(n_blocks, n_batches, -1)
         if self.capture:
             # The spliced arrays above are freshly allocated each run, so
             # they are safe to hand out without another copy.
             self.last_counts = (toggles, loads)
         results = []
         for b in range(n_blocks):
-            estimator._check_counters(
-                toggles[b], loads[b], golden.cycles, stim.n_patterns
-            )
-            results.append(
-                estimator.power_from_counts(
-                    toggles[b], loads[b], golden.cycles, stim.n_patterns, tag_prefix
+            per_batch = []
+            for j in range(n_batches):
+                estimator._check_counters(
+                    toggles[b, j], loads[b, j], golden.cycles, n_patterns
                 )
-            )
+                per_batch.append(
+                    estimator.power_from_counts(
+                        toggles[b, j], loads[b, j], golden.cycles, n_patterns,
+                        tag_prefix,
+                    )
+                )
+            results.append(per_batch)
         return results
 
 
@@ -774,21 +851,23 @@ def monte_carlo_power_block(
 
     Returns one :class:`MonteCarloResult` per fault, bit-identical to
     calling :func:`monte_carlo_power` per fault with the same knobs --
-    same ``power_uw``, ``batches``, ``patterns`` and ``history``.  Each
-    batch is one wide simulation over the still-unconverged faults
-    (converged faults are compacted out, exactly mirroring the serial
-    loop's early return), restricted to the chunk's union fault cone.
+    same ``power_uw``, ``batches``, ``patterns`` and ``history``.  The
+    first pass simulates the :func:`first_pass_batches` batches every
+    fault must run side by side; each later batch is one pass over the
+    still-unconverged faults (converged faults are compacted out,
+    exactly mirroring the serial loop's early return).  Every pass is
+    one wide simulation restricted to the chunk's union fault cone.
     With ``capture_activity=True`` each result also carries its
     :class:`ActivityTrace` of per-batch integer counters (the counters
     the kernels already accumulate -- capture only snapshots them).
 
-    Any batch size works: each block pads to whole 64-bit words and
+    Any batch size works: each batch pads to whole 64-bit words and
     counts only its real patterns' load events.  Pass ``batches`` (from
     :func:`shared_batches`) to replay packed batch stimuli across fault
     chunks; ``seed``/``batch_patterns`` are then ignored in favour of
     the precomputed data.  Callers are responsible for keeping chunks
-    small enough for the ``len(faults)``-block simulator to fit in
-    memory (the grading layer chunks accordingly).
+    small enough for the first pass's simulator to fit in memory (the
+    grading layer chunks accordingly).
     """
     faults = list(faults)
     if not faults:
@@ -808,27 +887,35 @@ def monte_carlo_power_block(
     final: list[MonteCarloResult | None] = [None] * len(faults)
     live = list(range(len(faults)))
     kernel = None
-    kernel_live: list[int] = []
-    for batch in range(1, max_batches + 1):
-        stim = batch_stim(batch)
-        if kernel is None or kernel_live != live:
-            # Convergence compaction: rebuild the kernel one block per
-            # still-unconverged fault; an unchanged live set reuses the
-            # previous batch's simulator (state reset, counters zeroed).
+    kernel_key: tuple | None = None
+    for group in _batch_groups(max_batches, min_batches):
+        stims = [batch_stim(batch) for batch in group]
+        if kernel_key != (live, len(group)):
+            # Convergence compaction: build a kernel one block per
+            # still-unconverged fault; an unchanged live set and batch
+            # count reuses the previous pass's simulator (state reset,
+            # counters zeroed).
             live_faults = [faults[i] for i in live]
             kernel = _ConeBlockKernel(
-                system, estimator, live_faults, cones, capture_activity
+                system, estimator, live_faults, cones, len(group), capture_activity
             )
-            kernel_live = list(live)
-        powers = kernel.run(stim, DATAPATH_TAG)
+            kernel_key = (list(live), len(group))
+        assert kernel is not None
+        powers = kernel.run(stims, DATAPATH_TAG)
         survivors = []
         for pos, i in enumerate(live):
-            counts = None
-            if capture_activity:
-                assert kernel.last_counts is not None
-                counts = (kernel.last_counts[0][pos], kernel.last_counts[1][pos])
-            final[i] = streams[i].add(batch, powers[pos], counts)
-            if final[i] is None:
+            for j, batch in enumerate(group):
+                counts = None
+                if capture_activity:
+                    assert kernel.last_counts is not None
+                    counts = (
+                        kernel.last_counts[0][pos, j],
+                        kernel.last_counts[1][pos, j],
+                    )
+                final[i] = streams[i].add(batch, powers[pos][j], counts)
+                if final[i] is not None:
+                    break
+            else:
                 survivors.append(i)
         live = survivors
         if not live:

@@ -4,8 +4,9 @@ what each consumer used to compute for itself.
 * cone content hashes built from a memoized per-cone body equal the
   original one-``digest``-per-fault hash, byte for byte (store keys
   published by earlier versions keep hitting);
-* the Monte-Carlo baseline read off the golden batch counters equals a
-  fault-free ``monte_carlo_power`` run field for field;
+* the Monte-Carlo baseline read off the golden-run counters equals a
+  fault-free ``monte_carlo_power`` run field for field, and shares each
+  batch group's one fault-free run with the grading kernel;
 * a store-backed cold ``grade`` simulates the fault-free TPGR machine
   once and runs no separate fault-free Monte-Carlo campaign.
 """
@@ -36,6 +37,8 @@ from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
     monte_carlo_baseline,
     monte_carlo_power,
+    monte_carlo_power_block,
+    precompute_batches,
     shared_batches,
 )
 from repro.store.fingerprint import SCHEMA_VERSION, digest
@@ -177,6 +180,56 @@ class TestGoldenBatchBaseline:
             want.activity.cycles,
             want.activity.patterns,
         )
+
+    @pytest.mark.parametrize("batch_patterns", [32, 100, 192])
+    @pytest.mark.parametrize("max_batches", [1, 2, 3, 5])
+    def test_first_pass_edge_shapes(self, facet_system, max_batches, batch_patterns):
+        """A budget below the convergence minimum fuses fewer batches, a
+        one-batch budget fuses none, and padded batches keep their own
+        tail masks: the baseline still equals the per-fault oracle."""
+        estimator = PowerEstimator(facet_system.netlist)
+        kwargs = dict(batch_patterns=batch_patterns, max_batches=max_batches)
+        got = monte_carlo_baseline(
+            facet_system,
+            estimator,
+            shared_batches(facet_system, **kwargs),
+            max_batches=max_batches,
+        )
+        want = monte_carlo_power(
+            facet_system, estimator, fault=None, capture_activity=True, **kwargs
+        )
+        for name in ("power_uw", "batches", "patterns", "history", "converged"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("toggles", "load_events", "cycles", "patterns"):
+            np.testing.assert_array_equal(
+                getattr(got.activity, name), getattr(want.activity, name), name
+            )
+
+    def test_baseline_and_kernel_share_one_run_per_batch_group(
+        self, facet_system, facet_pipeline, monkeypatch
+    ):
+        """The first ``MC_MIN_BATCHES`` batches run fault-free once, side
+        by side; every later batch once on its own; the grading kernel
+        reads the very runs the baseline read."""
+        runs = []
+        real = montecarlo_mod.CycleSimulator
+
+        def counting(netlist, n_patterns, **kwargs):
+            runs.append(kwargs.get("toggle_blocks"))
+            return real(netlist, n_patterns, **kwargs)
+
+        monkeypatch.setattr(montecarlo_mod, "CycleSimulator", counting)
+        estimator = PowerEstimator(facet_system.netlist)
+        kwargs = dict(batch_patterns=100, max_batches=6)
+        batches = precompute_batches(facet_system, **kwargs)
+        base = monte_carlo_baseline(facet_system, estimator, batches, max_batches=6)
+        faults = [r.system_site for r in facet_pipeline.sfr_records][:4]
+        block = monte_carlo_power_block(
+            facet_system, estimator, faults, batches=batches, **kwargs
+        )
+        last = max(base.batches, *(r.batches for r in block))
+        m = montecarlo_mod.MC_MIN_BATCHES
+        assert runs == [m] + [1] * (last - m)
 
 
 def test_cold_grade_simulates_the_fault_free_machine_once(tmp_path, monkeypatch):

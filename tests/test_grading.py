@@ -265,6 +265,50 @@ class TestBlockKernelBitIdentity:
             )
 
 
+class TestFirstPassEdgeShapes:
+    """The first pass lays ``min(min_batches, max_batches)`` batches side
+    by side: a budget below the convergence minimum, a one-batch first
+    pass (nothing to fuse) and padded batch sizes all match the per-fault
+    oracle field for field, activity traces included."""
+
+    @pytest.mark.parametrize("batch_patterns", [32, 100, 192])
+    @pytest.mark.parametrize("min_batches", [1, 3])
+    @pytest.mark.parametrize("max_batches", [1, 2, 3, 5])
+    def test_matches_per_fault(
+        self, facet_system, facet_pipeline, max_batches, min_batches, batch_patterns
+    ):
+        faults = _sampled_faults(facet_system, facet_pipeline, n_sfr=3, n_stems=2)
+        est = PowerEstimator(facet_system.netlist)
+        kwargs = dict(
+            batch_patterns=batch_patterns, max_batches=max_batches, min_batches=min_batches
+        )
+        block = monte_carlo_power_block(
+            facet_system,
+            est,
+            faults,
+            batches=shared_batches(
+                facet_system, batch_patterns=batch_patterns, max_batches=max_batches
+            ),
+            capture_activity=True,
+            **kwargs,
+        )
+        for fault, got in zip(faults, block):
+            ref = monte_carlo_power(
+                facet_system, est, fault=fault, capture_activity=True, **kwargs
+            )
+            _assert_mc_equal(got, ref)
+            for name in ("toggles", "load_events"):
+                np.testing.assert_array_equal(
+                    getattr(got.activity, name),
+                    getattr(ref.activity, name),
+                    err_msg=f"{name} of {fault}",
+                )
+            assert (got.activity.cycles, got.activity.patterns) == (
+                ref.activity.cycles,
+                ref.activity.patterns,
+            )
+
+
 class TestBatchedGradingBitIdentity:
     """grade_sfr_faults (the block kernel) vs the per-fault oracle."""
 
@@ -337,7 +381,9 @@ class TestMonteCarloCacheLifetime:
             batches=batches,
             **kwargs,
         )
+        # one memo entry per batch group: the first pass's batches share one
         assert len(mc._GOLDEN_CACHE) > golden_before
+        assert tuple(map(id, batches[:3])) in mc._GOLDEN_CACHE
         # the memo stays out of pickled pool contexts
         assert "_mc_batches" in vars(system)
         assert "_mc_batches" not in vars(pickle.loads(pickle.dumps(system)))

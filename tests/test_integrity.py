@@ -338,19 +338,21 @@ class TestGradingGuards:
     def test_poisoned_baseline_always_aborts(
         self, facet_system, facet_pipeline, monkeypatch
     ):
-        # The baseline is read off the golden batch counters: zero them
-        # (a datapath that never switches, 0 uW) where they are produced.
-        real = montecarlo_mod._golden_batch
+        # The baseline is read off the counters of the fault-free runs,
+        # one per batch group (the first pass's batches side by side):
+        # zero them (a datapath that never switches, 0 uW) where they
+        # are produced.
+        real = montecarlo_mod._golden_group
 
-        def poisoned(system, stim):
-            golden = real(system, stim)
+        def poisoned(system, stims):
+            golden = real(system, stims)
             return dataclasses.replace(
                 golden,
                 toggles=np.zeros_like(golden.toggles),
                 load_events=np.zeros_like(golden.load_events),
             )
 
-        monkeypatch.setattr(montecarlo_mod, "_golden_batch", poisoned)
+        monkeypatch.setattr(montecarlo_mod, "_golden_group", poisoned)
         with pytest.raises(IntegrityError, match="baseline"):
             grade_sfr_faults(
                 facet_system, facet_pipeline, batch_patterns=32, max_batches=2,
