@@ -33,8 +33,9 @@ def _cold_grade(design: str, store_dir) -> dict:
     t0 = time.perf_counter()
     system = build_system(build_rtl(design))
     store = CampaignStore(store_dir)
-    result = run_pipeline(system, PipelineConfig(audit_rate=0.0), store=store)
-    grading = grade_sfr_faults(system, result, store=store, audit_rate=0.0)
+    config = PipelineConfig(audit_rate=0.0)
+    result = run_pipeline(system, config, store=store)
+    grading = grade_sfr_faults(system, result, config=config, store=store)
     wall = time.perf_counter() - t0
     walls = {p.stage: p.wall_s for p in store.provenance if p.stage in STAGES}
     assert set(walls) == set(STAGES) and not any(

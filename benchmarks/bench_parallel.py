@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro.core.grading import grade_sfr_faults
-from repro.core.pipeline import controller_fault_universe
+from repro.core.pipeline import PipelineConfig, controller_fault_universe
 from repro.hls.system import NormalModeStimulus, hold_masks
 from repro.logic.faults import fault_key
 from repro.logic.faultsim import (
@@ -122,7 +122,7 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
             pipelines["diffeq"],
             batch_patterns=MC_BATCH,
             max_batches=MC_MAX_BATCHES,
-            n_jobs=n_jobs,
+            config=PipelineConfig(n_jobs=n_jobs),
         )
         elapsed = time.perf_counter() - t0
         if base_grading is None:
@@ -159,7 +159,10 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
     mc_oracle_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     grading = grade_sfr_faults(
-        system, pipelines["diffeq"], audit_rate=0.0, **mc_kwargs
+        system,
+        pipelines["diffeq"],
+        config=PipelineConfig(audit_rate=0.0),
+        **mc_kwargs,
     )
     mc_kernel_s = time.perf_counter() - t0
     assert grading.fault_free_uw == oracle_base == base_grading.fault_free_uw
@@ -273,7 +276,7 @@ def test_incremental_replay(save_result, save_json, tmp_path):
     """
     import json as _json
 
-    from repro.core.pipeline import PipelineConfig, run_pipeline
+    from repro.core.pipeline import run_pipeline
     from repro.designs.catalog import cached_system
     from repro.incremental import edit_system_controller, pick_editable_gate
 

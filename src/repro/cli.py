@@ -28,8 +28,8 @@ import argparse
 import json
 import sys
 
-from .core.grading import grade_sfr_faults, pick_representative
-from .core.integrity import DEFAULT_AUDIT_RATE
+from .core.errors import CampaignError, validate_config
+from .core.grading import DEFAULT_THRESHOLD, grade_sfr_faults, pick_representative
 from .core.pipeline import PipelineConfig, run_pipeline
 from .core.report import (
     build_json_report,
@@ -42,7 +42,7 @@ from .core.report import (
     render_table1,
     render_table2,
 )
-from .designs.catalog import build_rtl, cached_system, design_names
+from .designs.catalog import cached_system, design_names
 from .hls.system import build_system
 from .netlist.bench import write_bench
 from .netlist.stats import analyze
@@ -91,17 +91,22 @@ _fraction = _number(float, lambda v: 0 < v < 1, "must be a fraction in (0, 1)")
 #: fleet sigmas and budgets
 _unit_interval = _number(float, lambda v: 0 <= v < 1, "must be a fraction in [0, 1)")
 
-
-def _chaos_arg(text: str) -> str:
-    """argparse type for --chaos: validate the spec at the CLI boundary."""
-    from .core.errors import CampaignError
-    from .testing.chaos import ChaosSpec
-
-    try:
-        ChaosSpec.parse(text)
-    except CampaignError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+#: ``calibrate``'s fleet flags: (flag, :class:`~repro.fleet.FleetConfig`
+#: field it sets, argparse type, help); defaults come from ``FleetConfig``
+_FLEET_FLAGS = (
+    ("--instances", "instances", _positive_int, "manufactured instances to "
+     "sample (the kernel is a matmul, so millions are fine)"),
+    ("--sigma-cap", "sigma_cap", _unit_interval,
+     "per-gate-type log-normal capacitance spread"),
+    ("--sigma-leak", "sigma_leak", _unit_interval,
+     "per-gate-type log-normal leakage spread"),
+    ("--sigma-meas", "sigma_meas", _unit_interval,
+     "multiplicative tester measurement noise"),
+    ("--yield-budget", "yield_budget", _unit_interval,
+     "tolerated fault-free yield loss for the threshold chooser"),
+    ("--fleet-seed", "seed", _nonnegative_int, "population sampling seed "
+     "(results are byte-identical for a fixed configuration)"),
+)
 
 
 def _print_campaign(campaign, title: str) -> None:
@@ -114,34 +119,53 @@ def _print_campaign(campaign, title: str) -> None:
         print(render_integrity_violations(campaign, title=f"{title} integrity"))
 
 
-def _write_report_json(args, campaigns: dict, store: CampaignStore | None = None) -> None:
-    """Write the machine-readable campaign/integrity report if requested."""
-    if not getattr(args, "report_json", None):
-        return
-    with open(args.report_json, "w", encoding="utf-8") as f:
-        json.dump(build_json_report(campaigns, store=store), f, indent=2, allow_nan=False)
-    print(f"wrote {args.report_json}")
-
-
-def _write_result_json(args, report: dict) -> None:
-    """Write the deterministic result report (canonical JSON) if requested."""
-    if not getattr(args, "result_json", None):
-        return
-    with open(args.result_json, "w", encoding="utf-8") as f:
-        f.write(canonical_report_json(report))
-    print(f"wrote {args.result_json}")
-
-
 def _store(args) -> CampaignStore | None:
     """The persistent campaign store of this invocation, if enabled."""
-    if not getattr(args, "store_dir", None):
+    if not args.store_dir:
         return None
-    return CampaignStore(args.store_dir, refresh=getattr(args, "store_refresh", False))
+    return CampaignStore(args.store_dir, refresh=args.store_refresh)
 
 
 def _print_store(store: CampaignStore | None) -> None:
     if store is not None and (store.provenance or store.violations):
         print(render_store_summary(store))
+
+
+def _finish(args, store, result, report: dict, **campaigns) -> None:
+    """The shared tail of ``classify``/``grade``/``calibrate``: campaign,
+    incremental and store summaries, then the requested JSON reports.
+
+    ``campaigns`` are the command's campaigns after the pipeline's two,
+    by report name (``activity``, ``grading``) in print order.
+    """
+    _print_campaign(result.campaign, "fault-sim campaign")
+    _print_campaign(result.classify_campaign, "classify campaign")
+    inc = result.incremental
+    if inc:
+        print(
+            f"incremental: {inc['reusable']}/{inc['faults']} faults replayed "
+            f"from baseline {inc['baseline']} "
+            f"(dirty fraction {inc['dirty_fraction']:.1%}, "
+            f"region: {inc['region_reason']})"
+        )
+    for name, campaign in campaigns.items():
+        _print_campaign(campaign, f"{name} campaign")
+    _print_store(store)
+    if args.result_json:
+        with open(args.result_json, "w", encoding="utf-8") as f:
+            f.write(canonical_report_json(report))
+        print(f"wrote {args.result_json}")
+    if args.report_json:
+        campaigns = {
+            "faultsim": result.campaign,
+            "classify": result.classify_campaign,
+            **campaigns,
+        }
+        with open(args.report_json, "w", encoding="utf-8") as f:
+            json.dump(
+                build_json_report(campaigns, store=store), f, indent=2, allow_nan=False
+            )
+        print(f"wrote {args.report_json}")
 
 
 def _result_report(
@@ -218,7 +242,7 @@ def _baseline_spec(args, system):
     fingerprints, payload paths and ``auto`` pass through to
     :func:`~repro.incremental.replay.resolve_baseline`.
     """
-    spec = getattr(args, "baseline", None)
+    spec = args.baseline
     if not spec:
         return None
     if spec != system.rtl.name and spec in design_names():
@@ -226,31 +250,17 @@ def _baseline_spec(args, system):
     return spec
 
 
-def _print_incremental(result) -> None:
-    inc = getattr(result, "incremental", None)
-    if inc:
-        print(
-            f"incremental: {inc['reusable']}/{inc['faults']} faults replayed "
-            f"from baseline {inc['baseline']} "
-            f"(dirty fraction {inc['dirty_fraction']:.1%}, "
-            f"region: {inc['region_reason']})"
-        )
-
-
-def _campaign_kwargs(args) -> dict:
-    """The fan-out and integrity knobs of every campaign the CLI runs."""
-    return {
-        "n_jobs": args.jobs,
-        "timeout": args.timeout,
-        "max_retries": args.max_retries,
-        "audit_rate": args.audit_rate,
-        "strict": args.strict,
-    }
-
-
 def _config(args) -> PipelineConfig:
+    """The run's one configuration: every campaign of the command reads
+    its fan-out and integrity knobs from it."""
     return PipelineConfig(
-        n_patterns=args.patterns, chaos=args.chaos, **_campaign_kwargs(args)
+        n_patterns=args.patterns,
+        n_jobs=args.jobs,
+        timeout=args.timeout,
+        max_retries=args.max_retries,
+        audit_rate=args.audit_rate,
+        strict=args.strict,
+        chaos=args.chaos,
     )
 
 
@@ -261,17 +271,7 @@ def _cmd_classify(args) -> int:
     result = run_pipeline(
         system, config, store=store, baseline=_baseline_spec(args, system)
     )
-    _print_campaign(result.campaign, "fault-sim campaign")
-    _print_campaign(result.classify_campaign, "classify campaign")
-    _print_incremental(result)
-    report = _result_report(store, system, config, result, command="classify")
-    _print_store(store)
-    _write_result_json(args, report)
-    _write_report_json(
-        args,
-        {"faultsim": result.campaign, "classify": result.classify_campaign},
-        store=store,
-    )
+    _finish(args, store, result, _result_report(store, system, config, result))
     print(system.rtl.summary())
     print("fault buckets:", result.counts())
     row = result.table2_row()
@@ -305,19 +305,13 @@ def _grade(args, store, system, baseline, threshold: float):
             [r.system_site for r in result.sfr_records],
             *_MC_DEFAULTS,
         )
-    chaos_engine = None
-    if args.chaos:
-        from .testing.chaos import ChaosEngine
-
-        chaos_engine = ChaosEngine.from_spec(args.chaos)
     grading = grade_sfr_faults(
         system,
         result,
         threshold=threshold,
-        chaos=chaos_engine,
+        config=config,
         store=store,
         seed_results=seeds,
-        **_campaign_kwargs(args),
     )
     report = _result_report(store, system, config, result, grading, command="grade")
     return result, grading, report
@@ -329,21 +323,7 @@ def _cmd_grade(args) -> int:
     result, grading, report = _grade(
         args, store, system, _baseline_spec(args, system), args.threshold
     )
-    _print_campaign(result.campaign, "fault-sim campaign")
-    _print_campaign(result.classify_campaign, "classify campaign")
-    _print_incremental(result)
-    _print_campaign(grading.campaign, "grading campaign")
-    _print_store(store)
-    _write_result_json(args, report)
-    _write_report_json(
-        args,
-        {
-            "faultsim": result.campaign,
-            "classify": result.classify_campaign,
-            "grading": grading.campaign,
-        },
-        store=store,
-    )
+    _finish(args, store, result, report, grading=grading.campaign)
     print(render_table1(grading, pick_representative(grading)))
     print()
     print(render_figure7(grading))
@@ -355,65 +335,31 @@ def _cmd_grade(args) -> int:
     return 0
 
 
-def _fleet_config(args):
-    from .fleet import FleetConfig
-
-    return FleetConfig(
-        instances=args.instances,
-        sigma_cap=args.sigma_cap,
-        sigma_leak=args.sigma_leak,
-        sigma_meas=args.sigma_meas,
-        yield_budget=args.yield_budget,
-        seed=args.fleet_seed,
-    )
-
-
 def _calibrate(args, store, system, baseline, fleet_config, threshold: float):
     """Pipeline, fleet calibration and result report of one design: the
     one calibrate path of the ``calibrate`` command and of serve."""
     from .fleet import calibrate_fleet, calibrate_report_dict
 
-    result = run_pipeline(system, _config(args), store=store, baseline=baseline)
+    config = _config(args)
+    result = run_pipeline(system, config, store=store, baseline=baseline)
     fleet, campaign, grading = calibrate_fleet(
-        system,
-        result,
-        fleet_config,
-        threshold=threshold,
-        store=store,
-        **_campaign_kwargs(args),
+        system, result, fleet_config, threshold=threshold, config=config, store=store
     )
     return result, fleet, campaign, grading, calibrate_report_dict(fleet)
 
 
 def _cmd_calibrate(args) -> int:
     from .core.report import render_table
+    from .fleet import FleetConfig
 
     system = _build(args)
     store = _store(args)
+    fleet_config = FleetConfig(**{f: getattr(args, f) for _, f, _, _ in _FLEET_FLAGS})
     result, fleet, campaign, grading, report = _calibrate(
-        args,
-        store,
-        system,
-        _baseline_spec(args, system),
-        _fleet_config(args),
-        args.threshold,
+        args, store, system, _baseline_spec(args, system), fleet_config, args.threshold
     )
-    _print_campaign(result.campaign, "fault-sim campaign")
-    _print_campaign(result.classify_campaign, "classify campaign")
-    _print_incremental(result)
-    _print_campaign(campaign.campaign, "activity campaign")
-    _print_campaign(grading.campaign, "grading campaign")
-    _print_store(store)
-    _write_result_json(args, report)
-    _write_report_json(
-        args,
-        {
-            "faultsim": result.campaign,
-            "classify": result.classify_campaign,
-            "activity": campaign.campaign,
-            "grading": grading.campaign,
-        },
-        store=store,
+    _finish(
+        args, store, result, report, activity=campaign.campaign, grading=grading.campaign
     )
     print(
         render_table(
@@ -493,38 +439,11 @@ def _cmd_table2(args) -> int:
     return 0
 
 
-def _compute_campaign(args, store: CampaignStore, design: str, threshold: float) -> dict:
-    """Serve's compute-on-miss for one graded campaign.
-
-    ``"auto"`` replays from the most recent published version of this
-    design, so a near-duplicate upload hits warm per-fault entries.
-    """
-    return _grade(args, store, _system(args, design), "auto", threshold)[-1]
-
-
-def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) -> dict:
-    """Serve's compute-on-miss for one fleet calibration.
-
-    ``params`` holds validated :class:`~repro.fleet.FleetConfig` field
-    overrides straight from the endpoint's query string.
-    """
-    from .fleet import FleetConfig
-
-    return _calibrate(
-        args,
-        store,
-        _system(args, design),
-        "auto",
-        FleetConfig(**params),
-        0.05,  # the calibrate command's --threshold default
-    )[-1]
-
-
 def _cmd_store(args) -> int:
-    if not getattr(args, "store_dir", None):
+    store = _store(args)
+    if store is None:
         print("error: the store command needs --store-dir", file=sys.stderr)
         return 2
-    store = _store(args)
     artifacts = store.artifacts
     if args.store_op == "stats":
         print(json.dumps(artifacts.stats(), indent=2))
@@ -567,13 +486,21 @@ def _cmd_serve(args) -> int:
     if not args.no_compute:
         # Compute jobs publish every finished stage to the store, so a
         # job-level retry after a ChunkTimeout replays them and
-        # recomputes only the stage that was in flight.
+        # recomputes only the stage that was in flight.  ``"auto"``
+        # replays from the most recent published version of the design,
+        # so a near-duplicate upload hits warm per-fault entries.
+        from .fleet import FleetConfig
 
         def compute(design: str, threshold: float) -> dict:
-            return _compute_campaign(args, store, design, threshold)
+            return _grade(args, store, _system(args, design), "auto", threshold)[-1]
 
         def compute_calibrate(design: str, params: dict) -> dict:
-            return _compute_calibrate(args, store, design, params)
+            # ``params``: validated FleetConfig overrides from the query string
+            system = _system(args, design)
+            fleet_config = FleetConfig(**params)
+            return _calibrate(
+                args, store, system, "auto", fleet_config, DEFAULT_THRESHOLD
+            )[-1]
 
     server = make_server(
         args.host,
@@ -613,13 +540,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_strategies(args) -> int:
-    from .core.grading import grade_sfr_faults
     from .core.report import render_table
     from .core.teststrategies import compare_strategies
 
     system = _build(args)
-    result = run_pipeline(system, _config(args))
-    grading = grade_sfr_faults(system, result, max_batches=4, **_campaign_kwargs(args))
+    config = _config(args)
+    result = run_pipeline(system, config)
+    grading = grade_sfr_faults(system, result, max_batches=4, config=config)
     rows = compare_strategies(system, result, grading, n_patterns=args.patterns)
     print(
         render_table(
@@ -705,6 +632,9 @@ def _cmd_dump_vcd(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .fleet import FleetConfig
+
+    defaults, fleet_defaults = PipelineConfig(), FleetConfig()
     parser = argparse.ArgumentParser(
         prog="repro-faults",
         description="SFR controller-fault analysis via power (DATE 2000 reproduction)",
@@ -713,7 +643,10 @@ def main(argv: list[str] | None = None) -> int:
         "--width", type=_positive_int, default=4, help="datapath bit width"
     )
     parser.add_argument(
-        "--patterns", type=_positive_int, default=256, help="fault-sim patterns"
+        "--patterns",
+        type=_positive_int,
+        default=defaults.n_patterns,
+        help="fault-sim patterns",
     )
     parser.add_argument(
         "--jobs",
@@ -722,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
             lambda v: v >= 1 or v == -1,
             "--jobs takes a worker count >= 1 or -1 for all cores",
         ),
-        default=1,
+        default=defaults.n_jobs,
         help="worker processes for per-fault loops (-1 = all cores, capped at "
         "the machine's core count; results are identical for any value -- "
         "see docs/performance.md)",
@@ -730,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--timeout",
         type=_positive_float,
-        default=None,
+        default=defaults.timeout,
         metavar="SECONDS",
         help="per-chunk timeout: a hung worker is killed and its chunk "
         "retried (default: wait forever)",
@@ -738,9 +671,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-retries",
         type=_nonnegative_int,
-        default=2,
+        default=defaults.max_retries,
         help="extra attempts granted to a failed or timed-out chunk "
-        "(default: 2)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--audit-rate",
@@ -749,24 +682,23 @@ def main(argv: list[str] | None = None) -> int:
             lambda v: 0 <= v < 1,
             "must be a fraction in [0, 1) (0 disables auditing)",
         ),
-        default=DEFAULT_AUDIT_RATE,
+        default=defaults.audit_rate,
         metavar="FRACTION",
         help="fraction of faults re-simulated on an independent path to "
         "catch silent result corruption (0 disables; default: "
-        f"{DEFAULT_AUDIT_RATE} -- see docs/integrity.md)",
+        "%(default)s -- see docs/integrity.md)",
     )
     parser.add_argument(
         "--strict",
         action=argparse.BooleanOptionalAction,
-        default=False,
+        default=defaults.strict,
         help="abort on the first integrity violation instead of "
         "quarantining the offending fault and continuing (default: "
         "--no-strict)",
     )
     parser.add_argument(
         "--chaos",
-        type=_chaos_arg,
-        default=None,
+        default=defaults.chaos,
         metavar="SPEC",
         help="deterministic fault injection for testing the recovery and "
         "integrity layers, e.g. 'crash:0.15,hang:0.1,bitflip:1,seed:7' "
@@ -820,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("grade", help="classify + Monte-Carlo power grading")
     p.add_argument("design", choices=design_names())
-    p.add_argument("--threshold", type=_fraction, default=0.05)
+    p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--baseline", default=None, help=baseline_help)
     p.set_defaults(func=_cmd_grade)
 
@@ -830,51 +762,20 @@ def main(argv: list[str] | None = None) -> int:
         "population matmul kernel (see docs/performance.md)",
     )
     p.add_argument("design", choices=design_names())
-    p.add_argument(
-        "--instances",
-        type=_positive_int,
-        default=100_000,
-        help="manufactured instances to sample (default: 100000; the "
-        "kernel is a matmul, so millions are fine)",
-    )
-    p.add_argument(
-        "--sigma-cap",
-        type=_unit_interval,
-        default=0.05,
-        help="per-gate-type log-normal capacitance spread (default: 0.05)",
-    )
-    p.add_argument(
-        "--sigma-leak",
-        type=_unit_interval,
-        default=0.30,
-        help="per-gate-type log-normal leakage spread (default: 0.30)",
-    )
-    p.add_argument(
-        "--sigma-meas",
-        type=_unit_interval,
-        default=0.02,
-        help="multiplicative tester measurement noise (default: 0.02)",
-    )
-    p.add_argument(
-        "--yield-budget",
-        type=_unit_interval,
-        default=0.01,
-        help="tolerated fault-free yield loss for the threshold chooser "
-        "(default: 0.01)",
-    )
-    p.add_argument(
-        "--fleet-seed",
-        type=_nonnegative_int,
-        default=7,
-        help="population sampling seed (default: 7; results are "
-        "byte-identical for a fixed configuration)",
-    )
+    for flag, field, kind, text in _FLEET_FLAGS:
+        p.add_argument(
+            flag,
+            dest=field,
+            type=kind,
+            default=getattr(fleet_defaults, field),
+            help=f"{text} (default: %(default)s)",
+        )
     p.add_argument(
         "--threshold",
         type=_fraction,
-        default=0.05,
+        default=DEFAULT_THRESHOLD,
         help="threshold of the embedded scalar grading report (the fleet "
-        "sweeps its own grid; default: 0.05)",
+        "sweeps its own grid; default: %(default)s)",
     )
     p.add_argument("--baseline", default=None, help=baseline_help)
     p.set_defaults(func=_cmd_calibrate)
@@ -991,14 +892,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_dump_vcd)
 
     args = parser.parse_args(argv)
-    if getattr(args, "chaos", None) and getattr(args, "timeout", None) is None:
-        from .testing.chaos import ChaosSpec
-
-        if ChaosSpec.parse(args.chaos).hang:
-            parser.error(
-                "--chaos hang injection needs --timeout "
-                "(a hung worker would otherwise stall the campaign forever)"
-            )
+    try:
+        validate_config(_config(args))
+    except CampaignError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

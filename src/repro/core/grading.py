@@ -41,9 +41,8 @@ from ..power.montecarlo import (
 from ..store.cache import CampaignStore, open_stage
 from ..store.fingerprint import netlist_fingerprint, stage_key
 from ..tpg.tpgr import TPGR
-from .errors import CampaignError, IntegrityError, validate_netlist
+from .errors import CampaignError, IntegrityError, validate_config, validate_netlist
 from .integrity import (
-    DEFAULT_AUDIT_RATE,
     IntegrityGuard,
     IntegrityViolation,
     adds_register_loads,
@@ -54,10 +53,13 @@ from .integrity import (
     select_audit,
 )
 from .parallel import ParallelExecutor, RunReport
-from .pipeline import FaultRecord, PipelineResult
+from .pipeline import FaultRecord, PipelineConfig, PipelineResult
 
 #: campaign key of the fault-free Monte-Carlo baseline
 _BASELINE_KEY = "__fault_free__"
+
+#: the paper's +/- 5 % power band: the default detection threshold
+DEFAULT_THRESHOLD = 0.05
 
 
 def power_detected(pct_change: float, threshold: float) -> bool:
@@ -181,16 +183,15 @@ def simulate_campaign(
     context: tuple,
     sites: list,
     on_result,
-    n_jobs: int = 1,
-    timeout: float | None = None,
-    max_retries: int = 2,
+    config: PipelineConfig,
     chaos=None,
 ) -> RunReport:
     """Monte-Carlo every fault site of one campaign; ``on_result(site, mc)``
     receives each result (activity trace attached) as its chunk finishes.
 
     ``context`` is the worker context ``(system, estimator, seed,
-    batch_patterns, max_batches, iterations_window)``.  The faults go in
+    batch_patterns, max_batches, iterations_window)``; ``config`` supplies
+    the fan-out (``n_jobs``, ``timeout``, ``max_retries``).  The faults go in
     order-preserving block-parallel chunks sized like fault simulation's
     (:func:`~repro.logic.faultsim.chunk_capacity`): one chunk per worker,
     capped so the chunk's widest blocks -- the first pass lays
@@ -200,7 +201,7 @@ def simulate_campaign(
     """
     _system, _estimator, _seed, batch_patterns, max_batches, _iw = context
     wpb = V.num_words(batch_patterns) * first_pass_batches(max_batches)
-    size = chunk_capacity(len(sites), n_jobs, wpb)
+    size = chunk_capacity(len(sites), config.n_jobs, wpb)
     chunks = [sites[i : i + size] for i in range(0, len(sites), size)]
 
     def _collect(chunk_items, chunk_results) -> None:
@@ -212,7 +213,10 @@ def simulate_campaign(
     if chaos is not None:
         worker, run_context = chaos.wrap(worker, context)
     executor = ParallelExecutor(
-        n_jobs, chunk_size=1, timeout=timeout, max_retries=max_retries
+        config.n_jobs,
+        chunk_size=1,
+        timeout=config.timeout,
+        max_retries=config.max_retries,
     )
     executor.run(worker, chunks, run_context, on_chunk=_collect)
     assert executor.last_report is not None
@@ -278,17 +282,12 @@ def grade_sfr_faults(
     system: System,
     pipeline_result: PipelineResult,
     estimator: PowerEstimator | None = None,
-    threshold: float = 0.05,
+    threshold: float = DEFAULT_THRESHOLD,
     seed: int = MC_DEFAULT_SEED,
     batch_patterns: int = MC_DEFAULT_BATCH_PATTERNS,
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
-    n_jobs: int = 1,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    audit_rate: float = DEFAULT_AUDIT_RATE,
-    strict: bool = False,
-    chaos=None,
+    config: PipelineConfig | None = None,
     store: CampaignStore | None = None,
     seed_results: dict[str, "MonteCarloResult"] | None = None,
 ) -> GradingResult:
@@ -307,8 +306,8 @@ def grade_sfr_faults(
     simulator per fault per batch.  Powers and
     convergence histories are bit-identical to the per-fault
     ``monte_carlo_power`` reference at any batch size, and the chunks fan
-    out across ``n_jobs`` processes with bit-identical powers regardless
-    of job count.
+    out across ``config.n_jobs`` processes with bit-identical powers
+    regardless of job count.
 
     Every simulated result carries its per-batch integer activity trace
     (:class:`~repro.power.montecarlo.ActivityTrace`); when this call
@@ -321,13 +320,15 @@ def grade_sfr_faults(
     theoretical ceiling, or the whole grading aborts (a poisoned
     baseline poisons every percentage).  Every per-fault power is held
     to the same finite/ceiling invariants, register-load-adding faults
-    to Section-5 monotonicity, and a hash-selected ``audit_rate``
+    to Section-5 monotonicity, and a hash-selected ``config.audit_rate``
     fraction is recomputed through the per-fault generate-per-call
     ``monte_carlo_power`` (independent of the campaign's block kernel).
     A violating fault is excluded from ``graded`` and recorded on the
-    campaign report -- or, with ``strict=True``, aborts the run.
-    ``chaos`` optionally injects worker crashes/hangs and power-word
-    bit-flips (test and CI use only).
+    campaign report -- or, with ``config.strict``, aborts the run.
+    ``config.chaos`` optionally injects worker crashes/hangs and
+    power-word bit-flips (test and CI use only).  ``config`` (None means
+    ``PipelineConfig()``) is the run's pipeline configuration: only its
+    fan-out and integrity knobs apply here.
 
     With ``store`` set (see :mod:`repro.store`), a previously published
     grading campaign with the same netlist content, fault universe and
@@ -347,22 +348,17 @@ def grade_sfr_faults(
     are counted as ``resumed`` and skip simulation bit-identically.
     Seeds carry no traces, so such a campaign publishes ``grading`` only.
     """
+    config = config or PipelineConfig()
+    validate_config(config)
     validate_netlist(system.netlist)
     if not 0 < threshold < 1:
         raise CampaignError(f"threshold must be a fraction in (0, 1), got {threshold}")
-    if batch_patterns < 1 or max_batches < 1:
-        raise CampaignError(
-            f"batch_patterns and max_batches must be >= 1 "
-            f"(got {batch_patterns}, {max_batches})"
-        )
-    if timeout is not None and timeout <= 0:
-        raise CampaignError(f"timeout must be positive seconds or None, got {timeout}")
+    mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     records = pipeline_result.sfr_records
     sfr_keys = [fault_key(r.system_site) for r in records]
-    mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     estimator = estimator or PowerEstimator(system.netlist)
     ceiling_uw = estimator.theoretical_max_uw()
-    guard = IntegrityGuard(strict=strict)
+    guard = IntegrityGuard(strict=config.strict)
 
     # Persistent-store fast path: a cached grading campaign keyed by the
     # netlist content, SFR fault universe and Monte-Carlo knobs replays the
@@ -385,7 +381,8 @@ def grade_sfr_faults(
         todo = [r for r in records if fault_key(r.system_site) not in mc_by_key]
         report = RunReport(n_items=len(records), resumed=len(records) - len(todo))
 
-        audit_keys = set(select_audit(sfr_keys, audit_rate))
+        audit_keys = set(select_audit(sfr_keys, config.audit_rate))
+        chaos = config.chaos_engine()
         if chaos is not None:
             chaos.set_flip_targets(sorted(audit_keys))
         context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
@@ -414,9 +411,7 @@ def grade_sfr_faults(
             context,
             [r.system_site for r in todo],
             _collect_fault,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            max_retries=max_retries,
+            config,
             chaos=chaos,
         )
         report.n_items = len(records)

@@ -90,6 +90,17 @@ class PipelineConfig:
             "iteration_counts": list(self.iteration_counts),
         }
 
+    def chaos_engine(self):
+        """A fresh :class:`~repro.testing.chaos.ChaosEngine` for one
+        campaign of this run, or None when chaos is off."""
+        if not self.chaos:
+            return None
+        # Deferred: the chaos harness lives in the test-support package and
+        # only loads when injection is actually requested.
+        from ..testing.chaos import ChaosEngine
+
+        return ChaosEngine.from_spec(self.chaos)
+
 
 @dataclass
 class FaultRecord:
@@ -321,13 +332,6 @@ def run_pipeline(
     golden = run_golden(system.netlist, stimulus, observe, full=True)
     masks = hold_masks_from_trace(system, golden)
     system_sites = [system.to_system_fault(s) for s in universe]
-    chaos_engine = None
-    if config.chaos:
-        # Deferred: the chaos harness lives in the test-support package and
-        # only loads when injection is actually requested.
-        from ..testing.chaos import ChaosEngine
-
-        chaos_engine = ChaosEngine.from_spec(config.chaos)
     stage = open_stage(
         store,
         "faultsim",
@@ -387,7 +391,7 @@ def run_pipeline(
         max_retries=config.max_retries,
         audit_rate=config.audit_rate,
         strict=config.strict,
-        chaos=chaos_engine,
+        chaos=config.chaos_engine(),
         golden=golden,
     )
     if stage.hit:

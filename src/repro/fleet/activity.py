@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.errors import CampaignError, validate_netlist
+from ..core.errors import validate_netlist
 from ..core.grading import (
     _BASELINE_KEY,
     GradingResult,
@@ -37,7 +37,7 @@ from ..core.grading import (
     verify_traces,
 )
 from ..core.parallel import RunReport
-from ..core.pipeline import PipelineResult
+from ..core.pipeline import PipelineConfig, PipelineResult
 from ..hls.system import System
 from ..logic.faults import fault_key
 from ..power.estimator import PowerEstimator
@@ -89,9 +89,7 @@ def activity_campaign(
     batch_patterns: int = MC_DEFAULT_BATCH_PATTERNS,
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
-    n_jobs: int = 1,
-    timeout: float | None = None,
-    max_retries: int = 2,
+    config: PipelineConfig | None = None,
     store: CampaignStore | None = None,
     grading: GradingResult | None = None,
 ) -> ActivityCampaign:
@@ -104,20 +102,15 @@ def activity_campaign(
     universe and Monte-Carlo knobs replays every integer counter from the
     store with zero simulation (the replay is verified: counters must
     recover the recorded scalar power exactly).  Failing both, the
-    grading campaign's kernel runs here, fanned out across ``n_jobs``
-    processes; every trace is verified, and the campaign is published
-    unless ``grading`` reports integrity violations.
+    grading campaign's kernel runs here, fanned out as ``config`` (None
+    means ``PipelineConfig()``) says; every trace is verified, and the
+    campaign is published unless ``grading`` reports integrity violations.
     """
     validate_netlist(system.netlist)
-    if batch_patterns < 1 or max_batches < 1:
-        raise CampaignError(
-            f"batch_patterns and max_batches must be >= 1 "
-            f"(got {batch_patterns}, {max_batches})"
-        )
+    mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     records = pipeline_result.sfr_records
     sfr_keys = [fault_key(r.system_site) for r in records]
     estimator = estimator or PowerEstimator(system.netlist)
-    mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     report = RunReport(n_items=len(records), resumed=len(records))
     stage = None
     results = grading.captured if grading is not None else None
@@ -131,6 +124,7 @@ def activity_campaign(
         results = stage.cached
     fresh = results is None
     if fresh:
+        config = config or PipelineConfig()
         context = (system, estimator, seed, batch_patterns, max_batches, iterations_window)
         results = {_BASELINE_KEY: _grade_baseline(context)}
 
@@ -141,9 +135,8 @@ def activity_campaign(
             context,
             [r.system_site for r in records],
             _collect,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            max_retries=max_retries,
+            config,
+            chaos=config.chaos_engine(),
         )
         report.n_items = report.completed = len(records)
     verify_traces(estimator, results)

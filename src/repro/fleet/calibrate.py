@@ -20,9 +20,8 @@ configuration skips even the matmul.
 from __future__ import annotations
 
 from ..core.errors import IntegrityError
-from ..core.grading import GradingResult, grade_sfr_faults
-from ..core.integrity import DEFAULT_AUDIT_RATE
-from ..core.pipeline import PipelineResult
+from ..core.grading import DEFAULT_THRESHOLD, GradingResult, grade_sfr_faults
+from ..core.pipeline import PipelineConfig, PipelineResult
 from ..core.report import RESULT_SCHEMA_VERSION
 from ..hls.system import System
 from ..logic.faults import fault_key
@@ -94,18 +93,14 @@ def _check_bit_identity(campaign: ActivityCampaign, grading: GradingResult) -> N
 def calibrate_fleet(
     system: System,
     pipeline_result: PipelineResult,
-    config: FleetConfig,
-    threshold: float = 0.05,
+    fleet: FleetConfig,
+    threshold: float = DEFAULT_THRESHOLD,
     estimator: PowerEstimator | None = None,
     seed: int = MC_DEFAULT_SEED,
     batch_patterns: int = MC_DEFAULT_BATCH_PATTERNS,
     max_batches: int = MC_DEFAULT_MAX_BATCHES,
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
-    n_jobs: int = 1,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    audit_rate: float = DEFAULT_AUDIT_RATE,
-    strict: bool = False,
+    config: PipelineConfig | None = None,
     store: CampaignStore | None = None,
 ) -> tuple[FleetResult, ActivityCampaign, GradingResult]:
     """Calibrate one design's fleet threshold; returns (fleet, activity, grading).
@@ -116,53 +111,48 @@ def calibrate_fleet(
     two bit-identically, then runs (or replays) the population kernel
     over the faults that survived grading.  ``threshold`` only
     parameterises the embedded scalar grading report; the fleet sweeps
-    ``config.thresholds``.
+    ``fleet.thresholds``.  ``config`` (None means ``PipelineConfig()``)
+    carries the run's fan-out and integrity knobs into both campaigns.
     """
-    config.validate()
+    fleet.validate()
     estimator = estimator or PowerEstimator(system.netlist)
+    mc = dict(
+        seed=seed,
+        batch_patterns=batch_patterns,
+        max_batches=max_batches,
+        iterations_window=iterations_window,
+    )
     grading = grade_sfr_faults(
         system,
         pipeline_result,
         estimator=estimator,
         threshold=threshold,
-        seed=seed,
-        batch_patterns=batch_patterns,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-        n_jobs=n_jobs,
-        timeout=timeout,
-        max_retries=max_retries,
-        audit_rate=audit_rate,
-        strict=strict,
+        config=config,
         store=store,
+        **mc,
     )
     campaign = activity_campaign(
         system,
         pipeline_result,
         estimator=estimator,
-        seed=seed,
-        batch_patterns=batch_patterns,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-        n_jobs=n_jobs,
-        timeout=timeout,
-        max_retries=max_retries,
+        config=config,
         store=store,
         grading=grading,
+        **mc,
     )
     _check_bit_identity(campaign, grading)
     survivors = {fault_key(g.record.system_site) for g in grading.graded}
     fault_keys = [k for k in campaign.fault_keys if k in survivors]
 
-    mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
+    mc_params = mc_campaign_params(**mc)
     # a campaign with integrity violations neither replays nor publishes
     stage = open_stage(
         None if grading.campaign.violations else store,
         "fleet",
-        lambda: fleet_store_key(system, pipeline_result, mc_params, config),
+        lambda: fleet_store_key(system, pipeline_result, mc_params, fleet),
         lambda payload: (
             FleetResult.from_json_dict(payload)
-            if payload.get("params") == config.params_dict()
+            if payload.get("params") == fleet.params_dict()
             else None
         ),
     )
@@ -176,14 +166,14 @@ def calibrate_fleet(
         decomp,
         A,
         fault_keys,
-        config,
+        fleet,
         p_ref_uw=grading.fault_free_uw,
         design=pipeline_result.design,
     )
     stage.publish(
         result.to_json_dict,
         design=pipeline_result.design,
-        meta={"instances": config.instances, "faults": len(fault_keys)},
+        meta={"instances": fleet.instances, "faults": len(fault_keys)},
     )
     return result, campaign, grading
 

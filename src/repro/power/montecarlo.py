@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import IntegrityError
+from ..core.errors import CampaignError, IntegrityError
 from ..hls.system import NormalModeStimulus, System
 from ..logic import values as V
 from ..logic.cones import compute_cones
@@ -83,8 +83,14 @@ def mc_campaign_params(
 
     Two campaigns with equal params (and equal design + fault universe)
     produce bit-identical powers, so this dict keys the persistent
-    store entries of the campaign.
+    store entries of the campaign.  Every campaign builds it before
+    simulating, so it is also where batch knobs below 1 are rejected.
     """
+    if batch_patterns < 1 or max_batches < 1:
+        raise CampaignError(
+            f"batch_patterns and max_batches must be >= 1 "
+            f"(got {batch_patterns}, {max_batches})"
+        )
     return {
         "seed": seed,
         "batch_patterns": batch_patterns,

@@ -68,6 +68,7 @@ from ..core.errors import (
     ServiceOverloaded,
     is_retryable,
 )
+from ..core.grading import DEFAULT_THRESHOLD
 from .cache import CampaignStore
 from .fingerprint import digest
 from .query import _fault_rows, query_campaigns
@@ -80,7 +81,6 @@ ComputeFn = Callable[[str, float], dict]
 #: fleet-calibration hook: (design, fleet params dict) -> report dict
 CalibrateFn = Callable[[str, dict], dict]
 
-DEFAULT_THRESHOLD = 0.05
 DEFAULT_QUEUE_DEPTH = 8
 DEFAULT_WORKERS = 2
 DEFAULT_MAX_RETRIES = 2

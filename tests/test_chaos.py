@@ -194,13 +194,17 @@ class TestChaosEndToEnd:
 
     def test_grading_bitflip_quarantined(self, facet_system, facet_pipeline):
         kwargs = dict(batch_patterns=32, max_batches=2)
-        clean = grade_sfr_faults(facet_system, facet_pipeline, audit_rate=0.0, **kwargs)
-        engine = ChaosEngine.from_spec("bitflip:1,seed:11")
-        chaotic = grade_sfr_faults(
-            facet_system, facet_pipeline, audit_rate=0.9, chaos=engine, **kwargs
+        clean = grade_sfr_faults(
+            facet_system, facet_pipeline, config=PipelineConfig(audit_rate=0.0), **kwargs
         )
-        assert len(engine.flip_targets) == 1
-        (target,) = engine.flip_targets
+        chaotic = grade_sfr_faults(
+            facet_system,
+            facet_pipeline,
+            config=PipelineConfig(audit_rate=0.9, chaos="bitflip:1,seed:11"),
+            **kwargs,
+        )
+        assert len(chaotic.campaign.violations) == 1
+        target = chaotic.campaign.violations[0].fault
         # the flipped fault was excluded; every surviving grade is
         # bit-identical to the clean run
         assert len(chaotic.graded) == len(clean.graded) - 1

@@ -206,6 +206,24 @@ def test_chaos_bitflip_run_quarantines_and_reports(tmp_path, capsys):
     )
 
 
+def test_calibrate_chaos_reaches_grading(tmp_path, capsys):
+    """``--chaos`` reaches calibrate's grading campaign as it does grade's:
+    the injected power bit-flip is caught by the grading audit."""
+    import json
+
+    report = tmp_path / "chaos-report.json"
+    rc = main(
+        ["--patterns", "64", "--audit-rate", "0.5",
+         "--chaos", "bitflip:1,seed:7", "--report-json", str(report),
+         "calibrate", "facet", "--instances", "2000"]
+    )
+    assert rc == 0  # quarantined, not fatal
+    data = json.loads(report.read_text())
+    assert any(
+        v["check"] == "grading-differential" for v in data["violations"]
+    )
+
+
 def test_strict_chaos_run_aborts(capsys):
     from repro.core.errors import IntegrityError
 

@@ -24,6 +24,7 @@ from repro.cli import main
 from repro.core.errors import CampaignError, IntegrityError
 import repro.core.grading as grading_mod
 from repro.core.grading import _BASELINE_KEY, grade_sfr_faults, power_detected
+from repro.core.pipeline import PipelineConfig
 from repro.fleet import (
     FLEET_CHUNK_INSTANCES,
     FleetConfig,
@@ -128,7 +129,7 @@ class TestActivityCampaign:
             facet_system,
             facet_pipeline,
             estimator=facet_estimator,
-            n_jobs=n_jobs,
+            config=PipelineConfig(n_jobs=n_jobs),
             **MC,
         )
         assert parallel.baseline.power_uw == facet_activity.baseline.power_uw
@@ -537,7 +538,7 @@ class TestOneCampaign:
             FleetConfig(instances=500),
             estimator=facet_estimator,
             store=store,
-            audit_rate=1.0,
+            config=PipelineConfig(audit_rate=0.999999),
             **MC,
         )
         assert [v.fault for v in grading.campaign.violations] == [fault_key(victim)]
@@ -548,15 +549,13 @@ class TestOneCampaign:
     def test_chaos_tampered_grade_publishes_neither_stage(
         self, facet_system, facet_pipeline, facet_estimator, tmp_path
     ):
-        from repro.testing.chaos import ChaosEngine
-
         store = CampaignStore(tmp_path / "store")
         graded = grade_sfr_faults(
             facet_system,
             facet_pipeline,
             estimator=facet_estimator,
             store=store,
-            chaos=ChaosEngine.from_spec("bitflip:1,seed:7"),
+            config=PipelineConfig(chaos="bitflip:1,seed:7"),
             **MC,
         )
         assert graded.campaign.violations

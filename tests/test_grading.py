@@ -323,7 +323,10 @@ class TestBatchedGradingBitIdentity:
         self, facet_system, facet_pipeline, multicore, n_jobs
     ):
         grading = grade_sfr_faults(
-            facet_system, facet_pipeline, n_jobs=n_jobs, **self.KWARGS
+            facet_system,
+            facet_pipeline,
+            config=PipelineConfig(n_jobs=n_jobs),
+            **self.KWARGS,
         )
         _assert_matches_oracle(grading, facet_system, facet_pipeline, **self.KWARGS)
 

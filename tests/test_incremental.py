@@ -328,7 +328,11 @@ class TestIncrementalReplay:
         store = CampaignStore(tmp_path)
         cold = run_pipeline(system, CONFIG, store=store)
         graded = grade_sfr_faults(
-            system, cold, store=store, audit_rate=0.0, max_batches=2
+            system,
+            cold,
+            store=store,
+            config=PipelineConfig(audit_rate=0.0),
+            max_batches=2,
         )
         edited = edit_system_controller(
             system, pick_editable_gate(system, "rename"), "rename"
@@ -350,7 +354,11 @@ class TestIncrementalReplay:
         )
         assert seeds is not None and len(seeds) == len(inc.sfr_records) + 1
         regraded = grade_sfr_faults(
-            edited, inc, audit_rate=0.0, max_batches=2, seed_results=seeds
+            edited,
+            inc,
+            config=PipelineConfig(audit_rate=0.0),
+            max_batches=2,
+            seed_results=seeds,
         )
         assert regraded.campaign.completed == 0
         assert sorted(g.power_uw for g in regraded.graded) == sorted(

@@ -356,7 +356,8 @@ class TestGradingGuards:
         with pytest.raises(IntegrityError, match="baseline"):
             grade_sfr_faults(
                 facet_system, facet_pipeline, batch_patterns=32, max_batches=2,
-                audit_rate=0.0, strict=False,  # not even quarantine saves it
+                # not even quarantine saves it
+                config=PipelineConfig(audit_rate=0.0, strict=False),
             )
 
     def test_nonfinite_fault_power_quarantined(
@@ -380,7 +381,7 @@ class TestGradingGuards:
         monkeypatch.setattr(grading_mod, "monte_carlo_power_block", poison_one)
         grading = grade_sfr_faults(
             facet_system, facet_pipeline, batch_patterns=32, max_batches=2,
-            audit_rate=0.0,
+            config=PipelineConfig(audit_rate=0.0),
         )
         assert len(grading.graded) == len(records) - 1
         assert poisoned_key not in {
@@ -392,9 +393,11 @@ class TestGradingGuards:
 
     def test_clean_grading_audit_is_invisible(self, facet_system, facet_pipeline):
         kwargs = dict(batch_patterns=32, max_batches=2)
-        plain = grade_sfr_faults(facet_system, facet_pipeline, audit_rate=0.0, **kwargs)
+        plain = grade_sfr_faults(
+            facet_system, facet_pipeline, config=PipelineConfig(audit_rate=0.0), **kwargs
+        )
         audited = grade_sfr_faults(
-            facet_system, facet_pipeline, audit_rate=0.9, **kwargs
+            facet_system, facet_pipeline, config=PipelineConfig(audit_rate=0.9), **kwargs
         )
         assert audited.campaign.audited > 0
         assert audited.campaign.violations == []

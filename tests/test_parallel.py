@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.grading import grade_sfr_faults
 from repro.core.parallel import ParallelExecutor, resolve_n_jobs
+from repro.core.pipeline import PipelineConfig
 from repro.hls.system import NormalModeStimulus
 from repro.logic.faultsim import fault_simulate
 from repro.logic.simulator import CycleSimulator, compile_netlist
@@ -138,8 +139,12 @@ class TestCompiledNetlistCache:
 class TestGradingParallel:
     def test_grading_bit_identical_across_jobs(self, facet_system, facet_pipeline):
         kwargs = dict(batch_patterns=96, max_batches=3)
-        serial = grade_sfr_faults(facet_system, facet_pipeline, n_jobs=1, **kwargs)
-        parallel = grade_sfr_faults(facet_system, facet_pipeline, n_jobs=2, **kwargs)
+        serial = grade_sfr_faults(
+            facet_system, facet_pipeline, config=PipelineConfig(n_jobs=1), **kwargs
+        )
+        parallel = grade_sfr_faults(
+            facet_system, facet_pipeline, config=PipelineConfig(n_jobs=2), **kwargs
+        )
         assert serial.fault_free_uw == parallel.fault_free_uw
         assert len(serial.graded) == len(parallel.graded)
         for a, b in zip(serial.graded, parallel.graded):

@@ -202,7 +202,9 @@ class TestFailFastValidation:
         with pytest.raises(CampaignError, match="max_batches"):
             grade_sfr_faults(facet_system, facet_pipeline, max_batches=0)
         with pytest.raises(CampaignError, match="timeout"):
-            grade_sfr_faults(facet_system, facet_pipeline, timeout=0)
+            grade_sfr_faults(
+                facet_system, facet_pipeline, config=PipelineConfig(timeout=0)
+            )
 
     def test_empty_netlist_rejected(self):
         with pytest.raises(CampaignError, match="no gates"):
