@@ -1,19 +1,27 @@
-"""Store-backed ``grade`` stage walls on the two largest catalog designs.
+"""Store-backed ``grade`` stage walls on the three largest catalog designs.
 
 Runs ``grade`` the way the CLI does -- :func:`run_pipeline` then
 :func:`grade_sfr_faults` against a fresh store, at the CLI's default
 pattern count and Monte-Carlo knobs -- and reads each stage's wall time
 off the store's provenance rows (the ``--report-json`` ``store.stages``
 of ``repro-faults --store-dir DIR --audit-rate 0 grade DESIGN``).  Audits
-are off so the ``grading`` row times the block kernel alone.  e2ebench
-covers only facet, poly and diffeq; this bench is where a chunking or
-pass-width change on biquad and ewf shows up.  Writes
+are off so the ``grading`` row times the block kernel alone and the
+``classify`` row the array replay alone.  e2ebench covers only facet,
+poly and diffeq (its largest design, where ``classify`` is the
+second-largest stage); this bench is where a chunking or pass-width
+change on biquad and ewf shows up.  Writes
 ``benchmarks/results/BENCH_grade_stages.json`` and ``grade_stages.txt``.
+
+Set ``REPRO_GRADE_STAGES_REFERENCE`` to another build's
+``BENCH_grade_stages.json`` (say, one written at the parent commit) to
+render its stage walls under each design's row for comparison.
 """
 
+import json
 import os
 import statistics
 import time
+from pathlib import Path
 
 from repro.core.grading import grade_sfr_faults
 from repro.core.pipeline import PipelineConfig, run_pipeline
@@ -23,9 +31,10 @@ from repro.store.cache import CampaignStore
 
 from _config import FULL
 
-DESIGNS = ("biquad", "ewf")
+DESIGNS = ("diffeq", "biquad", "ewf")
 STAGES = ("faultsim", "classify", "grading")
 ROUNDS = 3 if FULL else 2
+REFERENCE = os.environ.get("REPRO_GRADE_STAGES_REFERENCE")
 
 
 def _cold_grade(design: str, store_dir) -> dict:
@@ -53,10 +62,13 @@ def _cold_grade(design: str, store_dir) -> dict:
 def test_grade_stage_walls(save_result, save_json, tmp_path):
     metrics = {"bench": "grade_stages", "host_cores": os.cpu_count(),
                "rounds": ROUNDS, "audit_rate": 0.0, "designs": {}}
+    reference = json.loads(Path(REFERENCE).read_text())["designs"] if REFERENCE else {}
     lines = [
         "store-backed cold grade, stage walls (s), median of "
         f"{ROUNDS} rounds, audits off",
         f"host cores: {os.cpu_count()}",
+        *(["ref: the reference build's walls (REPRO_GRADE_STAGES_REFERENCE)"]
+          if reference else []),
         "",
         f"{'design':<8}{'sfr':>5}{'mc_batches':>12}"
         + "".join(f"{s:>10}" for s in STAGES)
@@ -81,5 +93,13 @@ def test_grade_stage_walls(save_result, save_json, tmp_path):
             + "".join(f"{row[f'{s}_s']:>10.2f}" for s in STAGES)
             + f"{row['process_s']:>10.2f}"
         )
+        if design in reference:
+            ref = reference[design]
+            row["reference_s"] = {k: ref[f"{k}_s"] for k in (*STAGES, "process")}
+            lines.append(
+                f"{'  ref':<25}"
+                + "".join(f"{row['reference_s'][s]:>10.2f}" for s in STAGES)
+                + f"{row['reference_s']['process']:>10.2f}"
+            )
     save_result("grade_stages", "\n".join(lines))
     save_json("grade_stages", metrics)

@@ -5,24 +5,38 @@ Combines three ingredients:
 * :mod:`repro.core.effects` -- the control line effects a fault causes;
 * a golden timeline (which registers load / are read each cycle, which
   muxes are active) derived from the fault-free control trace;
-* the symbolic replay oracle of :mod:`repro.core.symbolic`.
+* symbolic replay with value numbering (:mod:`repro.core.symbolic`).
 
-The *verdict* (SFR vs SFI) comes from the oracle -- value-number equality
+The *verdict* (SFR vs SFI) comes from the replay -- value-number equality
 of every observed output and loop decision.  The *labels* attached to each
 control line effect implement the paper's taxonomy (select change in an
 active/inactive step; skipped load; extra load that is idle, overwritten,
 a harmless rewrite, or garbage-disruptive) and are what Table 1 prints.
+
+:meth:`Classifier.classify_all` simulates the controller once per
+scenario for every fault, then replays every fault with a control line
+effect, in every scenario, together with each scenario's golden stream,
+in one array pass (:func:`~repro.core.arrayreplay.replay_rows`).  The
+verdict and reason, the ``cond`` probe cycles, tail periodicity and the
+inputs of :func:`effect_labels` are all read off that pass's arrays; no
+per-fault trace or replay is built.  The per-fault path
+(:func:`~repro.core.effects.faulty_control_trace`,
+:func:`~repro.core.symbolic.replay`,
+:func:`~repro.core.symbolic.compare_replays`, :func:`label_effects`) is
+the oracle: audited faults are re-classified on it, and a difference is a
+``classify-replay-differential`` integrity violation.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ..hls.rtl import HOLD_STATE, RTLDesign, cs_state
+from ..hls.rtl import HOLD_STATE, MuxSpec, RTLDesign, cs_state
 from ..logic.faults import FaultSite
 from ..synth.controller import SynthesizedController
 from .effects import (
@@ -34,11 +48,11 @@ from .effects import (
     faulty_control_values,
     golden_control_trace,
     make_scenarios,
-    trace_from_values,
     trace_values,
 )
+from .arrayreplay import replay_rows
 from .integrity import IntegrityGuard, IntegrityViolation
-from .symbolic import ReplayResult, ValueTable, compare_replays, replay
+from .symbolic import ReplayResult, ValueTable, compare_replays, replay, select_code
 
 
 class EffectLabel(enum.Enum):
@@ -88,7 +102,14 @@ class GoldenTimeline:
         n = trace.scenario.n_cycles
         self.loads: list[set[str]] = [set() for _ in range(n)]
         self.reads: list[set[str]] = [set() for _ in range(n)]
+        #: muxes whose output is consumed (their selects "care") per cycle
+        self.active: list[set[str]] = [set() for _ in range(n)]
         self._mux_index: list[dict[str, int]] = [dict() for _ in range(n)]
+        #: the mux each select line drives
+        self.sel_mux: dict[str, MuxSpec] = {}
+        for mux in rtl.all_muxes():
+            for sel in mux.sel_names:
+                self.sel_mux.setdefault(sel, mux)
         decision_state = cs_state(rtl.schedule.n_steps)
         out_regs = set(rtl.outputs.values())
 
@@ -96,17 +117,9 @@ class GoldenTimeline:
             controls = trace.lines[c]
             state = trace.scenario.golden_state(c)
             for mux in rtl.all_muxes():
-                idx = 0
-                ok = True
-                for bit, sel in enumerate(mux.sel_names):
-                    v = controls[sel]
-                    if v == -1:
-                        ok = False
-                        break
-                    idx |= v << bit
-                if ok:
-                    padded = len(mux.sources)
-                    self._mux_index[c][mux.name] = idx if idx < padded else 0
+                idx = select_code(mux, controls)
+                if idx >= 0:
+                    self._mux_index[c][mux.name] = idx if idx < len(mux.sources) else 0
             # Which registers load this cycle.
             loading = [r for r in rtl.registers if controls[r.load_line] == 1]
             self.loads[c] = {r.name for r in loading}
@@ -118,11 +131,13 @@ class GoldenTimeline:
                     consumed.add(src.ref)
             if rtl.cond_fu and state == decision_state:
                 consumed.add(rtl.cond_fu)
+            self.active[c] = {r.input_mux.name for r in loading}
             # Which registers those FUs read.
             for f in rtl.fus:
                 if f.name not in consumed:
                     continue
                 for mux in (f.mux_a, f.mux_b):
+                    self.active[c].add(mux.name)
                     src = self._selected_source(mux, c)
                     if src is not None and src.kind == "reg":
                         self.reads[c].add(src.ref)
@@ -135,29 +150,9 @@ class GoldenTimeline:
         idx = self._mux_index[cycle].get(mux.name)
         return None if idx is None else mux.sources[idx]
 
-    def mux_selected_source(self, mux, cycle: int):
-        return self._selected_source(mux, cycle)
-
     def mux_active(self, mux_name: str, cycle: int) -> bool:
-        """Is the mux's output consumed this cycle (its selects "cares")?"""
-        rtl = self.rtl
-        controls = self.trace.lines[cycle]
-        state = self.trace.scenario.golden_state(cycle)
-        for f in rtl.fus:
-            for mux in (f.mux_a, f.mux_b):
-                if mux.name == mux_name:
-                    if rtl.cond_fu == f.name and state == cs_state(rtl.schedule.n_steps):
-                        return True
-                    for r in rtl.registers:
-                        if controls[r.load_line] == 1:
-                            src = self._selected_source(r.input_mux, cycle)
-                            if src is not None and src.kind == "fu" and src.ref == f.name:
-                                return True
-                    return False
-        for r in rtl.registers:
-            if r.input_mux.name == mux_name:
-                return controls[r.load_line] == 1
-        raise KeyError(mux_name)
+        """Is the mux's output consumed this cycle (its selects "care")?"""
+        return mux_name in self.active[cycle]
 
     def register_live(self, reg: str, cycle: int) -> bool:
         """Is ``reg`` holding a value still needed strictly after ``cycle``?
@@ -190,6 +185,55 @@ def _padded_source(mux, index: int):
     return padded[index]
 
 
+def effect_labels(
+    rtl: RTLDesign,
+    timeline: GoldenTimeline,
+    eff: ControlLineEffect,
+    faulty_code: int,
+    rewritten: Container[str],
+) -> list[LabeledEffect]:
+    """The Section-3 taxonomy labels of one control line effect.
+
+    ``faulty_code`` is the select code the faulty machine drives on the
+    effect's mux that cycle (-1 if any bit is X; unused for load lines);
+    ``rewritten`` names the registers on a load line whose faulty content
+    after the cycle is the fault-free one."""
+    if eff.faulty == -1:
+        return [LabeledEffect(eff, EffectLabel.UNKNOWN_CONTROL)]
+    mux = timeline.sel_mux.get(eff.line)
+    if mux is not None:
+        if not timeline.mux_active(mux.name, eff.cycle):
+            return [LabeledEffect(eff, EffectLabel.SELECT_INACTIVE)]
+        # Active: disruptive unless padding aliases to the same source.
+        golden_code = select_code(mux, timeline.trace.lines[eff.cycle])
+        if (
+            golden_code >= 0
+            and faulty_code >= 0
+            and _padded_source(mux, golden_code) == _padded_source(mux, faulty_code)
+        ):
+            return [LabeledEffect(eff, EffectLabel.SELECT_ACTIVE_ALIASED)]
+        return [LabeledEffect(eff, EffectLabel.SELECT_ACTIVE)]
+    # Load line effect: applies to every register on the line.
+    labeled: list[LabeledEffect] = []
+    for reg in rtl.regs_on_line[eff.line]:
+        c = eff.cycle
+        if eff.golden == 1:
+            label = EffectLabel.LOAD_SKIPPED
+        elif not timeline.register_live(reg, c):
+            label = EffectLabel.EXTRA_LOAD_IDLE
+        elif reg in rewritten:
+            label = EffectLabel.EXTRA_LOAD_REWRITE
+        else:
+            nread = timeline.next_read(reg, c)
+            nload = timeline.next_load(reg, c)
+            if nread is None or (nload is not None and nload < nread):
+                label = EffectLabel.EXTRA_LOAD_OVERWRITTEN
+            else:
+                label = EffectLabel.EXTRA_LOAD_DISRUPTIVE
+        labeled.append(LabeledEffect(eff, label, register=reg))
+    return labeled
+
+
 def label_effects(
     rtl: RTLDesign,
     timeline: GoldenTimeline,
@@ -197,62 +241,24 @@ def label_effects(
     faulty_replay: ReplayResult,
     effects: list[ControlLineEffect],
 ) -> list[LabeledEffect]:
-    """Attach the Section-3 taxonomy label to every control line effect."""
+    """Attach the Section-3 taxonomy label to every control line effect
+    of one faulty trace and its replay."""
+    golden_hist = timeline.replay.reg_history
+    faulty_hist = faulty_replay.reg_history
     labeled: list[LabeledEffect] = []
     for eff in effects:
-        if eff.faulty == -1:
-            labeled.append(LabeledEffect(eff, EffectLabel.UNKNOWN_CONTROL))
-            continue
-        if eff.line in rtl.sel_lines:
-            mux = rtl.mux_of_sel(eff.line)
-            if not timeline.mux_active(mux.name, eff.cycle):
-                labeled.append(LabeledEffect(eff, EffectLabel.SELECT_INACTIVE))
-                continue
-            # Active: disruptive unless padding aliases to the same source.
-            g_idx = f_idx = 0
-            ok = True
-            for bit, sel in enumerate(mux.sel_names):
-                gv = timeline.trace.lines[eff.cycle][sel]
-                fv = faulty_trace.lines[eff.cycle][sel]
-                if gv == -1 or fv == -1:
-                    ok = False
-                    break
-                g_idx |= gv << bit
-                f_idx |= fv << bit
-            if ok and _padded_source(mux, g_idx) == _padded_source(mux, f_idx):
-                labeled.append(LabeledEffect(eff, EffectLabel.SELECT_ACTIVE_ALIASED))
-            else:
-                labeled.append(LabeledEffect(eff, EffectLabel.SELECT_ACTIVE))
-            continue
-        # Load line effect: applies to every register on the line.
-        for reg in rtl.regs_on_line[eff.line]:
-            if eff.golden == 1:  # skipped load
-                labeled.append(LabeledEffect(eff, EffectLabel.LOAD_SKIPPED, register=reg))
-                continue
-            # Extra load.
-            c = eff.cycle
-            if not timeline.register_live(reg, c):
-                labeled.append(LabeledEffect(eff, EffectLabel.EXTRA_LOAD_IDLE, register=reg))
-                continue
-            written_golden = timeline.replay.reg_history[c + 1][reg] if c + 1 < len(
-                timeline.replay.reg_history
-            ) else None
-            written_faulty = faulty_replay.reg_history[c + 1][reg] if c + 1 < len(
-                faulty_replay.reg_history
-            ) else None
-            if written_golden is not None and written_golden == written_faulty:
-                labeled.append(LabeledEffect(eff, EffectLabel.EXTRA_LOAD_REWRITE, register=reg))
-                continue
-            nread = timeline.next_read(reg, c)
-            nload = timeline.next_load(reg, c)
-            if nread is None or (nload is not None and nload < nread):
-                labeled.append(
-                    LabeledEffect(eff, EffectLabel.EXTRA_LOAD_OVERWRITTEN, register=reg)
-                )
-            else:
-                labeled.append(
-                    LabeledEffect(eff, EffectLabel.EXTRA_LOAD_DISRUPTIVE, register=reg)
-                )
+        c = eff.cycle
+        faulty_code = -1
+        rewritten: set[str] = set()
+        if eff.line in timeline.sel_mux:
+            faulty_code = select_code(timeline.sel_mux[eff.line], faulty_trace.lines[c])
+        elif c + 1 < len(golden_hist) and c + 1 < len(faulty_hist):
+            rewritten = {
+                reg
+                for reg in rtl.regs_on_line[eff.line]
+                if golden_hist[c + 1][reg] == faulty_hist[c + 1][reg]
+            }
+        labeled.extend(effect_labels(rtl, timeline, eff, faulty_code, rewritten))
     return labeled
 
 
@@ -307,6 +313,9 @@ class Classifier:
             hold_cycles = rtl.schedule.n_steps + 2 * n_states + 2
         self.hold_cycles = hold_cycles
         self.scenarios = make_scenarios(rtl, iteration_counts, hold_cycles)
+        #: labels of one effect, keyed by (scenario, cycle, line, faulty
+        #: value, faulty select code or rewritten-register bits)
+        self._label_memo: dict[tuple, list[LabeledEffect]] = {}
 
     @cached_property
     def _golden(
@@ -332,50 +341,57 @@ class Classifier:
             trace_values(self.ctrl, trace)[:, :, None] for _sc, trace, *_ in self._golden
         ]
 
+    @cached_property
+    def _lines(self) -> _LineTable:
+        return _LineTable(self.rtl, list(self.ctrl.output_nets))
+
+    def _decisions(self, sc: Scenario) -> list[int]:
+        """The fault-free loop decision cycles of a scenario."""
+        if not self.rtl.cond_fu:
+            return []
+        decision = cs_state(self.rtl.schedule.n_steps)
+        return [c for c in range(sc.n_cycles) if sc.golden_state(c) == decision]
+
     def _cond_mismatch(
-        self, sc: Scenario, greplay: ReplayResult, freplay: ReplayResult
-    ) -> set[int]:
+        self, sc: Scenario, golden: np.ndarray, faulty: np.ndarray
+    ) -> np.ndarray:
         """Cycles at which the comparator-corruption blind spot may bite.
+
+        ``golden`` holds the cond FU's value numbers per cycle of the
+        fault-free replay, ``faulty`` those of faulty replays, one column
+        each; the result is a ``(n_cycles, columns)`` mask.
 
         The faulty controller was simulated under the fault-free ``cond``
         waveform.  If the faulty *datapath* would drive different
         comparator values at non-decision cycles (e.g. an extra load
         corrupting the comparator's operand register during HOLD), that
         assumption may be wrong: a faulty controller could sample ``cond``
-        anywhere.  The returned cycles are probed by rerunning the faulty
+        anywhere.  The masked cycles are probed by rerunning the faulty
         controller with ``cond`` inverted at exactly those cycles; any
         behavioural difference means the control flow can diverge on real
         silicon -> conservative SFI.
         """
         if not self.rtl.cond_fu:
-            return set()
-        decision = {c for c, _ in greplay.cond_decisions}
-        return {
-            cycle
-            for cycle in range(1, sc.n_cycles)
-            if cycle not in decision
-            and greplay.fu_history[cycle].get(self.rtl.cond_fu)
-            != freplay.fu_history[cycle].get(self.rtl.cond_fu)
-        }
+            return np.zeros(faulty.shape, dtype=bool)
+        mask = faulty != golden[:, None]
+        mask[0] = False
+        mask[self._decisions(sc)] = False
+        return mask
 
-    def _tail_is_periodic(self, ftrace: ControlTrace) -> bool:
-        """True if the faulty control-word stream has settled into a cycle
-        of period <= the state count by the end of the scenario.  A stream
+    def _tail_is_periodic(self, values: np.ndarray) -> np.ndarray:
+        """Per column of ``(n_cycles, n_lines, columns)`` control values:
+        True if the faulty control-word stream has settled into a cycle of
+        period <= the state count by the end of the scenario.  A stream
         that is still aperiodic could corrupt an output arbitrarily late,
         so an SFR verdict is only sound for periodic tails."""
-        words = [
-            tuple(sorted(ftrace.lines[c].items()))
-            for c in range(ftrace.scenario.n_cycles - 2 * self._n_states,
-                           ftrace.scenario.n_cycles)
-            if c >= 0
-        ]
+        words = values[-2 * self._n_states:]
+        periodic = np.zeros(values.shape[2], dtype=bool)
         for period in range(1, self._n_states + 1):
             if len(words) < 2 * period:
                 break
             tail = words[-2 * period:]
-            if tail[:period] == tail[period:]:
-                return True
-        return False
+            periodic |= (tail[:period] == tail[period:]).all(axis=(0, 1))
+        return periodic
 
     def classify(self, fault: FaultSite) -> FaultClassification:
         return self.classify_all([fault])[0]
@@ -386,21 +402,27 @@ class Classifier:
         audit: dict[FaultSite, str] | None = None,
         guard: IntegrityGuard | None = None,
     ) -> list[FaultClassification]:
-        """Classify every fault with one controller simulation per scenario.
+        """Classify every fault with one controller simulation per scenario
+        and one symbolic replay of all of them.
 
         Each distinct fault owns one word of the pattern axis
         (:func:`~repro.core.effects.faulty_control_values`); the control
-        planes of all faults are diffed against golden in numpy, and only
-        faults with a control-line effect reach the RT-level oracle.  The
-        ``cond``-sensitivity probes of one scenario run as one more batched
-        simulation with per-fault ``cond`` words.
+        planes of all faults are diffed against golden in numpy.  Every
+        fault with a control-line effect, in every scenario, is then
+        replayed in one array pass together with each scenario's golden
+        stream (:func:`~repro.core.arrayreplay.replay_rows`), and the
+        verdicts, probe cycles and effect labels are read off its arrays.
+        The ``cond``-sensitivity probes of one scenario run as one more
+        batched simulation with per-fault ``cond`` words.
 
         ``audit`` maps faults to report keys: each one's traces (and
         probes) are re-derived on the per-fault oracle
-        :func:`~repro.core.effects.faulty_control_trace`, and a mismatch is
-        flagged on ``guard`` (which aborts when strict; without a guard
-        the first mismatch raises).  Results follow
-        the order of ``faults``; duplicates share one classification.
+        :func:`~repro.core.effects.faulty_control_trace`, and the fault is
+        re-classified on the per-fault replay path (:func:`~repro.core.
+        symbolic.replay`, :func:`label_effects`).  A mismatch is flagged
+        on ``guard`` (which aborts when strict; without a guard the first
+        mismatch raises).  Results follow the order of ``faults``;
+        duplicates share one classification.
         """
         unique = list(dict.fromkeys(faults))
         if not unique:
@@ -408,73 +430,247 @@ class Classifier:
         audit = audit or {}
         if guard is None:
             guard = IntegrityGuard(strict=True)
-        states = [_FaultState() for _ in unique]
-        for (sc, gtrace, table, greplay, timeline), gvalues in zip(
-            self._golden, self._golden_values
-        ):
-            values = faulty_control_values(self.ctrl, sc, unique)
-            self._audit(sc, unique, values, audit, guard)
+        oracle = _OracleTraces(self.ctrl)
+        values: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
+        for s, ((sc, *_), gvalues) in enumerate(zip(self._golden, self._golden_values)):
+            v = faulty_control_values(self.ctrl, sc, unique)
+            self._audit(s, unique, v, audit, guard, oracle)
             # Cycle 0 and golden-X lines are never compared (diff_traces).
             care = gvalues >= 0
             care[0] = False
-            differs = ((values != gvalues) & care).any(axis=(0, 1))
-            probes: list[tuple[int, set[int]]] = []
-            traces: dict[int, ControlTrace] = {}
-            for i in np.flatnonzero(differs).tolist():
-                state = states[i]
-                ftrace = traces[i] = trace_from_values(self.ctrl, sc, values[:, :, i])
-                effects = diff_traces(gtrace, ftrace)
-                state.any_effect = True
-                freplay = replay(self.rtl, ftrace, table)
-                cmp = compare_replays(greplay, freplay)
-                if not cmp.equivalent:
-                    state.refute(f"{cmp.reason} ({sc.iterations} iteration(s))")
-                elif state.equivalent:
-                    mismatch = self._cond_mismatch(sc, greplay, freplay)
-                    if mismatch:
-                        probes.append((i, mismatch))
-                    elif not self._tail_is_periodic(ftrace):
-                        state.refute("faulty control stream not periodic at scenario end")
-                state.effects.extend(
-                    label_effects(self.rtl, timeline, ftrace, freplay, effects)
+            values.append(v)
+            rows.append(np.flatnonzero(((v != gvalues) & care).any(axis=(0, 1))))
+        states = [_FaultState() for _ in unique]
+        for s, block in enumerate(self._replay(values, rows)):
+            if block is not None:
+                self._judge(s, unique, values[s], rows[s], block, states, audit, guard, oracle)
+        by_fault = {f: st.result(f) for f, st in zip(unique, states)}
+        for fault in unique:
+            if fault in audit:
+                self._audit_replay(fault, audit[fault], by_fault[fault], oracle, guard)
+        return [by_fault[f] for f in faults]
+
+    def _replay(
+        self, values: list[np.ndarray], rows: list[np.ndarray]
+    ) -> list[_ReplayBlock | None]:
+        """One array replay of every scenario's golden stream and its
+        effect-bearing faults; per scenario, the block of that scenario's
+        columns (golden first), or None when no fault has an effect."""
+        if not any(r.size for r in rows):
+            return [None] * len(rows)
+        lengths = [sc.n_cycles for sc in self.scenarios]
+        # Longest scenario first: the rows alive at a cycle form a prefix.
+        order = sorted(range(len(rows)), key=lambda s: -lengths[s])
+        width = [1 + rows[s].size for s in range(len(rows))]
+        start = dict(zip(order, np.cumsum([0] + [width[s] for s in order]).tolist()))
+        n_rows = sum(width)
+        stacked = np.zeros((max(lengths), values[0].shape[1], n_rows), dtype=np.int8)
+        row_lengths = np.empty(n_rows, dtype=np.int64)
+        for s, gvalues in enumerate(self._golden_values):
+            n, cols = lengths[s], slice(start[s], start[s] + width[s])
+            stacked[:n, :, start[s]] = gvalues[:, :, 0]
+            stacked[:n, :, start[s] + 1:cols.stop] = values[s][:, :, rows[s]]
+            row_lengths[cols] = n
+        result = replay_rows(
+            self.rtl, self._lines.names, stacked, row_lengths, ValueTable()
+        )
+        blocks: list[_ReplayBlock | None] = []
+        for s, n in enumerate(lengths):
+            cols = slice(start[s], start[s] + width[s])
+            blocks.append(
+                _ReplayBlock(
+                    values=stacked[:n, :, cols],
+                    reg_hist=result.reg_hist[:n, :, cols],
+                    cond=None if result.cond is None else result.cond[:n, cols],
                 )
-            if not probes:
+                if rows[s].size
+                else None
+            )
+        return blocks
+
+    def _judge(
+        self,
+        s: int,
+        unique: list[FaultSite],
+        values: np.ndarray,
+        rows: np.ndarray,
+        block: _ReplayBlock,
+        states: list[_FaultState],
+        audit: dict[FaultSite, str],
+        guard: IntegrityGuard,
+        oracle: _OracleTraces,
+    ) -> None:
+        """Scenario ``s``'s verdicts, probes and labels for its effect rows."""
+        sc = self.scenarios[s]
+        reasons = self._verdicts(sc, block)
+        mismatch = (
+            self._cond_mismatch(sc, block.cond[:, 0], block.cond[:, 1:])
+            if block.cond is not None
+            else None
+        )
+        periodic = self._tail_is_periodic(block.values[:, :, 1:])
+        labels = self._labels(s, block)
+        probes: list[tuple[int, int, set[int]]] = []
+        for j, i in enumerate(rows.tolist()):
+            state = states[i]
+            state.any_effect = True
+            if reasons[j] is not None:
+                state.refute(f"{reasons[j]} ({sc.iterations} iteration(s))")
+            elif state.equivalent:
+                flips = [] if mismatch is None else np.flatnonzero(mismatch[:, j]).tolist()
+                if flips:
+                    probes.append((i, j, set(flips)))
+                elif not periodic[j]:
+                    state.refute("faulty control stream not periodic at scenario end")
+            state.effects.extend(labels[j])
+        if not probes:
+            return
+        probed = [unique[i] for i, _, _ in probes]
+        flips = [cycles for _, _, cycles in probes]
+        pvalues = faulty_control_values(self.ctrl, sc, probed, cond_flips=flips)
+        self._audit(s, probed, pvalues, audit, guard, oracle, flips)
+        for p, (i, j, _) in enumerate(probes):
+            if not np.array_equal(pvalues[:, :, p], values[:, :, i]):
+                states[i].refute(
+                    "comparator corrupted and faulty controller is cond-sensitive"
+                )
+            elif not periodic[j]:
+                states[i].refute("faulty control stream not periodic at scenario end")
+
+    def _verdicts(self, sc: Scenario, block: _ReplayBlock) -> list[str | None]:
+        """Per effect row, :func:`~repro.core.symbolic.compare_replays`'
+        reason against the golden column, or None when equivalent: the
+        first differing loop decision, else the first differing HOLD
+        sample with its differing ports."""
+        decisions = self._decisions(sc)
+        holds = [c for c in range(sc.n_cycles) if sc.golden_state(c) == HOLD_STATE]
+        ports = list(self.rtl.outputs)
+        out = block.reg_hist[holds][:, self._lines.output_regs]  # (holds, ports, cols)
+        out_bad = out[:, :, 1:] != out[:, :, :1]
+        bad = out_bad.any(axis=(0, 1))
+        if decisions:
+            cond = block.cond[decisions]
+            cond_bad = cond[:, 1:] != cond[:, :1]
+            bad |= cond_bad.any(axis=0)
+        reasons: list[str | None] = [None] * bad.size
+        for j in np.flatnonzero(bad).tolist():
+            if decisions and cond_bad[:, j].any():
+                cycle = decisions[int(np.argmax(cond_bad[:, j]))]
+                reasons[j] = f"loop condition differs at cycle {cycle}"
                 continue
-            probed = [unique[i] for i, _ in probes]
-            flips = [mismatch for _, mismatch in probes]
-            pvalues = faulty_control_values(self.ctrl, sc, probed, cond_flips=flips)
-            self._audit(sc, probed, pvalues, audit, guard, flips)
-            for j, (i, _) in enumerate(probes):
-                if not np.array_equal(pvalues[:, :, j], values[:, :, i]):
-                    states[i].refute(
+            h = int(np.argmax(out_bad[:, :, j].any(axis=1)))
+            differ = sorted(p for p, d in zip(ports, out_bad[h, :, j].tolist()) if d)
+            reasons[j] = f"output {differ} differs at cycle {holds[h]}"
+        return reasons
+
+    def _labels(self, s: int, block: _ReplayBlock) -> list[list[LabeledEffect]]:
+        """Every effect row's labelled control line effects, in
+        :func:`~repro.core.effects.diff_traces` order."""
+        sc, _trace, _table, _greplay, timeline = self._golden[s]
+        lines = self._lines
+        values, hist = block.values, block.reg_hist
+        n = values.shape[0]
+        golden = values[:, :, 0]
+        differs = (values[1:, :, 1:] != golden[1:, :, None]) & (golden[1:, :, None] >= 0)
+        row, cycle, line = np.nonzero(differs.transpose(2, 0, 1))
+        cycle += 1
+        col = row + 1
+        faulty = values[cycle, line, col]
+        # The faulty select code of a select-line effect's mux (-1 == X).
+        bits = values[cycle[:, None], lines.sel[line], col[:, None]]
+        used = lines.sel_used[line]
+        code = (np.where(used, np.maximum(bits, 0), 0).astype(np.int64)
+                << np.arange(bits.shape[1])).sum(axis=1)
+        code[(used & (bits < 0)).any(axis=1)] = -1
+        # The registers of a load-line effect whose faulty content after
+        # the cycle equals the fault-free content.
+        after = np.minimum(cycle + 1, n - 1)[:, None]
+        regs = lines.regs[line]
+        same = (
+            (hist[after, regs, col[:, None]] == hist[after, regs, 0])
+            & lines.regs_used[line]
+            & (cycle + 1 < n)[:, None]
+        )
+        rewritten = (same.astype(np.int64) << np.arange(same.shape[1])).sum(axis=1)
+        extra = np.where(lines.is_sel[line], code, rewritten)
+
+        out: list[list[LabeledEffect]] = [[] for _ in range(values.shape[2] - 1)]
+        memo = self._label_memo
+        for r, c, l, f, x in zip(
+            row.tolist(), cycle.tolist(), line.tolist(), faulty.tolist(), extra.tolist()
+        ):
+            key = (s, c, l, f, x)
+            labeled = memo.get(key)
+            if labeled is None:
+                name = lines.names[l]
+                eff = ControlLineEffect(
+                    cycle=c, state=sc.golden_state(c), line=name,
+                    golden=int(golden[c, l]), faulty=f,
+                )
+                on_line = self.rtl.regs_on_line.get(name, [])
+                labeled = memo[key] = effect_labels(
+                    self.rtl, timeline, eff, x if lines.is_sel[l] else -1,
+                    {reg for b, reg in enumerate(on_line) if x >> b & 1},
+                )
+            out[r].extend(labeled)
+        return out
+
+    def _oracle_classification(
+        self, fault: FaultSite, oracle: _OracleTraces
+    ) -> FaultClassification:
+        """``fault`` classified one scenario at a time on the per-fault
+        path: oracle traces, :func:`~repro.core.symbolic.replay`,
+        :func:`~repro.core.symbolic.compare_replays` and
+        :func:`label_effects`."""
+        state = _FaultState()
+        for s, (sc, gtrace, table, greplay, timeline) in enumerate(self._golden):
+            ftrace = oracle.get(s, sc, fault)
+            effects = diff_traces(gtrace, ftrace)
+            if not effects:
+                continue
+            state.any_effect = True
+            freplay = replay(self.rtl, ftrace, table)
+            cmp = compare_replays(greplay, freplay)
+            if not cmp.equivalent:
+                state.refute(f"{cmp.reason} ({sc.iterations} iteration(s))")
+            elif state.equivalent:
+                golden, faulty = (
+                    np.array([h.get(self.rtl.cond_fu, -1) for h in r.fu_history])
+                    for r in (greplay, freplay)
+                )
+                mismatch = self._cond_mismatch(sc, golden, faulty[:, None])[:, 0]
+                flips = set(np.flatnonzero(mismatch).tolist())
+                if flips and oracle.get(s, sc, fault, flips).lines != ftrace.lines:
+                    state.refute(
                         "comparator corrupted and faulty controller is cond-sensitive"
                     )
-                elif not self._tail_is_periodic(traces[i]):
-                    states[i].refute("faulty control stream not periodic at scenario end")
-        by_fault = {f: st.result(f) for f, st in zip(unique, states)}
-        return [by_fault[f] for f in faults]
+                elif not self._tail_is_periodic(trace_values(self.ctrl, ftrace)[:, :, None])[0]:
+                    state.refute("faulty control stream not periodic at scenario end")
+            state.effects.extend(label_effects(self.rtl, timeline, ftrace, freplay, effects))
+        return state.result(fault)
 
     def _audit(
         self,
-        sc: Scenario,
+        s: int,
         faults: list[FaultSite],
         values: np.ndarray,
         audit: dict[FaultSite, str],
         guard: IntegrityGuard,
+        oracle: _OracleTraces,
         cond_flips: list[set[int]] | None = None,
     ) -> None:
         """Re-derive the audited faults' traces on the per-fault oracle."""
+        sc = self.scenarios[s]
         for i, fault in enumerate(faults):
             key = audit.get(fault)
             if key is None:
                 continue
             flips = cond_flips[i] if cond_flips is not None else None
-            oracle = trace_values(
-                self.ctrl, faulty_control_trace(self.ctrl, sc, fault, cond_flips=flips)
-            )
-            if np.array_equal(oracle, values[:, :, i]):
+            expected = trace_values(self.ctrl, oracle.get(s, sc, fault, flips))
+            if np.array_equal(expected, values[:, :, i]):
                 continue
-            cycle = int(np.flatnonzero((oracle != values[:, :, i]).any(axis=1))[0])
+            cycle = int(np.flatnonzero((expected != values[:, :, i]).any(axis=1))[0])
             guard.flag(
                 IntegrityViolation(
                     check="classify-trace-differential",
@@ -486,10 +682,109 @@ class Classifier:
                         f"per-fault oracle"
                     ),
                     cycle=cycle,
-                    expected=str(oracle[cycle].tolist()),
+                    expected=str(expected[cycle].tolist()),
                     actual=str(values[cycle, :, i].tolist()),
                 )
             )
+
+    def _audit_replay(
+        self,
+        fault: FaultSite,
+        key: str,
+        got: FaultClassification,
+        oracle: _OracleTraces,
+        guard: IntegrityGuard,
+    ) -> None:
+        """Re-classify an audited fault on the per-fault replay path."""
+        want = self._oracle_classification(fault, oracle)
+        if (want.category, want.reason, want.effects) == (got.category, got.reason, got.effects):
+            return
+        first = next(
+            (a.effect.cycle for a, b in zip(want.effects, got.effects) if a != b),
+            -1,
+        )
+        guard.flag(
+            IntegrityViolation(
+                check=REPLAY_DIFFERENTIAL_CHECK,
+                fault=key,
+                site=fault.describe(self.ctrl.netlist),
+                detail="array-replay classification differs from the per-fault replay oracle",
+                cycle=first,
+                expected=_summary(want),
+                actual=_summary(got),
+            )
+        )
+
+
+#: check id of an audited classification that the array replay and the
+#: per-fault replay oracle disagree on
+REPLAY_DIFFERENTIAL_CHECK = "classify-replay-differential"
+
+
+def _summary(c: FaultClassification) -> str:
+    return f"{c.category} ({c.reason}), {len(c.effects)} labelled effect(s)"
+
+
+class _OracleTraces:
+    """The per-fault oracle traces of one ``classify_all`` call, each
+    simulated once: the trace audit and the replay audit share them."""
+
+    def __init__(self, ctrl: SynthesizedController):
+        self.ctrl = ctrl
+        self._traces: dict[tuple, ControlTrace] = {}
+
+    def get(
+        self, s: int, sc: Scenario, fault: FaultSite, flips: set[int] | None = None
+    ) -> ControlTrace:
+        key = (s, fault, frozenset(flips or ()))
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = faulty_control_trace(
+                self.ctrl, sc, fault, cond_flips=flips or None
+            )
+        return trace
+
+
+@dataclass
+class _ReplayBlock:
+    """One scenario's columns of the array replay, the golden stream first."""
+
+    values: np.ndarray  # (n_cycles, n_lines, columns) control values
+    reg_hist: np.ndarray  # (n_cycles, n_registers, columns)
+    cond: np.ndarray | None  # (n_cycles, columns) cond FU values
+
+
+class _LineTable:
+    """Per control line (in controller output order), what labelling
+    reads: a select line's mux select lines, a load line's registers."""
+
+    def __init__(self, rtl: RTLDesign, names: list[str]):
+        self.names = names
+        index = {name: i for i, name in enumerate(names)}
+        reg_index = {r.name: i for i, r in enumerate(rtl.registers)}
+        self.output_regs = [reg_index[reg] for reg in rtl.outputs.values()]
+        self.is_sel = np.array([name in rtl.sel_lines for name in names], dtype=bool)
+        sel = [
+            [index[b] for b in rtl.mux_of_sel(name).sel_names] if sel else []
+            for name, sel in zip(names, self.is_sel)
+        ]
+        regs = [
+            [] if sel else [reg_index[r] for r in rtl.regs_on_line[name]]
+            for name, sel in zip(names, self.is_sel)
+        ]
+        self.sel, self.sel_used = _pad(sel)
+        self.regs, self.regs_used = _pad(regs)
+
+
+def _pad(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged index lists as a 0-padded array and its used-entry mask."""
+    width = max(map(len, lists), default=0)
+    padded = np.zeros((len(lists), width), dtype=np.int64)
+    used = np.zeros((len(lists), width), dtype=bool)
+    for i, row in enumerate(lists):
+        padded[i, : len(row)] = row
+        used[i, : len(row)] = True
+    return padded, used
 
 
 @dataclass

@@ -218,20 +218,9 @@ def faulty_control_values(
     return values
 
 
-def trace_from_values(
-    ctrl: SynthesizedController, scenario: Scenario, column: np.ndarray
-) -> ControlTrace:
-    """The :class:`ControlTrace` of one ``(n_cycles, n_lines)`` value column."""
-    names = list(ctrl.output_nets)
-    return ControlTrace(
-        scenario=scenario,
-        lines=[dict(zip(names, row)) for row in column.tolist()],
-        states=[scenario.golden_state(c) for c in range(scenario.n_cycles)],
-    )
-
-
 def trace_values(ctrl: SynthesizedController, trace: ControlTrace) -> np.ndarray:
-    """Inverse of :func:`trace_from_values`: a trace as an int8 column."""
+    """A trace as an ``(n_cycles, n_lines)`` int8 column (lines in
+    ``ctrl.output_nets`` order, -1 == X)."""
     names = list(ctrl.output_nets)
     return np.array(
         [[row[name] for name in names] for row in trace.lines], dtype=np.int8

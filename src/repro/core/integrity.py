@@ -11,8 +11,10 @@ This module makes campaign results self-verifying:
   choice is identical for any job count) is re-evaluated
   on one independent reference per layer: cone-restricted
   fault-simulation verdicts are re-checked against the serial per-fault
-  simulator ``simulate_one_fault``, classification verdicts against the
-  per-fault ``faulty_control_trace``, and the block kernel's Monte-Carlo
+  simulator ``simulate_one_fault``, classification traces against the
+  per-fault ``faulty_control_trace`` and the array replay's
+  classifications against the per-fault ``symbolic.replay`` path, and
+  the block kernel's Monte-Carlo
   powers are recomputed through the per-fault generate-per-call
   ``monte_carlo_power``.  Any divergence becomes a structured
   :class:`IntegrityViolation` naming the fault, the site and the first

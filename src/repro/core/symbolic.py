@@ -22,15 +22,29 @@ HOLD sample *and* the same comparator value numbers at every loop decision
 (otherwise the control flow itself diverges).  Value-number equality
 implies true value equality, so an SFR verdict is sound; inequality is
 conservative (the paper's analysis makes the same choice).
+
+:func:`replay` runs one trace at a time over dicts; it is the per-fault
+oracle.  The classifier's product path replays every effect-bearing fault
+of a design at once over arrays (:mod:`repro.core.arrayreplay`), drawing
+its numbers from the same :class:`ValueTable` interface
+(:meth:`ValueTable.op_ids`, :meth:`ValueTable.garbage_ids`); the
+classifier re-runs sampled faults through :func:`replay` to check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..hls.dfg import COMMUTATIVE, OpKind
 from ..hls.rtl import HOLD_STATE, MuxSpec, RTLDesign, cs_state
 from .effects import ControlTrace
+
+
+#: :meth:`ValueTable.op_ids` packs a value number into this many bits.
+_ID_BITS = 28
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 class ValueTable:
@@ -38,12 +52,14 @@ class ValueTable:
 
     def __init__(self):
         self._intern: dict[tuple, int] = {}
-        self._fresh = 0
+        self._next = 0
 
     def _get(self, key: tuple) -> int:
-        if key not in self._intern:
-            self._intern[key] = len(self._intern)
-        return self._intern[key]
+        vid = self._intern.get(key)
+        if vid is None:
+            vid = self._intern[key] = self._next
+            self._next += 1
+        return vid
 
     def input(self, name: str) -> int:
         return self._get(("in", name))
@@ -59,9 +75,39 @@ class ValueTable:
             a, b = b, a
         return self._get(("op", kind.value, a, b))
 
+    def op_ids(self, kinds: list[OpKind], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`op` over arrays: row ``j`` of ``a`` and ``b`` feeds
+        ``kinds[j]``.  Each distinct ``(kind, a, b)`` is interned once."""
+        if self._next > _ID_MASK:
+            raise OverflowError("value table outgrew op_ids' packed keys")
+        comm = np.array([k in COMMUTATIVE for k in kinds])[:, None]
+        swap = comm & (b < a)
+        lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+        distinct = list(dict.fromkeys(kinds))
+        code = np.array([distinct.index(k) for k in kinds], dtype=np.int64)[:, None]
+        keys = (code << (2 * _ID_BITS)) | (lo << _ID_BITS) | hi
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        ids = np.array(
+            [
+                self._get(
+                    ("op", distinct[k >> 2 * _ID_BITS].value, (k >> _ID_BITS) & _ID_MASK,
+                     k & _ID_MASK)
+                )
+                for k in uniq.tolist()
+            ],
+            dtype=np.int64,
+        )
+        return ids[inverse].reshape(a.shape)
+
     def garbage(self) -> int:
-        self._fresh += 1
-        return self._get(("garbage", self._fresh))
+        """A fresh number, equal to no other."""
+        self._next += 1
+        return self._next - 1
+
+    def garbage_ids(self, n: int) -> np.ndarray:
+        """``n`` fresh numbers at once."""
+        self._next += n
+        return np.arange(self._next - n, self._next, dtype=np.int64)
 
 
 @dataclass
@@ -80,7 +126,7 @@ class ReplayResult:
     saw_unknown_control: bool = False
 
 
-def _mux_index(mux: MuxSpec, controls: dict[str, int]) -> int:
+def select_code(mux: MuxSpec, controls: dict[str, int]) -> int:
     """Selected source index, or -1 if any select bit is X."""
     index = 0
     for bit, name in enumerate(mux.sel_names):
@@ -116,7 +162,7 @@ def replay(rtl: RTLDesign, trace: ControlTrace, table: ValueTable) -> ReplayResu
 
         if len(mux.sources) == 1:
             return source_id(mux.sources[0])
-        index = _mux_index(mux, controls)
+        index = select_code(mux, controls)
         if index >= 0:
             # Select codes past the last source alias source 0 (padding).
             return source_id(mux.sources[index if index < len(mux.sources) else 0])

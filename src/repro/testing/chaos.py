@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import struct
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -174,9 +176,22 @@ class ChaosEngine:
 
     def __init__(self, spec: ChaosSpec, workdir: str | None = None):
         self.spec = spec
-        self.workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-        Path(self.workdir).mkdir(parents=True, exist_ok=True)
+        self._workdir = workdir
+        if workdir is not None:
+            Path(workdir).mkdir(parents=True, exist_ok=True)
         self._flip_targets: set[str] = set()
+
+    @property
+    def workdir(self) -> str:
+        """The flag-file directory of crash/hang injection.
+
+        A caller-passed directory is used as is and left in place.
+        Otherwise a temporary one is made on first use and removed once
+        the engine is gone, so bit-flip-only engines never make one."""
+        if self._workdir is None:
+            self._workdir = tempfile.mkdtemp(prefix="repro-chaos-")
+            weakref.finalize(self, shutil.rmtree, self._workdir, ignore_errors=True)
+        return self._workdir
 
     @classmethod
     def from_spec(cls, text: str | None, workdir: str | None = None) -> "ChaosEngine | None":

@@ -8,7 +8,10 @@ quarantined (or abort the run in strict mode).
 
 from __future__ import annotations
 
+import gc
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,56 @@ class TestWorkerInjection:
         engine = ChaosEngine(ChaosSpec(bitflip=1))
         worker, context = engine.wrap(_identity, "ctx")
         assert worker is _identity and context == "ctx"
+
+
+# ------------------------------------------------------ flag directories
+class TestChaosWorkdir:
+    """Only crash/hang injection needs the flag-file directory; an
+    engine's own directory goes away with the engine."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def _left(root):
+        gc.collect()
+        return sorted(p.name for p in root.glob("repro-chaos-*"))
+
+    def test_bitflip_only_engine_makes_no_directory(self, temp_root, facet_system):
+        engine = ChaosEngine(ChaosSpec(bitflip=1, seed=7))
+        engine.set_flip_targets(["k"])
+        assert engine.wrap(_identity, None) == (_identity, None)
+        run_pipeline(
+            facet_system,
+            PipelineConfig(n_patterns=64, audit_rate=0.5, chaos="bitflip:1,seed:7"),
+        )
+        assert self._left(temp_root) == []
+
+    def test_hang_engine_directory_removed_with_engine(self, temp_root):
+        engine = ChaosEngine(ChaosSpec(hang=0.5, seed=3))
+        _worker, context = engine.wrap(_identity, None)
+        workdir = Path(context[3])
+        assert workdir.parent == temp_root and workdir.is_dir()
+        del engine, context
+        assert self._left(temp_root) == []
+
+    def test_crash_campaign_leaves_no_directory(self, temp_root, multicore, facet_system):
+        result = run_pipeline(
+            facet_system,
+            PipelineConfig(n_patterns=64, audit_rate=0.0, n_jobs=2, chaos="crash:0.9,seed:3"),
+        )
+        assert result.campaign.crashes >= 1
+        assert self._left(temp_root) == []
+
+    def test_caller_workdir_is_kept(self, temp_root):
+        workdir = temp_root / "mine"
+        engine = ChaosEngine(ChaosSpec(crash=0.5), workdir=str(workdir))
+        assert engine.wrap(_identity, None)[1][3] == str(workdir)
+        del engine
+        gc.collect()
+        assert workdir.is_dir()
 
 
 # ----------------------------------------------------------- end to end

@@ -1,9 +1,11 @@
 """Tests for the Section-3 classifier: labels and fault categories."""
 
+import numpy as np
 import pytest
 
 from repro.core.classify import Classifier, EffectLabel, NON_DISRUPTIVE_LABELS
 from repro.core.pipeline import controller_fault_universe
+from repro.designs.catalog import cached_system
 from repro.logic.faults import FaultSite
 
 
@@ -237,6 +239,106 @@ class TestClassifyAudit:
         assert [r.site for r in quarantined] == [victim.site]
 
 
+class TestReplayAudit:
+    """Audited faults are re-classified on the per-fault replay path."""
+
+    @staticmethod
+    def _corrupting(monkeypatch):
+        """Overwrite every register of the array pass's first faulty row."""
+        import repro.core.classify as classify_mod
+
+        real = classify_mod.replay_rows
+
+        def corrupt(*args):
+            result = real(*args)
+            result.reg_hist[1:, :, 1] = -7
+            return result
+
+        monkeypatch.setattr(classify_mod, "replay_rows", corrupt)
+
+    def test_corrupted_row_is_quarantined(self, facet_system, monkeypatch):
+        from repro.core.classify import REPLAY_DIFFERENTIAL_CHECK
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+        from repro.logic.faults import fault_key
+
+        config = PipelineConfig(n_patterns=128, audit_rate=0.999999)
+        self._corrupting(monkeypatch)
+        result = run_pipeline(facet_system, config)
+        report = result.classify_campaign
+        assert report.audited == report.completed == report.n_items
+        assert [v.check for v in report.violations] == [REPLAY_DIFFERENTIAL_CHECK]
+        (violation,) = report.violations
+        assert violation.expected.startswith("SFR")
+        assert violation.actual.startswith("SFI")
+        quarantined = [r for r in result.records if r.quarantined]
+        assert [fault_key(r.system_site) for r in quarantined] == [violation.fault]
+        assert quarantined[0] not in result.sfr_records
+        assert quarantined[0].classification.category == "SFI"
+
+    def test_corrupted_row_aborts_strict(self, facet_system, monkeypatch):
+        from repro.core.errors import IntegrityError
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+
+        self._corrupting(monkeypatch)
+        with pytest.raises(IntegrityError, match="classify-replay-differential"):
+            run_pipeline(
+                facet_system,
+                PipelineConfig(n_patterns=128, audit_rate=0.999999, strict=True),
+            )
+
+    def test_unaudited_corruption_goes_unseen(self, facet_system, monkeypatch):
+        """The check lives in the audit: at rate 0 the corrupted row turns
+        an SFR fault SFI and nothing is flagged."""
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+
+        config = PipelineConfig(n_patterns=128, audit_rate=0.0)
+        clean = run_pipeline(facet_system, config).counts()
+        self._corrupting(monkeypatch)
+        result = run_pipeline(facet_system, config)
+        assert result.classify_campaign.violations == []
+        assert result.counts() != clean
+
+    def test_clean_audited_run_records_nothing(self, diffeq_system, monkeypatch):
+        import repro.core.classify as classify_mod
+        from repro.core.pipeline import PipelineConfig, run_pipeline
+
+        oracle_calls = []
+        real = classify_mod.replay
+
+        def spy(rtl, trace, table):
+            oracle_calls.append(trace.scenario.iterations)
+            return real(rtl, trace, table)
+
+        monkeypatch.setattr(classify_mod, "replay", spy)
+        result = run_pipeline(
+            diffeq_system, PipelineConfig(n_patterns=128, audit_rate=0.999999, strict=True)
+        )
+        report = result.classify_campaign
+        assert report.audited == report.n_items and report.violations == []
+        assert oracle_calls
+
+    def test_replay_runs_only_for_audited_faults(self, diffeq_system, monkeypatch):
+        import repro.core.classify as classify_mod
+
+        universe = controller_fault_universe(diffeq_system)
+        clf = Classifier(diffeq_system.rtl, diffeq_system.controller)
+        clf._golden  # the golden replays are built once, up front
+        calls = []
+        real = classify_mod.replay
+        monkeypatch.setattr(
+            classify_mod, "replay", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        clf.classify_all(universe)
+        assert calls == []
+        clf.classify_all(universe, audit={universe[0]: "k0"})
+        assert len(calls) <= len(clf.scenarios)
+
+
+def _cond_ids(clf: Classifier, result) -> np.ndarray:
+    """A replay's cond-FU value numbers per cycle (-1 where it has none)."""
+    return np.array([h.get(clf.rtl.cond_fu, -1) for h in result.fu_history])
+
+
 def _serial_reference(clf: Classifier, fault: FaultSite):
     """The per-fault classification loop on the 1-pattern oracle.
 
@@ -244,7 +346,7 @@ def _serial_reference(clf: Classifier, fault: FaultSite):
     verdict, then the cond probe rerun on the oracle and the periodicity
     guard -- the reference ``classify_all`` must reproduce exactly."""
     from repro.core.classify import FaultClassification, label_effects
-    from repro.core.effects import diff_traces, faulty_control_trace
+    from repro.core.effects import diff_traces, faulty_control_trace, trace_values
     from repro.core.symbolic import compare_replays, replay
 
     effects, any_effect, reason = [], False, ""
@@ -259,11 +361,14 @@ def _serial_reference(clf: Classifier, fault: FaultSite):
         if not cmp.equivalent:
             reason = reason or f"{cmp.reason} ({sc.iterations} iteration(s))"
         elif not reason:
-            flips = clf._cond_mismatch(sc, greplay, freplay)
+            mismatch = clf._cond_mismatch(
+                sc, _cond_ids(clf, greplay), _cond_ids(clf, freplay)[:, None]
+            )
+            flips = set(np.flatnonzero(mismatch[:, 0]).tolist())
             probe = flips and faulty_control_trace(clf.ctrl, sc, fault, cond_flips=flips)
             if probe and probe.lines != ftrace.lines:
                 reason = "comparator corrupted and faulty controller is cond-sensitive"
-            elif not clf._tail_is_periodic(ftrace):
+            elif not clf._tail_is_periodic(trace_values(clf.ctrl, ftrace)[:, :, None])[0]:
                 reason = "faulty control stream not periodic at scenario end"
         effects.extend(label_effects(clf.rtl, timeline, ftrace, freplay, diff))
     if not any_effect:
@@ -284,9 +389,11 @@ class TestAgainstSerialReference:
         cycle, so the divergent probe branch fires for real faults."""
         if probe_everywhere:
 
-            def everywhere(self, sc, greplay, freplay):
-                decision = {c for c, _ in greplay.cond_decisions}
-                return set(range(1, sc.n_cycles)) - decision
+            def everywhere(self, sc, golden, faulty):
+                mask = np.ones(faulty.shape, dtype=bool)
+                mask[0] = False
+                mask[self._decisions(sc)] = False
+                return mask
 
             monkeypatch.setattr(Classifier, "_cond_mismatch", everywhere)
         faults = controller_fault_universe(diffeq_system)[::3]
@@ -298,3 +405,18 @@ class TestAgainstSerialReference:
         if probe_everywhere:
             reasons = {c.reason for c in want}
             assert "comparator corrupted and faulty controller is cond-sensitive" in reasons
+
+    @pytest.mark.parametrize(
+        "design, stride", [("facet", 1), ("poly", 1), ("biquad", 2), ("ewf", 9)]
+    )
+    def test_catalog_design_equals_serial_oracle_loop(self, design, stride):
+        """The other catalog designs: facet and poly have no cond FU and
+        one scenario, biquad has a cond FU and three scenarios, and ewf
+        (a fixed subset of its faults) has the widest muxes."""
+        system = cached_system(design)
+        faults = controller_fault_universe(system)[::stride]
+        got = Classifier(system.rtl, system.controller).classify_all(faults)
+        serial = Classifier(system.rtl, system.controller)
+        want = [_serial_reference(serial, f) for f in faults]
+        assert [_as_json(c) for c in got] == [_as_json(c) for c in want]
+        assert {c.category for c in got} >= {"CFR", "SFR"}
