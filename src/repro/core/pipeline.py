@@ -28,6 +28,7 @@ from ..hls.system import NormalModeStimulus, System, hold_masks_from_trace
 from ..logic.faults import FaultSite, collapse_faults, enumerate_faults, fault_key
 from ..logic.faultsim import (
     FaultSimResult,
+    GoldenTrace,
     Verdict,
     fault_simulate,
     run_golden,
@@ -285,6 +286,42 @@ def _classify_undetected(
     return report
 
 
+def _fault_free_run(
+    system: System, config: PipelineConfig, n_cycles: int, observe: list[int]
+) -> tuple[NormalModeStimulus, GoldenTrace, list[np.ndarray]]:
+    """The fault-simulation stage's inputs: the TPGR normal-mode stimulus,
+    its one fault-free trace (:func:`~repro.logic.faultsim.run_golden`
+    with ``full=True``) and the HOLD masks read off that trace."""
+    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=config.tpgr_seed)
+    data = {k: np.asarray(v) for k, v in tpgr.generate(config.n_patterns).items()}
+    stimulus = NormalModeStimulus(system, data, n_cycles)
+    validate_stimulus(stimulus)
+    golden = run_golden(system.netlist, stimulus, observe, full=True)
+    return stimulus, golden, hold_masks_from_trace(system, golden)
+
+
+def _merge_replayed(
+    plan, dirty_result: FaultSimResult, system_sites: list[FaultSite]
+) -> FaultSimResult:
+    """Replayed entries and freshly simulated verdicts, in universe order,
+    indistinguishable from a cold full campaign."""
+    report = dirty_result.campaign or RunReport()
+    report.n_items = len(system_sites)
+    report.replayed = len(plan.reusable)
+    merged = FaultSimResult(verdicts={}, campaign=report, cone=dirty_result.cone)
+    for site in system_sites:
+        entry = plan.reusable.get(site)
+        if entry is not None:
+            merged.verdicts[site] = entry.verdict
+            if entry.verdict is Verdict.DETECTED:
+                merged.detect_cycle[site] = entry.detect_cycle
+        else:
+            merged.verdicts[site] = dirty_result.verdicts[site]
+            if site in dirty_result.detect_cycle:
+                merged.detect_cycle[site] = dirty_result.detect_cycle[site]
+    return merged
+
+
 def run_pipeline(
     system: System,
     config: PipelineConfig | None = None,
@@ -293,16 +330,19 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute the full Section-5 flow on ``system``.
 
-    The fault-free machine is simulated once per run
-    (:func:`~repro.logic.faultsim.run_golden` with ``full=True``): the
-    hold masks are read off that trace, and it is handed to the fault
-    simulation, the incremental planner and the per-fault publication.
-
     With ``store`` set (see :mod:`repro.store`), the fault-simulation
     stage consults the persistent content-addressed store first: a cached
     campaign keyed by the netlist content, stimulus plan, config knobs
-    and code schema replays bit-identically without simulating, and a
-    freshly computed clean campaign is published back for future runs.
+    and code schema replays bit-identically without simulating -- it
+    builds neither the TPGR stimulus nor its fault-free trace, which
+    only the fault simulation reads -- and a freshly computed clean
+    campaign is published back for future runs.
+
+    A miss (a cold or refreshed run, a store-less run, the incremental
+    path) simulates the fault-free machine once
+    (:func:`~repro.logic.faultsim.run_golden` with ``full=True``): the
+    hold masks are read off that trace, and it is handed to the fault
+    simulation, the incremental planner and the per-fault publication.
 
     ``baseline`` (with ``store``) additionally enables *fault-granular*
     reuse when the whole-stage key misses: a :class:`~repro.netlist.netlist.Netlist`,
@@ -319,18 +359,11 @@ def run_pipeline(
     validate_netlist(system.netlist)
     universe = controller_fault_universe(system)
 
-    # Step 1: integrated fault simulation under TPGR data.
-    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=config.tpgr_seed)
-    data = {k: np.asarray(v) for k, v in tpgr.generate(config.n_patterns).items()}
+    # Step 1: integrated fault simulation under TPGR data.  The stage key
+    # needs only the window length, the observed nets and the faults, so
+    # the stimulus and its fault-free trace are built on a miss alone.
     n_cycles = system.cycles_for(config.iterations_window, config.hold_cycles)
-    stimulus = NormalModeStimulus(system, data, n_cycles)
-    validate_stimulus(stimulus)
     observe = [net for bus in system.output_buses.values() for net in bus]
-    # The one fault-free simulation of this stimulus: the hold masks, the
-    # fault engine's reference, and the incremental planner's and
-    # publisher's cone content hashes all read it.
-    golden = run_golden(system.netlist, stimulus, observe, full=True)
-    masks = hold_masks_from_trace(system, golden)
     system_sites = [system.to_system_fault(s) for s in universe]
     stage = open_stage(
         store,
@@ -353,79 +386,61 @@ def run_pipeline(
         ),
         lambda payload: verdicts_from_payload(payload, system_sites),
     )
-    # Incremental planning: only worth attempting when the whole-stage
-    # blob misses (a plain warm hit is strictly cheaper) and a baseline
-    # resolves.  ``store.refresh`` naturally disables it -- the planner's
-    # metadata lookup misses too, so refreshed runs stay honestly cold.
     plan = None
-    if store is not None and baseline is not None and not stage.hit:
-        from ..incremental.replay import plan_recompute, resolve_baseline
-
-        base_netlist = resolve_baseline(
-            store,
-            baseline,
-            design=system.rtl.name,
-            exclude_fp=netlist_fingerprint(system.netlist),
-        )
-        if base_netlist is not None:
-            plan = plan_recompute(
-                store,
-                base_netlist,
-                system,
-                config,
-                universe,
-                system_sites,
-                stimulus,
-                observe,
-                masks,
-                golden=golden,
-            )
-            if plan is not None and not plan.reusable:
-                plan = None  # nothing replays; run the ordinary cold path
-
-    simulate = dict(
-        observe=observe,
-        valid_masks=masks,
-        n_jobs=config.n_jobs,
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-        audit_rate=config.audit_rate,
-        strict=config.strict,
-        chaos=config.chaos_engine(),
-        golden=golden,
-    )
     if stage.hit:
         sim_result = stage.cached
-    elif plan is not None:
-        dirty_result = fault_simulate(system.netlist, plan.dirty, stimulus, **simulate)
-        # Merge: replayed entries and freshly simulated verdicts, in
-        # universe order, indistinguishable from a cold full campaign.
-        report = dirty_result.campaign or RunReport()
-        report.n_items = len(system_sites)
-        report.replayed = len(plan.reusable)
-        sim_result = FaultSimResult(
-            verdicts={}, campaign=report, cone=dirty_result.cone
-        )
-        for site in system_sites:
-            entry = plan.reusable.get(site)
-            if entry is not None:
-                sim_result.verdicts[site] = entry.verdict
-                if entry.verdict is Verdict.DETECTED:
-                    sim_result.detect_cycle[site] = entry.detect_cycle
-            else:
-                sim_result.verdicts[site] = dirty_result.verdicts[site]
-                if site in dirty_result.detect_cycle:
-                    sim_result.detect_cycle[site] = dirty_result.detect_cycle[site]
     else:
-        sim_result = fault_simulate(system.netlist, system_sites, stimulus, **simulate)
-    if not stage.hit:
+        stimulus, golden, masks = _fault_free_run(system, config, n_cycles, observe)
+        # Incremental planning: only worth attempting when a baseline
+        # resolves.  ``store.refresh`` naturally disables it -- the planner's
+        # metadata lookup misses too, so refreshed runs stay honestly cold.
+        if store is not None and baseline is not None:
+            from ..incremental.replay import plan_recompute, resolve_baseline
+
+            base_netlist = resolve_baseline(
+                store,
+                baseline,
+                design=system.rtl.name,
+                exclude_fp=netlist_fingerprint(system.netlist),
+            )
+            if base_netlist is not None:
+                plan = plan_recompute(
+                    store,
+                    base_netlist,
+                    system,
+                    config,
+                    universe,
+                    system_sites,
+                    stimulus,
+                    observe,
+                    masks,
+                    golden=golden,
+                )
+                if plan is not None and not plan.reusable:
+                    plan = None  # nothing replays; run the ordinary cold path
+        sim_result = fault_simulate(
+            system.netlist,
+            system_sites if plan is None else plan.dirty,
+            stimulus,
+            observe=observe,
+            valid_masks=masks,
+            n_jobs=config.n_jobs,
+            timeout=config.timeout,
+            max_retries=config.max_retries,
+            audit_rate=config.audit_rate,
+            strict=config.strict,
+            chaos=config.chaos_engine(),
+            golden=golden,
+        )
+        if plan is not None:
+            sim_result = _merge_replayed(plan, sim_result, system_sites)
         # A merged campaign graduates into the ordinary stage blob, so
         # plain warm reruns of the edited design hit without a planner.
         stage.publish(
             lambda: verdicts_payload(sim_result, system_sites),
             sim_result.campaign,
             design=system.netlist.name,
-            meta={"faults": len(system_sites), "patterns": stimulus.n_patterns},
+            meta={"faults": len(system_sites), "patterns": config.n_patterns},
             replaced_s=None if plan is None else plan.baseline_wall_s,
         )
 

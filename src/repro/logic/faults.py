@@ -99,25 +99,6 @@ def enumerate_faults(
     return sites
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 # Controlling input value and the equivalent output value it forces.
 _CONTROLLING = {
     GateType.AND: (0, 0),
@@ -137,47 +118,62 @@ def collapse_faults(
         Representatives are chosen deterministically (first in input order)
         so results are stable across runs.
     """
-    present = set(sites)
-    uf = _UnionFind()
-    gate_set = {s.gate_index for s in sites if s.gate_index is not None}
-    fanout = netlist.fanout_map()
+    # Union-find over site positions, looked up by plain
+    # (gate, pin, net, value) tuples; a duplicate site shares the node of
+    # its first occurrence.
+    keys = [(s.gate_index, s.pin, s.net, s.value) for s in sites]
+    node: dict[tuple, int] = {}
+    for i, k in enumerate(keys):
+        node.setdefault(k, i)
+    parent = list(range(len(sites)))
 
-    for gi in gate_set:
-        g = netlist.gates[gi]
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def union(a: tuple, b: tuple) -> None:
+        """Merge the classes of sites ``a`` and ``b`` when both are present."""
+        ia, ib = node.get(a), node.get(b)
+        if ia is None or ib is None:
+            return
+        ra, rb = find(ia), find(ib)
+        if ra != rb:
+            parent[rb] = ra
+
+    gates = netlist.gates
+    for gi in {k[0] for k in keys if k[0] is not None}:
+        g = gates[gi]
         if g.gtype in _CONTROLLING:
             cv, ov = _CONTROLLING[g.gtype]
-            stem = FaultSite(gi, -1, g.output, ov)
             for pin, net in enumerate(g.inputs):
-                branch = FaultSite(gi, pin, net, cv)
-                if stem in present and branch in present:
-                    uf.union(stem, branch)
+                union((gi, -1, g.output, ov), (gi, pin, net, cv))
         elif g.gtype in (GateType.NOT, GateType.BUF):
             invert = g.gtype is GateType.NOT
             for v in (0, 1):
-                branch = FaultSite(gi, 0, g.inputs[0], v)
-                stem = FaultSite(gi, -1, g.output, (1 - v) if invert else v)
-                if stem in present and branch in present:
-                    uf.union(branch, stem)
+                stem_value = (1 - v) if invert else v
+                union((gi, 0, g.inputs[0], v), (gi, -1, g.output, stem_value))
 
     # Fanout-free stems merge with their single branch -- unless the net is
     # itself observed as a primary output, where the stem is visible on a
     # path the branch fault cannot reach.
     observed = set(netlist.outputs)
-    for s in sites:
-        if not s.is_stem or s.net in observed:
+    fanout = netlist.fanout_map()
+    for k in keys:
+        _, pin, net, value = k
+        if pin != -1 or net in observed:
             continue
-        readers = fanout[s.net]
+        readers = fanout[net]
         if len(readers) == 1:
-            g_idx, pin = readers[0]
-            branch = FaultSite(g_idx, pin, s.net, s.value)
-            if branch in present:
-                uf.union(s, branch)
+            g_idx, reader_pin = readers[0]
+            union(k, (g_idx, reader_pin, net, value))
 
-    first_of_class: dict = {}
-    mapping: dict[FaultSite, FaultSite] = {}
-    for s in sites:
-        root = uf.find(s)
-        rep = first_of_class.setdefault(root, s)
-        mapping[s] = rep
-    reps = [s for s in sites if mapping[s] is s]
+    # The first site of each class (in input order) represents it.
+    first_of_class: dict[int, FaultSite] = {}
+    rep_of = [first_of_class.setdefault(find(node[k]), s) for k, s in zip(keys, sites)]
+    mapping = dict(zip(sites, rep_of))
+    reps = [s for s, rep in zip(sites, rep_of) if rep is s]
     return reps, mapping

@@ -214,7 +214,8 @@ def run_golden(
     ``full=True`` the result is a :class:`GoldenTrace` that additionally
     snapshots the complete net planes each cycle; otherwise the plain
     observed list is returned.  The full trace is the one fault-free
-    simulation a pipeline run makes per stimulus: the hold masks
+    simulation a pipeline run makes per stimulus, and only when its
+    ``faultsim`` stage misses the store: the hold masks
     (:func:`~repro.hls.system.hold_masks_from_trace`), the cone-restricted
     fault engine's shared reference and the incremental layer's cone
     content hashes are all read off it (callers pass it on through their

@@ -48,3 +48,28 @@ def facet_faultsim_setup(facet_system):
     observe = [n for bus in system.output_buses.values() for n in bus]
     faults = [system.to_system_fault(s) for s in controller_fault_universe(system)]
     return system, stim, masks, observe, faults
+
+
+@pytest.fixture
+def fault_free_runs(monkeypatch) -> dict:
+    """Counts of the pipeline's ``run_golden`` and ``TPGR.generate``
+    calls; ``traces`` holds the fault-free traces handed out."""
+    import repro.core.pipeline as pipeline_mod
+
+    calls = {"run_golden": 0, "generate": 0, "traces": []}
+    real_run_golden = pipeline_mod.run_golden
+
+    def run_golden(*args, **kwargs):
+        calls["run_golden"] += 1
+        trace = real_run_golden(*args, **kwargs)
+        calls["traces"].append(trace)
+        return trace
+
+    class CountingTPGR(pipeline_mod.TPGR):
+        def generate(self, n_patterns):
+            calls["generate"] += 1
+            return super().generate(n_patterns)
+
+    monkeypatch.setattr(pipeline_mod, "run_golden", run_golden)
+    monkeypatch.setattr(pipeline_mod, "TPGR", CountingTPGR)
+    return calls

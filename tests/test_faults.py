@@ -171,3 +171,135 @@ def test_collapsing_soundness(seed):
         ref = response(members[0])
         for m in members[1:]:
             assert response(m) == ref, f"{members[0]} vs {m} not equivalent"
+
+
+# ------------------------------------------------ reference collapse oracle
+class _ReferenceUnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+_REFERENCE_CONTROLLING = {
+    GateType.AND: (0, 0),
+    GateType.NAND: (0, 1),
+    GateType.OR: (1, 1),
+    GateType.NOR: (1, 0),
+}
+
+
+def _reference_collapse(netlist, sites):
+    """The dict-of-``FaultSite`` union-find ``collapse_faults`` used before
+    it moved to integer site positions, kept verbatim as the oracle."""
+    present = set(sites)
+    uf = _ReferenceUnionFind()
+    gate_set = {s.gate_index for s in sites if s.gate_index is not None}
+    fanout = netlist.fanout_map()
+
+    for gi in gate_set:
+        g = netlist.gates[gi]
+        if g.gtype in _REFERENCE_CONTROLLING:
+            cv, ov = _REFERENCE_CONTROLLING[g.gtype]
+            stem = FaultSite(gi, -1, g.output, ov)
+            for pin, net in enumerate(g.inputs):
+                branch = FaultSite(gi, pin, net, cv)
+                if stem in present and branch in present:
+                    uf.union(stem, branch)
+        elif g.gtype in (GateType.NOT, GateType.BUF):
+            invert = g.gtype is GateType.NOT
+            for v in (0, 1):
+                branch = FaultSite(gi, 0, g.inputs[0], v)
+                stem = FaultSite(gi, -1, g.output, (1 - v) if invert else v)
+                if stem in present and branch in present:
+                    uf.union(branch, stem)
+
+    observed = set(netlist.outputs)
+    for s in sites:
+        if not s.is_stem or s.net in observed:
+            continue
+        readers = fanout[s.net]
+        if len(readers) == 1:
+            g_idx, pin = readers[0]
+            branch = FaultSite(g_idx, pin, s.net, s.value)
+            if branch in present:
+                uf.union(s, branch)
+
+    first_of_class: dict = {}
+    mapping: dict[FaultSite, FaultSite] = {}
+    for s in sites:
+        root = uf.find(s)
+        rep = first_of_class.setdefault(root, s)
+        mapping[s] = rep
+    reps = [s for s in sites if mapping[s] is s]
+    return reps, mapping
+
+
+def _assert_same_collapse(netlist, sites):
+    reps, mapping = collapse_faults(netlist, sites)
+    ref_reps, ref_mapping = _reference_collapse(netlist, sites)
+    assert len(reps) == len(ref_reps)
+    assert all(a is b for a, b in zip(reps, ref_reps))
+    assert len(mapping) == len(ref_mapping)
+    for (site, rep), (ref_site, ref_rep) in zip(mapping.items(), ref_mapping.items()):
+        assert site is ref_site and rep is ref_rep
+    return reps
+
+
+@pytest.fixture(scope="module", params=["facet", "poly", "diffeq", "biquad", "ewf"])
+def catalog_system(request):
+    from repro.designs.catalog import build_rtl
+    from repro.hls.system import build_system
+
+    return build_system(build_rtl(request.param))
+
+
+class TestCollapseMatchesReference:
+    """The integer union-find picks the same representatives, in the same
+    order and as the same objects, and the same mapping, as the
+    ``FaultSite``-keyed version it replaced."""
+
+    @pytest.mark.parametrize("which", ["controller", "system"])
+    def test_catalog_netlists(self, catalog_system, which):
+        netlist = (
+            catalog_system.controller.netlist
+            if which == "controller"
+            else catalog_system.netlist
+        )
+        sites = enumerate_faults(netlist, include_pi_stems=True)
+        reps = _assert_same_collapse(netlist, sites)
+        assert len(reps) < len(sites)
+
+    def test_shuffled_sites(self, catalog_system):
+        netlist = catalog_system.controller.netlist
+        sites = enumerate_faults(netlist)
+        rng = np.random.default_rng(5)
+        shuffled = [sites[i] for i in rng.permutation(len(sites))]
+        reps = _assert_same_collapse(netlist, shuffled)
+        # the first site of each class in the shuffled order represents it
+        assert reps != collapse_faults(netlist, sites)[0]
+
+    def test_duplicate_sites(self, catalog_system):
+        netlist = catalog_system.controller.netlist
+        sites = enumerate_faults(netlist)
+        rng = np.random.default_rng(9)
+        picks = rng.choice(len(sites), size=len(sites) // 3, replace=False)
+        # equal copies (distinct objects) and the very same objects again
+        copies = [FaultSite(s.gate_index, s.pin, s.net, s.value) for s in sites]
+        extra = [copies[i] for i in picks] + [sites[i] for i in picks[::2]]
+        mixed = sites + extra
+        order = rng.permutation(len(mixed))
+        _assert_same_collapse(netlist, [mixed[i] for i in order])
+        _assert_same_collapse(netlist, mixed)

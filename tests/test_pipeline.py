@@ -8,6 +8,7 @@ from repro.core.pipeline import (
     run_pipeline,
 )
 from repro.logic.faultsim import Verdict
+from repro.store.cache import CampaignStore
 
 
 class TestUniverse:
@@ -189,3 +190,85 @@ class TestConfig:
         small = run_pipeline(facet_system, PipelineConfig(n_patterns=64))
         big = run_pipeline(facet_system, PipelineConfig(n_patterns=256))
         assert {r.site for r in small.sfr_records} == {r.site for r in big.sfr_records}
+
+
+# ------------------------------------------- fault-free trace on a miss only
+def _outcomes(result) -> list:
+    return [
+        (r.system_site, r.category, r.quarantined, r.classification)
+        for r in result.records
+    ]
+
+
+class TestFaultFreeRunOnMissOnly:
+    """The TPGR data and the fault-free trace feed only the fault
+    simulation, so a ``faultsim`` stage hit builds neither."""
+
+    CONFIG = PipelineConfig(n_patterns=64)
+
+    def test_store_hit_simulates_no_fault_free_machine(
+        self, facet_system, tmp_path, fault_free_runs
+    ):
+        calls = fault_free_runs
+        cold = run_pipeline(facet_system, self.CONFIG, store=CampaignStore(tmp_path))
+        assert (calls["run_golden"], calls["generate"]) == (1, 1)
+        warm_store = CampaignStore(tmp_path)
+        warm = run_pipeline(facet_system, self.CONFIG, store=warm_store)
+        assert (calls["run_golden"], calls["generate"]) == (1, 1)
+        assert [(p.stage, p.hit) for p in warm_store.provenance] == [
+            ("faultsim", True),
+            ("classify", True),
+        ]
+        assert _outcomes(warm) == _outcomes(cold)
+
+    def test_storeless_and_refreshed_runs_simulate_once(
+        self, facet_system, tmp_path, fault_free_runs
+    ):
+        calls = fault_free_runs
+        plain = run_pipeline(facet_system, self.CONFIG)
+        assert (calls["run_golden"], calls["generate"]) == (1, 1)
+        run_pipeline(facet_system, self.CONFIG, store=CampaignStore(tmp_path))
+        refreshed = run_pipeline(
+            facet_system, self.CONFIG, store=CampaignStore(tmp_path, refresh=True)
+        )
+        assert (calls["run_golden"], calls["generate"]) == (3, 3)
+        assert _outcomes(refreshed) == _outcomes(plain)
+
+    def test_baseline_edit_run_shares_its_one_golden(
+        self, facet_system, tmp_path, monkeypatch, fault_free_runs
+    ):
+        """The incremental path is a miss: it simulates the fault-free
+        machine once and hands that trace to the planner and to the
+        per-fault publication, which simulate nothing of their own."""
+        import repro.incremental.replay as replay_mod
+        from repro.incremental import edit_system_controller, pick_editable_gate
+
+        run_pipeline(facet_system, self.CONFIG, store=CampaignStore(tmp_path))
+        edited = edit_system_controller(
+            facet_system, pick_editable_gate(facet_system, "restructure"), "restructure"
+        )
+        handed = {}
+        for name in ("plan_recompute", "publish_incremental"):
+
+            def spy(*args, _real=getattr(replay_mod, name), _name=name, **kwargs):
+                handed[_name] = kwargs.get("golden")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(replay_mod, name, spy)
+
+        def no_own_golden(*args, **kwargs):
+            raise AssertionError("the incremental layer simulated its own golden")
+
+        monkeypatch.setattr(replay_mod, "run_golden", no_own_golden)
+        result = run_pipeline(
+            edited,
+            self.CONFIG,
+            store=CampaignStore(tmp_path),
+            baseline=facet_system.netlist,
+        )
+        assert result.incremental is not None and result.campaign.replayed > 0
+        # one fault-free run for the baseline's cold campaign, one for the edit
+        assert (fault_free_runs["run_golden"], fault_free_runs["generate"]) == (2, 2)
+        golden = fault_free_runs["traces"][-1]
+        assert handed["plan_recompute"] is golden
+        assert handed["publish_incremental"] is golden

@@ -339,12 +339,14 @@ def _stages(report_json: Path) -> list[dict]:
     return json.loads(report_json.read_text())["store"]["stages"]
 
 
-def test_cli_cold_warm_bit_identity(tmp_path, capsys):
+def test_cli_cold_warm_bit_identity(tmp_path, capsys, fault_free_runs):
     """The acceptance loop and the stage protocol: ``grade`` then
     ``calibrate``, cold then warm, on one store.  Every stage records one
     provenance row per run: a cold miss is published, a warm hit costs
     its lookup and saves the row's ``wall_s``, and the warm runs write
-    byte-identical deterministic result reports."""
+    byte-identical deterministic result reports.  Only the cold grade
+    misses the ``faultsim`` stage, so only it builds TPGR data and
+    simulates the fault-free machine."""
     store_dir = str(tmp_path / "store")
     base = ["--patterns", "64", "--store-dir", store_dir]
 
@@ -360,6 +362,7 @@ def test_cli_cold_warm_bit_identity(tmp_path, capsys):
     warm, warm_rep = run("warm", "grade")
     assert "store: 4/4 stage hits" in capsys.readouterr().out
     warm_cal, warm_cal_rep = run("warm-cal", "calibrate")
+    assert (fault_free_runs["run_golden"], fault_free_runs["generate"]) == (1, 1)
     assert cold.read_bytes() == warm.read_bytes()
     assert cold_cal.read_bytes() == warm_cal.read_bytes()
     assert json.loads(warm_rep.read_text())["store"]["hit_ratio"] == 1.0
