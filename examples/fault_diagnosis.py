@@ -6,7 +6,9 @@ power management schemes of large microchips), each fault also has a
 *signature*: the vector of per-component power deviations.  This example
 builds a signature dictionary over every SFR fault of the Facet design,
 then plays tester: a device carrying an undisclosed fault is measured and
-diagnosed by nearest-signature match.
+diagnosed by nearest-signature match.  The dictionary is the grading
+campaign's activity priced per component, so each signature's total is
+the fault's graded power change.
 
 Run:  python examples/fault_diagnosis.py
 """
@@ -20,7 +22,7 @@ def main() -> None:
     system = build_system(build_rtl("facet"))
     result = run_pipeline(system, PipelineConfig(n_patterns=256))
     print(f"building signature dictionary over {len(result.sfr_records)} SFR faults...")
-    dictionary = build_dictionary(system, result, batch_patterns=128, max_batches=3)
+    dictionary = build_dictionary(system, result)
 
     # Pick a "device under test" with a secret fault.
     secret = result.sfr_records[-1]

@@ -25,6 +25,7 @@ Store-backed workflows (``--store-dir`` -- see docs/store.md)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -631,8 +632,16 @@ def _cmd_dump_vcd(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process.
+
+    Each parsed command names its handler; :func:`main` looks the
+    ``_cmd_*`` function up when it dispatches, so a rebound handler
+    takes effect.
+    """
     from .fleet import FleetConfig
+    from .store.service import DEFAULT_DRAIN_GRACE, DEFAULT_QUEUE_DEPTH, DEFAULT_WORKERS
 
     defaults, fleet_defaults = PipelineConfig(), FleetConfig()
     parser = argparse.ArgumentParser(
@@ -748,13 +757,11 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("classify", help="run the Section-5 classification pipeline")
     p.add_argument("design", choices=design_names())
     p.add_argument("--baseline", default=None, help=baseline_help)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("grade", help="classify + Monte-Carlo power grading")
     p.add_argument("design", choices=design_names())
     p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--baseline", default=None, help=baseline_help)
-    p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser(
         "calibrate",
@@ -778,7 +785,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweeps its own grid; default: %(default)s)",
     )
     p.add_argument("--baseline", default=None, help=baseline_help)
-    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser(
         "diff",
@@ -793,10 +799,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also write this design's netlist payload JSON (a portable "
         "--baseline input) to PATH",
     )
-    p.set_defaults(func=_cmd_diff)
 
     p = sub.add_parser("table2", help="Table 2 for all designs")
-    p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("store", help="inspect or maintain the --store-dir store")
     p.add_argument(
@@ -805,14 +809,12 @@ def main(argv: list[str] | None = None) -> int:
         help="stats: index and blob counts; gc: delete unreferenced blobs; "
         "verify: rehash every artifact and list defects",
     )
-    p.set_defaults(func=_cmd_store)
 
     p = sub.add_parser("query", help="filter cached campaigns without simulating")
     p.add_argument("--design", choices=design_names(), default=None)
     p.add_argument("--threshold", type=_fraction, default=None)
     p.add_argument("--verdict", choices=list(QUERY_VERDICTS), default=None)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("serve", help="HTTP endpoint over cached campaign results")
     p.add_argument("--host", default="127.0.0.1")
@@ -832,9 +834,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--queue-depth",
         type=_number(int, lambda v: 1 <= v <= 4096, "queue depth must be in [1, 4096]"),
-        default=8,
+        default=DEFAULT_QUEUE_DEPTH,
         help="max compute jobs admitted (queued + running); excess "
-        "requests get 503 + Retry-After instead of piling up (default: 8)",
+        "requests get 503 + Retry-After instead of piling up (default: "
+        "%(default)s)",
     )
     p.add_argument(
         "--request-timeout",
@@ -847,56 +850,54 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--serve-workers",
         type=_positive_int,
-        default=2,
-        help="compute worker threads draining the job queue (default: 2)",
+        default=DEFAULT_WORKERS,
+        help="compute worker threads draining the job queue (default: "
+        "%(default)s)",
     )
     p.add_argument(
         "--drain-grace",
         type=_positive_float,
-        default=30.0,
+        default=DEFAULT_DRAIN_GRACE,
         metavar="SECONDS",
         help="SIGTERM drain budget: finish in-flight jobs for up to this "
-        "long while refusing new work (default: 30)",
+        "long while refusing new work (default: %(default)s)",
     )
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("export", help="write the system netlist (.v or .bench)")
     p.add_argument("design", choices=design_names())
     p.add_argument("out")
-    p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("stats", help="netlist statistics")
     p.add_argument("design", choices=design_names())
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("strategies", help="separate vs integrated vs power test")
     p.add_argument("design", choices=design_names())
-    p.set_defaults(func=_cmd_strategies)
 
     p = sub.add_parser("worstcase", help="Section-4 maximal non-disruptive corruption")
     p.add_argument("design", choices=design_names())
-    p.set_defaults(func=_cmd_worstcase)
 
     p = sub.add_parser("datapath", help="integrated datapath fault test")
     p.add_argument("design", choices=design_names())
-    p.set_defaults(func=_cmd_datapath)
 
     p = sub.add_parser("compile", help="behavioural text file -> full pipeline")
     p.add_argument("source")
-    p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("dump-vcd", help="waveform of one normal-mode run")
     p.add_argument("design", choices=design_names())
     p.add_argument("out")
     p.add_argument("--seed", type=_nonnegative_int, default=1)
-    p.set_defaults(func=_cmd_dump_vcd)
 
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         validate_config(_config(args))
     except CampaignError as exc:
         parser.error(str(exc))
-    return args.func(args)
+    return globals()["_cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

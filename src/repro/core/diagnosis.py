@@ -13,6 +13,12 @@ On a real tester only total current is visible per supply pin, but cores
 with per-domain power pins (the paper's "power management schemes
 employed in large microchips can be potentially useful") expose exactly
 this kind of vector.
+
+The dictionary is the grading campaign itself: its per-batch integer
+counters (:mod:`repro.fleet.activity`) priced per component, so every
+signature's total equals the fault's graded power change exactly, and a
+store holding the design's grade builds the dictionary without
+simulating.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..fleet.activity import activity_campaign
 from ..hls.system import System
 from ..logic.faults import FaultSite
 from ..power.estimator import PowerEstimator
-from ..power.montecarlo import monte_carlo_power
+from ..power.montecarlo import ActivityTrace, monte_carlo_power, trace_powers
+from ..store.cache import CampaignStore
 from .pipeline import PipelineResult
 
 
@@ -43,80 +53,48 @@ class PowerSignature:
         return math.sqrt(acc)
 
 
-def _signature_from_measurements(base, faulty) -> PowerSignature:
-    total_pct = 100.0 * (faulty.total_uw - base.total_uw) / base.total_uw
-    comps: dict[str, float] = {}
-    for tag in set(base.by_tag) | set(faulty.by_tag):
-        ref = base.by_tag.get(tag, 0.0)
-        got = faulty.by_tag.get(tag, 0.0)
-        comps[tag] = 100.0 * (got - ref) / base.total_uw
-    return PowerSignature(total_pct=total_pct, component_pct=comps)
+def _breakdown(estimator: PowerEstimator, trace: ActivityTrace) -> tuple[float, dict]:
+    """Batch-average datapath power of one trace: total and per tag.
+
+    The total averages :func:`~repro.power.montecarlo.trace_powers` as
+    :func:`~repro.power.montecarlo.recovered_power_uw` does, so it is the
+    campaign's scalar power bit for bit.
+    """
+    batches = trace_powers(estimator, trace)
+    tags = sorted({t for p in batches for t in p.by_tag})
+    return float(np.mean([p.total_uw for p in batches])), {
+        t: float(np.mean([p.by_tag.get(t, 0.0) for p in batches])) for t in tags
+    }
 
 
 class PowerDictionary:
-    """Precomputed fault signatures for one system."""
+    """Fault signatures of one system, priced from activity traces."""
 
-    def __init__(
-        self,
-        system: System,
-        estimator: PowerEstimator | None = None,
-        seed: int = 77,
-        batch_patterns: int = 128,
-        max_batches: int = 3,
-        iterations_window: int = 4,
-    ):
+    def __init__(self, system: System, estimator: PowerEstimator, baseline: ActivityTrace):
         self.system = system
-        self.estimator = estimator or PowerEstimator(system.netlist)
-        self._mc_kwargs = dict(
-            seed=seed,
-            batch_patterns=batch_patterns,
-            max_batches=max_batches,
-            iterations_window=iterations_window,
-        )
-        self._base = self._measure(None)
+        self.estimator = estimator
+        self._base_uw, self._base_tags = _breakdown(estimator, baseline)
         self.entries: dict[FaultSite, PowerSignature] = {}
 
-    def _measure(self, fault):
-        # monte_carlo_power folds batches into a scalar; for signatures we
-        # need the by_tag breakdown, so measure one deterministic batch of
-        # the same random stream.
-        import numpy as np
-
-        from ..power.montecarlo import measure_power, random_data
-
-        rng = np.random.default_rng(self._mc_kwargs["seed"])
-        total = None
-        for _ in range(self._mc_kwargs["max_batches"]):
-            data = random_data(self.system, rng, self._mc_kwargs["batch_patterns"])
-            result = measure_power(
-                self.system,
-                self.estimator,
-                data,
-                fault=fault,
-                iterations_window=self._mc_kwargs["iterations_window"],
-            )
-            if total is None:
-                total = result
-            else:
-                n = self._mc_kwargs["max_batches"]
-                total.total_uw += result.total_uw
-                for k, v in result.by_tag.items():
-                    total.by_tag[k] = total.by_tag.get(k, 0.0) + v
-        n = self._mc_kwargs["max_batches"]
-        total.total_uw /= n
-        total.by_tag = {k: v / n for k, v in total.by_tag.items()}
-        return total
-
-    def add_fault(self, site: FaultSite) -> PowerSignature:
-        """Measure and store the signature of one (system-site) fault."""
-        faulty = self._measure(site)
-        sig = _signature_from_measurements(self._base, faulty)
-        self.entries[site] = sig
-        return sig
+    def signature(self, trace: ActivityTrace) -> PowerSignature:
+        """The signature of one machine's activity trace."""
+        total_uw, by_tag = _breakdown(self.estimator, trace)
+        base_uw, base_tags = self._base_uw, self._base_tags
+        return PowerSignature(
+            total_pct=100.0 * (total_uw - base_uw) / base_uw,
+            component_pct={
+                tag: 100.0 * (by_tag.get(tag, 0.0) - base_tags.get(tag, 0.0)) / base_uw
+                for tag in sorted(set(base_tags) | set(by_tag))
+            },
+        )
 
     def signature_of_machine(self, fault: FaultSite | None) -> PowerSignature:
-        """Measure a 'device under test' (used by tests/examples)."""
-        return _signature_from_measurements(self._base, self._measure(fault))
+        """Measure a 'device under test' on the per-fault Monte-Carlo oracle
+        (bit-identical to the campaign kernel, at the same knobs)."""
+        mc = monte_carlo_power(
+            self.system, self.estimator, fault=fault, capture_activity=True
+        )
+        return self.signature(mc.activity)
 
     def diagnose(self, observed: PowerSignature, top: int = 5):
         """Rank dictionary faults by signature distance to ``observed``."""
@@ -127,10 +105,19 @@ class PowerDictionary:
 
 
 def build_dictionary(
-    system: System, pipeline_result: PipelineResult, **kwargs
+    system: System, pipeline_result: PipelineResult, store: CampaignStore | None = None
 ) -> PowerDictionary:
-    """Dictionary over every SFR fault of a pipeline result."""
-    dictionary = PowerDictionary(system, **kwargs)
-    for record in pipeline_result.sfr_records:
-        dictionary.add_fault(record.system_site)
+    """Dictionary over every SFR fault of a pipeline result.
+
+    The signatures price the design's activity campaign at the
+    Monte-Carlo defaults (:func:`~repro.fleet.activity.activity_campaign`):
+    replayed from ``store`` when it holds the design's grade, otherwise
+    simulated once by the grading kernel (and published to ``store``).
+    """
+    estimator = PowerEstimator(system.netlist)
+    campaign = activity_campaign(system, pipeline_result, estimator, store=store)
+    dictionary = PowerDictionary(system, estimator, campaign.baseline.activity)
+    for record, key in zip(pipeline_result.sfr_records, campaign.fault_keys):
+        trace = campaign.by_key[key].activity
+        dictionary.entries[record.system_site] = dictionary.signature(trace)
     return dictionary

@@ -6,10 +6,6 @@ batches of random computations through the (optionally faulted) system and
 stops when the running mean of the datapath power settles within a
 relative tolerance, or a batch budget is exhausted.
 
-``measure_power`` is the single-batch primitive; it also serves the
-fixed-test-set experiments of Table 3 (where the data comes from a TPGR
-with a chosen seed instead of a Monte-Carlo RNG).
-
 ``monte_carlo_power_block`` is the campaign kernel every grading
 campaign runs: each fault of a chunk owns one pattern block of a single
 wide block-parallel simulator, per-fault convergence is tracked exactly
@@ -34,8 +30,9 @@ instead of receiving it pickled).
 
 ``monte_carlo_power`` is the per-fault reference: it draws each batch
 from the seed as it goes and simulates the whole netlist, and the
-kernel's per-fault ``MonteCarloResult`` is bit-identical to it.  The
-grading audit, fault diagnosis and ``worstcase`` run it.
+kernel's per-fault ``MonteCarloResult`` is bit-identical to it.  It runs
+for the grading audit, for the devices under test of fault diagnosis and
+for ``worstcase``.
 
 ``monte_carlo_baseline`` is the fault-free result of the same campaign,
 read off those per-group fault-free reference runs (one memo serves it
@@ -114,30 +111,6 @@ def _run_batch(
         sim.settle()
         sim.latch()
     return sim
-
-
-def measure_power(
-    system: System,
-    estimator: PowerEstimator,
-    data: dict[str, np.ndarray] | NormalModeStimulus,
-    fault: FaultSite | None = None,
-    iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
-    hold_cycles: int = 3,
-    tag_prefix: str | None = DATAPATH_TAG,
-) -> PowerResult:
-    """Average datapath power for one batch of input patterns.
-
-    ``data`` is either a dict of per-input pattern arrays or an already
-    packed :class:`NormalModeStimulus` (reused across faults to avoid
-    re-packing identical bit-planes).
-    """
-    if isinstance(data, NormalModeStimulus):
-        stim = data
-    else:
-        n_cycles = system.cycles_for(iterations_window, hold_cycles)
-        stim = NormalModeStimulus(system, data, n_cycles)
-    sim = _run_batch(system, stim, fault)
-    return estimator.power(sim, tag_prefix=tag_prefix)
 
 
 @dataclass
@@ -270,6 +243,25 @@ def traced_from_json_dict(data: dict) -> MonteCarloResult:
     return mc
 
 
+def trace_powers(
+    estimator: PowerEstimator,
+    trace: ActivityTrace,
+    tag_prefix: str | None = DATAPATH_TAG,
+) -> list[PowerResult]:
+    """Each batch's :class:`PowerResult`, priced from its stored counters.
+
+    :meth:`~repro.power.estimator.PowerEstimator.power_from_counts` per
+    batch, every batch's counters bound-checked first: the very same
+    float operands the original campaign priced.
+    """
+    results = []
+    for b in range(trace.batches):
+        counts = (trace.toggles[b], trace.load_events[b], trace.cycles, trace.patterns)
+        estimator._check_counters(*counts)
+        results.append(estimator.power_from_counts(*counts, tag_prefix))
+    return results
+
+
 def recovered_power_uw(
     estimator: PowerEstimator,
     trace: ActivityTrace,
@@ -277,27 +269,13 @@ def recovered_power_uw(
 ) -> float:
     """Scalar Monte-Carlo power recomputed from stored integer counters.
 
-    Replays :meth:`~repro.power.estimator.PowerEstimator.power_from_counts`
-    per batch and averages -- the very same float operands in the very
-    same order as the original campaign, so the result is *bit-identical*
-    to the ``power_uw`` the simulation reported (the per-batch integers
-    are the sufficient statistic; every downstream float is a pure
-    function of them).
+    Averages :func:`trace_powers` -- the very same float operands in the
+    very same order as the original campaign, so the result is
+    *bit-identical* to the ``power_uw`` the simulation reported (the
+    per-batch integers are the sufficient statistic; every downstream
+    float is a pure function of them).
     """
-    totals = []
-    for b in range(trace.batches):
-        estimator._check_counters(
-            trace.toggles[b], trace.load_events[b], trace.cycles, trace.patterns
-        )
-        totals.append(
-            estimator.power_from_counts(
-                trace.toggles[b],
-                trace.load_events[b],
-                trace.cycles,
-                trace.patterns,
-                tag_prefix,
-            ).total_uw
-        )
+    totals = [p.total_uw for p in trace_powers(estimator, trace, tag_prefix)]
     return float(np.mean(totals))
 
 

@@ -52,6 +52,7 @@ from ..core.errors import (
 from .cache import CampaignStore
 from .query import QUERY_VERDICTS, query_campaigns, query_json
 from .service import (
+    DEFAULT_DRAIN_GRACE,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_THRESHOLD,
     DEFAULT_WORKERS,
@@ -404,7 +405,9 @@ def make_server(
     return server
 
 
-def serve_forever(server: ThreadingHTTPServer, drain_grace: float = 30.0) -> None:
+def serve_forever(
+    server: ThreadingHTTPServer, drain_grace: float = DEFAULT_DRAIN_GRACE
+) -> None:
     """Run until interrupted; SIGTERM and ^C drain gracefully.
 
     On SIGTERM the service stops admitting compute jobs, in-flight jobs

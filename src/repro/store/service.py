@@ -84,6 +84,8 @@ CalibrateFn = Callable[[str, dict], dict]
 DEFAULT_QUEUE_DEPTH = 8
 DEFAULT_WORKERS = 2
 DEFAULT_MAX_RETRIES = 2
+#: seconds a draining service waits for its in-flight jobs
+DEFAULT_DRAIN_GRACE = 30.0
 RETRY_BACKOFF_S = 0.05
 
 #: report blobs whose parsed report and rendered bodies a service keeps
@@ -230,7 +232,7 @@ class CampaignService:
         for t in threads:
             t.join(timeout=1.0)
 
-    def drain(self, grace: float = 30.0) -> bool:
+    def drain(self, grace: float = DEFAULT_DRAIN_GRACE) -> bool:
         """Refuse new compute work and wait for in-flight jobs.
 
         Cached reads keep serving while the transport stays up.  Returns

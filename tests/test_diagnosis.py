@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core.diagnosis import PowerSignature, build_dictionary
+from repro.core.grading import grade_sfr_faults
+from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.designs.catalog import cached_system
+from repro.logic.simulator import CycleSimulator
+from repro.store.cache import CampaignStore
 
 
 @pytest.fixture(scope="module")
 def dictionary(facet_system, facet_pipeline):
-    return build_dictionary(
-        facet_system, facet_pipeline, batch_patterns=96, max_batches=2
-    )
+    return build_dictionary(facet_system, facet_pipeline)
 
 
 class TestSignature:
@@ -73,3 +77,39 @@ class TestDictionary:
         ranked = dictionary.diagnose(observed, top=10)
         distances = [d for _, d in ranked]
         assert distances == sorted(distances)
+
+
+class TestCampaignDictionary:
+    """The dictionary is the grading campaign's activity, priced per tag."""
+
+    def test_signature_total_is_the_graded_change(
+        self, dictionary, facet_system, facet_pipeline
+    ):
+        grading = grade_sfr_faults(facet_system, facet_pipeline)
+        assert grading.graded
+        for g in grading.graded:
+            assert dictionary.entries[g.record.system_site].total_pct == g.pct_change
+
+    def test_warm_store_build_simulates_nothing(self, tmp_path, monkeypatch):
+        store_dir = str(tmp_path / "store")
+        assert main(["--store-dir", store_dir, "grade", "facet"]) == 0
+        store = CampaignStore(store_dir)
+        system = cached_system("facet")
+        pipeline = run_pipeline(system, PipelineConfig(), store=store)
+
+        built = []
+        init = CycleSimulator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycleSimulator, "__init__", counting_init)
+        warm = build_dictionary(system, pipeline, store=store)
+        assert built == []
+        assert len(warm.entries) == len(pipeline.sfr_records)
+        # the counter sees simulation: measuring a device under test simulates
+        warm.signature_of_machine(None)
+        assert built
+        monkeypatch.undo()
+        assert warm.entries == build_dictionary(system, pipeline).entries

@@ -11,17 +11,20 @@ from repro.core.grading import (
     grade_sfr_faults,
     pick_representative,
     table3_rows,
-    power_under_test_set,
 )
 from repro.core.pipeline import PipelineConfig, controller_fault_universe, run_pipeline
+from repro.hls.system import NormalModeStimulus
 from repro.logic.faults import fault_key
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
+    MC_DEFAULT_ITERATIONS_WINDOW,
+    _run_batch,
     monte_carlo_power,
     monte_carlo_power_block,
     shared_batches,
 )
 from repro.store.cache import CampaignStore
+from repro.tpg.tpgr import TPGR
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +92,46 @@ class TestRepresentativePicks:
 
 
 class TestTestSets:
-    def test_fault_free_power_under_test_set_positive(self, facet_system):
+    def test_fault_free_test_set_power_positive(self, facet_system, facet_grading):
         est = PowerEstimator(facet_system.netlist)
-        p = power_under_test_set(facet_system, est, None, seed=0xACE1, n_patterns=64)
-        assert p > 0
+        rows = table3_rows(
+            facet_system, est, facet_grading, [], seeds=(0xACE1,), n_patterns=64
+        )
+        assert rows[0].per_set_uw[0] > 0
 
-    def test_different_seeds_different_power(self, facet_system):
+    def test_different_seeds_different_power(self, facet_system, facet_grading):
         est = PowerEstimator(facet_system.netlist)
-        p1 = power_under_test_set(facet_system, est, None, seed=0xACE1, n_patterns=64)
-        p2 = power_under_test_set(facet_system, est, None, seed=1, n_patterns=64)
+        rows = table3_rows(
+            facet_system, est, facet_grading, [], seeds=(0xACE1, 1), n_patterns=64
+        )
+        p1, p2 = rows[0].per_set_uw
         assert p1 != p2
+
+    @pytest.mark.parametrize("n_patterns", [100, 128])
+    def test_per_set_powers_match_full_netlist_reference(
+        self, facet_system, facet_grading, n_patterns
+    ):
+        """Every Table-3 power -- the fault-free row and each pick -- equals
+        a serial full-netlist simulation of the same TPGR set bit for bit,
+        with the last word padded (100 patterns) or whole (128)."""
+        system = facet_system
+        est = PowerEstimator(system.netlist)
+        picks = pick_representative(facet_grading, count=4)
+        seeds = (0xACE1, 0x1)
+        rows = table3_rows(
+            system, est, facet_grading, picks, seeds=seeds, n_patterns=n_patterns
+        )
+        faults = [None] + [g.record.system_site for g in picks]
+        assert len(rows) == len(faults)
+        for j, seed in enumerate(seeds):
+            tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=seed)
+            data = {k: np.asarray(v) for k, v in tpgr.generate(n_patterns).items()}
+            stim = NormalModeStimulus(
+                system, data, system.cycles_for(MC_DEFAULT_ITERATIONS_WINDOW)
+            )
+            for row, fault in zip(rows, faults):
+                ref = est.power(_run_batch(system, stim, fault), tag_prefix="dp")
+                assert row.per_set_uw[j] == ref.total_uw
 
     def test_table3_rows_structure(self, facet_system, facet_grading):
         est = PowerEstimator(facet_system.netlist)

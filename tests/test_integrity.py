@@ -39,7 +39,11 @@ from repro.hls.system import NormalModeStimulus, hold_masks
 from repro.logic.faults import fault_key
 from repro.logic.faultsim import Verdict, fault_simulate
 from repro.power.estimator import PowerEstimator
-from repro.power.montecarlo import MonteCarloResult, measure_power
+from repro.power.montecarlo import (
+    MC_DEFAULT_ITERATIONS_WINDOW,
+    MonteCarloResult,
+    _run_batch,
+)
 from repro.tpg.tpgr import TPGR
 
 
@@ -164,7 +168,10 @@ class TestEstimatorGuards:
         data = {
             k: rng.integers(0, 16, 8) for k in facet_system.rtl.dfg.inputs
         }
-        result = measure_power(facet_system, estimator, data, tag_prefix=None)
+        stim = NormalModeStimulus(
+            facet_system, data, facet_system.cycles_for(MC_DEFAULT_ITERATIONS_WINDOW)
+        )
+        result = estimator.power(_run_batch(facet_system, stim, None), tag_prefix=None)
         ceiling = estimator.theoretical_max_uw()
         assert 0 < result.total_uw <= ceiling
 

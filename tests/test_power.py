@@ -145,12 +145,16 @@ class TestMonteCarlo:
         assert a.batches <= 4
         assert a.power_uw > 0
 
-    def test_measure_power_with_fixed_data(self, facet_system):
-        from repro.power.montecarlo import measure_power
+    def test_batch_power_with_fixed_data(self, facet_system):
+        from repro.hls.system import NormalModeStimulus
+        from repro.power.montecarlo import MC_DEFAULT_ITERATIONS_WINDOW, _run_batch
 
         est = PowerEstimator(facet_system.netlist)
         data = {k: np.arange(32) % 16 for k in facet_system.rtl.dfg.inputs}
-        res = measure_power(facet_system, est, data)
+        stim = NormalModeStimulus(
+            facet_system, data, facet_system.cycles_for(MC_DEFAULT_ITERATIONS_WINDOW)
+        )
+        res = est.power(_run_batch(facet_system, stim, None), tag_prefix="dp")
         assert res.total_uw > 0
         assert res.patterns == 32
 
