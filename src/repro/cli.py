@@ -202,7 +202,7 @@ def _result_report(
     stage = open_stage(
         store,
         "report",
-        lambda: stage_key("report", netlist_fingerprint(system.netlist), params),
+        lambda: stage_key("report", result.netlist_fp, params),
         lambda cached: cached,
     )
     if stage.hit:
@@ -489,7 +489,7 @@ def _cmd_serve(args) -> int:
         # job-level retry after a ChunkTimeout replays them and
         # recomputes only the stage that was in flight.  ``"auto"``
         # replays from the most recent published version of the design,
-        # so a near-duplicate upload hits warm per-fault entries.
+        # so a near-duplicate upload replays its predecessor's stage rows.
         from .fleet import FleetConfig
 
         def compute(design: str, threshold: float) -> dict:

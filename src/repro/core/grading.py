@@ -38,7 +38,7 @@ from ..power.montecarlo import (
     verify_trace,
 )
 from ..store.cache import CampaignStore, open_stage
-from ..store.fingerprint import netlist_fingerprint, stage_key
+from ..store.fingerprint import stage_key
 from ..tpg.tpgr import TPGR
 from .errors import CampaignError, IntegrityError, validate_config, validate_netlist
 from .integrity import (
@@ -223,15 +223,12 @@ def simulate_campaign(
 
 
 def grading_stage_key(
-    stage: str, system: System, pipeline_result: PipelineResult, mc_params: dict
+    stage: str, netlist_fp: str, design: str, sfr_keys: list[str], mc_params: dict
 ) -> str:
     """Store key of a ``grading`` or ``activity`` stage: both views of one
     campaign share the netlist content, SFR universe and Monte-Carlo knobs."""
-    sfr_keys = [fault_key(r.system_site) for r in pipeline_result.sfr_records]
     return stage_key(
-        stage,
-        netlist_fingerprint(system.netlist),
-        {"design": pipeline_result.design, "faults": sfr_keys, "mc": mc_params},
+        stage, netlist_fp, {"design": design, "faults": sfr_keys, "mc": mc_params}
     )
 
 
@@ -366,7 +363,13 @@ def grade_sfr_faults(
     stage = open_stage(
         store,
         "grading",
-        lambda: grading_stage_key("grading", system, pipeline_result, mc_params),
+        lambda: grading_stage_key(
+            "grading",
+            pipeline_result.netlist_fp,
+            pipeline_result.design,
+            sfr_keys,
+            mc_params,
+        ),
         lambda payload: _grading_from_payload(payload, sfr_keys),
     )
     if stage.hit:
@@ -498,7 +501,13 @@ def grade_sfr_faults(
         activity = open_stage(
             store,
             "activity",
-            lambda: grading_stage_key("activity", system, pipeline_result, mc_params),
+            lambda: grading_stage_key(
+                "activity",
+                pipeline_result.netlist_fp,
+                pipeline_result.design,
+                sfr_keys,
+                mc_params,
+            ),
         )
         verify_traces(estimator, captured)
         activity.publish(

@@ -136,6 +136,10 @@ class PipelineResult:
     """Everything Table 2 (and the grading stage) needs."""
 
     design: str
+    #: :func:`~repro.store.fingerprint.netlist_fingerprint` of the system
+    #: netlist, computed once per run; every store key of the campaign
+    #: (fault simulation, grading, activity, fleet, report) reads it
+    netlist_fp: str
     records: list[FaultRecord] = field(default_factory=list)
     #: resilience summary of the fault-simulation fan-out
     campaign: RunReport | None = None
@@ -195,18 +199,23 @@ def _classify_undetected(
     result: PipelineResult,
     plan,
     store: CampaignStore | None,
-) -> RunReport:
+) -> tuple[RunReport, dict]:
     """Steps 3-4 over the undetected records, in place.
 
     With ``store`` set, the whole campaign is one ``classify`` stage keyed
     by the controller fingerprint, the classifier context and the
     classified fault keys: a hit replays every classification.  On a
-    miss, classifications the incremental ``plan`` may transfer replay
-    from their per-fault entries, and the rest go through one
+    miss, the incremental ``plan``'s baseline classifications replay when
+    its manifest's digests allow, and the rest go through one
     :meth:`~repro.core.classify.Classifier.classify_all` call; a sampled
     fraction (``config.audit_rate``) is re-derived on the per-fault oracle
     and a mismatch quarantines the fault.  Clean campaigns publish the
     stage (a dirty fault-simulation campaign publishes nothing either).
+
+    Returns the campaign report and the stage's identity for the
+    incremental manifest: its key (``classify``), the controller
+    fingerprint (``ctrl_fp``) and the classifier context
+    (``classify_ctx``), all None in a store-less run.
     """
     from ..incremental.faultkeys import classifier_context_digest, golden_trace_digest
     from ..incremental.replay import classification_from_json, classification_to_json
@@ -216,7 +225,7 @@ def _classify_undetected(
     guard = IntegrityGuard(strict=config.strict)
     keys = [fault_key(r.site) for r in pending]
     ctx_digest = ctrl_fp = None
-    if store is not None or plan is not None:
+    if store is not None:
         ctx_digest = classifier_context_digest(
             system.rtl, config.iteration_counts, classifier.hold_cycles
         )
@@ -239,14 +248,13 @@ def _classify_undetected(
             record.classification = classification
     else:
         todo = pending
-        if plan is not None:
-            traces_digest = golden_trace_digest(classifier)
+        if plan is not None and plan.classification_ok(
+            ctx_digest, golden_trace_digest(classifier), ctrl_fp
+        ):
             todo = []
             for record in pending:
                 entry = plan.reusable.get(record.system_site)
-                if entry is not None and plan.classification_ok(
-                    entry, ctx_digest, traces_digest, ctrl_fp
-                ):
+                if entry is not None and entry.classification is not None:
                     record.classification = classification_from_json(
                         entry.classification, record.site
                     )
@@ -283,7 +291,8 @@ def _classify_undetected(
             design=system.rtl.name,
             meta={"faults": len(pending)},
         )
-    return report
+    identity = {"classify": stage.key, "ctrl_fp": ctrl_fp, "classify_ctx": ctx_digest}
+    return report, identity
 
 
 def _fault_free_run(
@@ -342,17 +351,17 @@ def run_pipeline(
     path) simulates the fault-free machine once
     (:func:`~repro.logic.faultsim.run_golden` with ``full=True``): the
     hold masks are read off that trace, and it is handed to the fault
-    simulation, the incremental planner and the per-fault publication.
+    simulation.
 
     ``baseline`` (with ``store``) additionally enables *fault-granular*
     reuse when the whole-stage key misses: a :class:`~repro.netlist.netlist.Netlist`,
     a published fingerprint, a netlist-payload path, or ``"auto"`` (see
     :func:`~repro.incremental.replay.resolve_baseline`) names an earlier
     design version; the planner diffs the two netlists, replays every
-    fault the edit provably cannot affect from per-fault store entries,
-    re-simulates only the dirty remainder and merges -- byte-identical
-    to a cold run of the edited design (``result.incremental`` reports
-    the partition).
+    fault the edit provably cannot affect from the baseline campaign's
+    ``faultsim`` and ``classify`` stage rows, re-simulates only the dirty
+    remainder and merges -- byte-identical to a cold run of the edited
+    design (``result.incremental`` reports the partition).
     """
     config = config or PipelineConfig()
     validate_config(config)
@@ -365,12 +374,13 @@ def run_pipeline(
     n_cycles = system.cycles_for(config.iterations_window, config.hold_cycles)
     observe = [net for bus in system.output_buses.values() for net in bus]
     system_sites = [system.to_system_fault(s) for s in universe]
+    netlist_fp = netlist_fingerprint(system.netlist)
     stage = open_stage(
         store,
         "faultsim",
         lambda: stage_key(
             "faultsim",
-            netlist_fingerprint(system.netlist),
+            netlist_fp,
             {
                 "design": system.rtl.name,
                 "faults": [fault_key(s) for s in system_sites],
@@ -401,7 +411,7 @@ def run_pipeline(
                 store,
                 baseline,
                 design=system.rtl.name,
-                exclude_fp=netlist_fingerprint(system.netlist),
+                exclude_fp=netlist_fp,
             )
             if base_netlist is not None:
                 plan = plan_recompute(
@@ -409,12 +419,10 @@ def run_pipeline(
                     base_netlist,
                     system,
                     config,
-                    universe,
                     system_sites,
                     stimulus,
                     observe,
                     masks,
-                    golden=golden,
                 )
                 if plan is not None and not plan.reusable:
                     plan = None  # nothing replays; run the ordinary cold path
@@ -453,7 +461,9 @@ def run_pipeline(
         system.controller,
         iteration_counts=config.iteration_counts,
     )
-    result = PipelineResult(design=system.rtl.name, campaign=sim_result.campaign)
+    result = PipelineResult(
+        design=system.rtl.name, netlist_fp=netlist_fp, campaign=sim_result.campaign
+    )
     if plan is not None:
         result.incremental = plan.summary()
         result.incremental_plan = plan
@@ -463,13 +473,13 @@ def run_pipeline(
                 site=site, system_site=sys_site, simulation=sim_result.verdicts[sys_site]
             )
         )
-    result.classify_campaign = _classify_undetected(
+    result.classify_campaign, classify_stage = _classify_undetected(
         system, config, classifier, result, plan, store
     )
 
-    # Publish per-fault entries for this design so it can serve as a
+    # Publish the incremental manifest so this design can serve as a
     # future baseline.  Skipped when the stage replayed from its own
-    # whole-campaign blob (entries already exist from the original cold
+    # whole-campaign blob (the manifest exists from the original cold
     # run) and for dirty campaigns (quarantined results must never be
     # served warm, fault-granularly or otherwise).
     if (
@@ -488,9 +498,8 @@ def run_pipeline(
             observe,
             masks,
             result,
-            sim_result.detect_cycle,
             classifier,
+            {"faultsim": stage.key, **classify_stage},
             faultsim_wall_s=stage.wall_s if plan is None else plan.baseline_wall_s,
-            golden=golden,
         )
     return result

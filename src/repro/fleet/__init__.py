@@ -20,7 +20,6 @@ Layers:
 from .activity import (
     ActivityCampaign,
     activity_campaign,
-    activity_store_key,
     recovered_power_uw,
 )
 from .calibrate import calibrate_fleet, calibrate_report_dict, fleet_store_key
@@ -37,7 +36,6 @@ from .population import (
 __all__ = [
     "ActivityCampaign",
     "activity_campaign",
-    "activity_store_key",
     "recovered_power_uw",
     "calibrate_fleet",
     "calibrate_report_dict",

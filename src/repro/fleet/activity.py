@@ -76,11 +76,6 @@ class ActivityCampaign:
     fault_keys: list[str] = field(default_factory=list)
 
 
-def activity_store_key(system: System, pipeline_result: PipelineResult, mc_params: dict) -> str:
-    """Content-addressed key of one design's activity campaign artifact."""
-    return grading_stage_key("activity", system, pipeline_result, mc_params)
-
-
 def activity_campaign(
     system: System,
     pipeline_result: PipelineResult,
@@ -118,7 +113,13 @@ def activity_campaign(
         stage = open_stage(
             store,
             "activity",
-            lambda: activity_store_key(system, pipeline_result, mc_params),
+            lambda: grading_stage_key(
+                "activity",
+                pipeline_result.netlist_fp,
+                pipeline_result.design,
+                sfr_keys,
+                mc_params,
+            ),
             lambda payload: activity_from_payload(payload, sfr_keys),
         )
         results = stage.cached

@@ -35,22 +35,19 @@ from ..power.montecarlo import (
     mc_campaign_params,
 )
 from ..store.cache import CampaignStore, open_stage
-from ..store.fingerprint import netlist_fingerprint, stage_key
+from ..store.fingerprint import stage_key
 from .activity import ActivityCampaign, activity_campaign
 from .population import FleetConfig, FleetResult, activity_matrix, run_population
 
 
 def fleet_store_key(
-    system: System,
-    pipeline_result: PipelineResult,
-    mc_params: dict,
-    config: FleetConfig,
+    pipeline_result: PipelineResult, mc_params: dict, config: FleetConfig
 ) -> str:
     """Content-addressed key of one fleet ROC artifact."""
     sfr_keys = [fault_key(r.system_site) for r in pipeline_result.sfr_records]
     return stage_key(
         "fleet",
-        netlist_fingerprint(system.netlist),
+        pipeline_result.netlist_fp,
         {
             "design": pipeline_result.design,
             "faults": sfr_keys,
@@ -149,7 +146,7 @@ def calibrate_fleet(
     stage = open_stage(
         None if grading.campaign.violations else store,
         "fleet",
-        lambda: fleet_store_key(system, pipeline_result, mc_params, fleet),
+        lambda: fleet_store_key(pipeline_result, mc_params, fleet),
         lambda payload: (
             FleetResult.from_json_dict(payload)
             if payload.get("params") == fleet.params_dict()

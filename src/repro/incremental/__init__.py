@@ -9,11 +9,13 @@ This package makes campaign caching *fault-granular*:
   :class:`~repro.incremental.netdiff.NetlistDelta`, exhaustive 3-valued
   equivalence certification of the rewritten region, and the scripted
   one-gate edit helpers CI/benchmarks drive;
-* :mod:`~repro.incremental.faultkeys` -- per-collapsed-fault store keys
-  (baseline-aligned and cone-content-addressed);
+* :mod:`~repro.incremental.faultkeys` -- the campaign-level digests
+  and the key of each campaign's ``incremental-meta`` manifest;
 * :mod:`~repro.incremental.replay` -- the recompute planner that
-  partitions a fault universe into replayable vs dirty, and the
-  publication path that writes per-fault entries alongside stage blobs.
+  partitions a fault universe into replayable vs dirty, reading the
+  baseline's verdicts and classifications from the ``faultsim`` and
+  ``classify`` stage rows its manifest names, and the publication path
+  that writes the manifest and the netlist payload.
 
 The pipeline entry point is ``run_pipeline(..., baseline=...)`` and the
 CLI surface is ``--baseline`` plus the ``repro-faults diff`` subcommand.

@@ -1,16 +1,19 @@
 """Recompute planner + merger for incremental campaigns.
 
-Given a baseline netlist and its published per-fault entries,
-:func:`plan_recompute` partitions the current design's collapsed fault
-universe into *reusable* (verdict provably unchanged, entry present in
-the store) and *dirty* (everything else), so the pipeline re-simulates
-only the dirty set and merges replayed entries back into a result that
-is byte-identical to a cold full run.
+Given a baseline netlist and its published ``incremental-meta``
+manifest, :func:`plan_recompute` partitions the current design's
+collapsed fault universe into *reusable* (verdict provably unchanged)
+and *dirty* (everything else), so the pipeline re-simulates only the
+dirty set and merges the baseline's verdicts back into a result that is
+byte-identical to a cold full run.  The verdicts and classifications
+come from the baseline campaign's own ``faultsim`` and ``classify``
+stage rows, which the manifest names; each is read once per plan, and a
+missing or corrupted row makes the whole run an honest cold one.
 
 Soundness of verdict reuse, in decreasing order of precision:
 
 1. **Structurally empty delta** (pure renames): indices, behavior and
-   sampling are untouched; every aligned entry replays.
+   sampling are untouched; every fault replays.
 2. **Certified region** (see :func:`~repro.incremental.netdiff.certify_delta`):
    the changed gates compute the identical 3-valued function under every
    boundary assignment, so any fault sited outside the region drives the
@@ -26,14 +29,14 @@ Soundness of verdict reuse, in decreasing order of precision:
 All three are additionally gated on a parameter digest that pins the
 stimulus plan, observed nets and the per-cycle hold masks bit for bit
 (an edit that shifts golden HOLD timing changes the masks, misses the
-meta blob, and degrades to an honest full recompute).
+manifest, and degrades to an honest full recompute).
 
 Reused *classifications* need more: the RT-level oracle runs on the
-standalone controller, so an entry's classification only transfers when
-its classifier-context and golden-trace digests match ours and the
-controller itself is either untouched or rewritten inside a certified
-region.  Otherwise the verdict replays and the classifier reruns --
-still far cheaper than fault simulation.
+standalone controller, so the baseline's classifications only transfer
+when the manifest's classifier-context and golden-trace digests match
+ours and the controller itself is either untouched or rewritten inside a
+certified region.  Otherwise the verdicts replay and the classifier
+reruns -- still far cheaper than fault simulation.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from dataclasses import dataclass, field
 
 from ..core.classify import EffectLabel, FaultClassification, LabeledEffect
 from ..core.effects import ControlLineEffect
+from ..core.grading import grading_stage_key
 from ..logic.cones import compute_cones, net_closure
 from ..logic.faults import FaultSite, fault_key
-from ..logic.faultsim import Verdict, run_golden
+from ..logic.faultsim import Verdict
 from ..netlist.netlist import Netlist
 from ..power.montecarlo import MonteCarloResult, mc_campaign_params
 from ..store.cache import CampaignStore
@@ -57,18 +61,8 @@ from ..store.fingerprint import (
     netlist_from_payload,
     netlist_payload,
     netlist_store_key,
-    stage_key,
 )
-from .faultkeys import (
-    ConeHashMemo,
-    aligned_entry_key,
-    classifier_context_digest,
-    cone_content_hash,
-    content_entry_key,
-    golden_trace_digest,
-    meta_store_key,
-    params_digest,
-)
+from .faultkeys import golden_trace_digest, meta_store_key, params_digest
 from .netdiff import NetlistDelta, RegionReport, certify_delta, diff_netlists
 
 logger = logging.getLogger(__name__)
@@ -121,15 +115,13 @@ def classification_from_json(payload: dict, fault: FaultSite) -> FaultClassifica
 
 @dataclass
 class ReplayedFault:
-    """One fault's store entry, admitted for replay by the planner."""
+    """One baseline fault's verdict and classification, admitted for
+    replay by the planner."""
 
     verdict: Verdict
     detect_cycle: int
+    #: the baseline's classification JSON; None for a detected fault
     classification: dict | None
-    classify_ctx: str
-    ctrl_traces: str
-    ctrl_fp: str
-    source: str  # 'aligned' | 'content'
 
 
 @dataclass
@@ -150,6 +142,11 @@ class IncrementalPlan:
     ctrl_preserving: bool = False
     #: wall seconds the baseline's cold faultsim stage spent (for saved_s)
     baseline_wall_s: float = 0.0
+    #: the baseline manifest's classifier-context and golden-trace digests
+    #: and controller fingerprint
+    classify_ctx: str = ""
+    ctrl_traces: str = ""
+    ctrl_fp: str = ""
 
     @property
     def n_faults(self) -> int:
@@ -160,14 +157,12 @@ class IncrementalPlan:
         return len(self.dirty) / self.n_faults if self.n_faults else 0.0
 
     def classification_ok(
-        self, entry: ReplayedFault, ctx_digest: str, traces_digest: str, ctrl_fp: str
+        self, ctx_digest: str, traces_digest: str, ctrl_fp: str
     ) -> bool:
-        """May this entry's classification stand in for a fresh one?"""
-        if entry.classification is None:
+        """May the baseline's classifications stand in for fresh ones?"""
+        if self.classify_ctx != ctx_digest or self.ctrl_traces != traces_digest:
             return False
-        if entry.classify_ctx != ctx_digest or entry.ctrl_traces != traces_digest:
-            return False
-        return entry.ctrl_fp == ctrl_fp or self.ctrl_preserving
+        return self.ctrl_fp == ctrl_fp or self.ctrl_preserving
 
     def summary(self) -> dict:
         return {
@@ -233,7 +228,7 @@ def project_dirty(
     Returns the delta, the region certification attempt and a summary
     with the projected dirty fraction -- an upper bound on what an
     actual ``--baseline`` replay would re-simulate, assuming the
-    baseline campaign's per-fault entries are all present.
+    baseline campaign's stage rows are present.
     """
     delta = diff_netlists(baseline, system.netlist)
     region = certify_delta(baseline, system.netlist, delta)
@@ -263,29 +258,37 @@ def plan_recompute(
     baseline: Netlist,
     system,
     config,
-    universe: list[FaultSite],
     system_sites: list[FaultSite],
     stimulus,
     observe: list[int],
     masks,
-    golden=None,
 ) -> IncrementalPlan | None:
     """Partition the fault universe against a baseline campaign.
 
-    Returns None when the baseline has no compatible incremental
-    metadata in the store (different params, masks, schema, or it was
-    never published) -- the caller then runs a normal cold campaign.
-    ``golden`` is the campaign's full fault-free trace when the caller
-    already holds it (content keys read it lazily); None simulates it
-    on first use.
+    Returns None when the store holds no usable baseline campaign: no
+    compatible manifest (different params, masks or schema, never
+    published, or published without stage keys), or a ``faultsim`` or
+    ``classify`` row it names is missing or corrupted.  The caller then
+    runs a normal cold campaign.  Makes three store lookups, whatever
+    the universe size.
     """
     netlist = system.netlist
     pdigest = params_digest(netlist, config, observe, masks, stimulus.n_cycles)
     baseline_fp = netlist_fingerprint(baseline)
     meta = store.lookup("incremental-meta", meta_store_key(baseline_fp, pdigest))
-    if meta is None or meta.get("schema") != SCHEMA_VERSION:
+    verdicts = classified = None
+    if (
+        meta is not None
+        and meta.get("schema") == SCHEMA_VERSION
+        and {"faultsim", "classify"} <= meta.keys()
+    ):
+        verdicts = (store.lookup("faultsim", meta["faultsim"]) or {}).get("verdicts")
+        classified = (store.lookup("classify", meta["classify"]) or {}).get(
+            "classifications"
+        )
+    if verdicts is None or classified is None:
         logger.info(
-            "incremental: no compatible baseline metadata for %s; cold run",
+            "incremental: no usable baseline campaign for %s; cold run",
             baseline_fp[:16],
         )
         return None
@@ -298,6 +301,9 @@ def plan_recompute(
         delta=delta,
         region=region,
         baseline_wall_s=float(meta.get("faultsim_wall_s", 0.0)),
+        classify_ctx=meta["classify_ctx"],
+        ctrl_traces=meta["ctrl_traces"],
+        ctrl_fp=meta["ctrl_fp"],
     )
     plan.ctrl_preserving = delta.structurally_empty or (
         region.equivalent
@@ -312,7 +318,7 @@ def plan_recompute(
     dirty_set, why = structural_dirty_sites(netlist, delta, region, system_sites)
 
     # Translate the baseline universe into new-side identities through the
-    # alignment, so each surviving fault finds its baseline campaign key.
+    # alignment, so each surviving fault finds its baseline campaign keys.
     old_gate_names = {
         baseline.gates[o].name: netlist.gates[n].name
         for o, n in delta.gate_map.items()
@@ -321,32 +327,16 @@ def plan_recompute(
         baseline.net_names[o]: netlist.net_names[n]
         for o, n in delta.net_map.items()
     }
-    old_keys: dict[tuple, str] = {}
+    old_keys: dict[tuple, tuple[str, str]] = {}
     for entry in meta.get("universe", ()):
         gate = entry["gate"]
         tgate = old_gate_names.get(gate) if gate is not None else None
         tnet = old_net_names.get(entry["net"])
         if (gate is not None and tgate is None) or tnet is None:
             continue  # the fault's site did not survive the edit
-        old_keys[(tgate, entry["pin"], tnet, entry["value"])] = entry["key"]
-
-    # Content keys need cones plus the golden trace; both are lazy because
-    # the aligned path usually covers every reusable fault.
-    lazy: dict = {}
-
-    def content_key(site: FaultSite) -> str:
-        if "planes" not in lazy:
-            lazy["cones"] = compute_cones(netlist, system_sites)
-            trace = golden
-            if trace is None:
-                trace = run_golden(netlist, stimulus, observe, full=True)
-            lazy["planes"] = trace.planes
-            lazy["memo"] = ConeHashMemo()
-        return content_entry_key(
-            plan.params,
-            cone_content_hash(
-                netlist, site, lazy["cones"][site], lazy["planes"], lazy["memo"]
-            ),
+        old_keys[(tgate, entry["pin"], tnet, entry["value"])] = (
+            entry["key"],
+            entry["ctrl_key"],
         )
 
     names = netlist.net_names
@@ -358,35 +348,18 @@ def plan_recompute(
         gate = (
             None if site.gate_index is None else netlist.gates[site.gate_index].name
         )
-        ident = (gate, site.pin, names[site.net], site.value)
-        entry = None
-        source = "aligned"
-        old_key = old_keys.get(ident)
-        if old_key is not None:
-            entry = store.lookup(
-                "fault-entry", aligned_entry_key(baseline_fp, pdigest, old_key)
-            )
-        if entry is None:
-            source = "content"
-            entry = store.lookup("fault-entry", content_key(site))
-        if entry is None or entry.get("schema") != SCHEMA_VERSION:
+        old = old_keys.get((gate, site.pin, names[site.net], site.value))
+        if old is None:
             plan.dirty.append(site)
-            _count(
-                plan.reasons,
-                "new-site" if old_key is None else "missing-entry",
-            )
+            _count(plan.reasons, "new-site")
             continue
-        verdict_value, cycle = entry["verdict"]
+        verdict_value, cycle = verdicts[old[0]]
         plan.reusable[site] = ReplayedFault(
             verdict=Verdict(verdict_value),
             detect_cycle=int(cycle),
-            classification=entry.get("classification"),
-            classify_ctx=entry.get("classify_ctx", ""),
-            ctrl_traces=entry.get("ctrl_traces", ""),
-            ctrl_fp=entry.get("ctrl_fp", ""),
-            source=source,
+            classification=classified.get(old[1]),
         )
-        _count(plan.reasons, f"replayed-{source}")
+        _count(plan.reasons, "replayed")
     return plan
 
 
@@ -406,7 +379,7 @@ def resolve_baseline(
     payload JSON (as written by ``repro-faults diff --dump``), or
     ``"auto"`` -- the most recently published netlist for ``design``
     whose fingerprint differs from ``exclude_fp`` (what the campaign
-    service uses so near-duplicate uploads hit warm per-fault entries).
+    service uses so near-duplicate uploads replay their predecessor).
     """
     if isinstance(spec, Netlist):
         return spec
@@ -487,11 +460,7 @@ def grading_seed_results(
     mc_params = mc_campaign_params(seed, batch_patterns, max_batches, iterations_window)
     cached = store.lookup(
         "grading",
-        stage_key(
-            "grading",
-            plan.baseline_fp,
-            {"design": design, "faults": old_keys, "mc": mc_params},
-        ),
+        grading_stage_key("grading", plan.baseline_fp, design, old_keys, mc_params),
     )
     if (
         cached is None
@@ -523,44 +492,33 @@ def publish_incremental(
     observe: list[int],
     masks,
     result,
-    detect_cycles: dict[FaultSite, int],
     classifier,
+    campaign: dict,
     faultsim_wall_s: float = 0.0,
-    golden=None,
 ) -> int:
-    """Publish per-fault entries, the meta blob and the netlist payload.
+    """Publish the campaign's ``incremental-meta`` manifest and its netlist
+    payload, so the design can serve as a future baseline.
 
     Only called for clean campaigns (the caller skips a fault simulation
-    or classification that recorded violations).  Every entry lands
-    under both its aligned and its content key; the payload is serialized
-    once for both rows.  ``golden`` is the campaign's full fault-free trace
-    (None simulates it here).  Returns the number of index rows written.
+    or classification that recorded violations).  ``campaign`` names the
+    campaign's ``faultsim`` and ``classify`` stage keys, its controller
+    fingerprint (``ctrl_fp``) and its classifier context
+    (``classify_ctx``); the manifest adds the params and golden-trace
+    digests and the fault universe, each fault by name with its system
+    and controller campaign keys.  Returns the number of index rows
+    written.
     """
     netlist = system.netlist
-    fp = netlist_fingerprint(netlist)
+    fp = result.netlist_fp
     pdigest = params_digest(netlist, config, observe, masks, stimulus.n_cycles)
-    ctrl_fp = netlist_fingerprint(system.controller.netlist)
-    ctx = classifier_context_digest(
-        system.rtl, config.iteration_counts, classifier.hold_cycles
-    )
-    traces = golden_trace_digest(classifier)
-    sites = [r.system_site for r in result.records]
-    cones = compute_cones(netlist, sites)
-    if golden is None:
-        golden = run_golden(netlist, stimulus, observe, full=True)
-    planes = golden.planes
-    memo = ConeHashMemo()
     names = netlist.net_names
-
-    design = system.rtl.name
-    rows: list[tuple] = []
     universe = []
     for record in result.records:
         site = record.system_site
-        key = fault_key(site)
         universe.append(
             {
-                "key": key,
+                "key": fault_key(site),
+                "ctrl_key": fault_key(record.site),
                 "gate": (
                     None
                     if site.gate_index is None
@@ -571,51 +529,26 @@ def publish_incremental(
                 "value": site.value,
             }
         )
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "verdict": [record.simulation.value, detect_cycles.get(site, -1)],
-            "classification": (
-                None
-                if record.classification is None
-                else classification_to_json(record.classification)
-            ),
-            "classify_ctx": ctx,
-            "ctrl_traces": traces,
-            "ctrl_fp": ctrl_fp,
-        }
-        rows.append(
-            ("fault-entry", aligned_entry_key(fp, pdigest, key), payload, design, None)
-        )
-        rows.append(
-            (
-                "fault-entry",
-                content_entry_key(
-                    pdigest, cone_content_hash(netlist, site, cones[site], planes, memo)
-                ),
-                payload,
-                design,
-                None,
-            )
-        )
+    design = system.rtl.name
     meta = {
+        **campaign,
         "schema": SCHEMA_VERSION,
         "design": design,
         "netlist": fp,
         "params": pdigest,
-        "ctrl_fp": ctrl_fp,
-        "classify_ctx": ctx,
-        "ctrl_traces": traces,
+        "ctrl_traces": golden_trace_digest(classifier),
         "faultsim_wall_s": faultsim_wall_s,
         "universe": universe,
     }
-    rows.append(("incremental-meta", meta_store_key(fp, pdigest), meta, design, None))
-    rows.append(
-        (
-            "netlist",
-            netlist_store_key(fp),
-            netlist_payload(netlist),
-            design,
-            {"fingerprint": fp},
-        )
+    return store.publish_many(
+        [
+            ("incremental-meta", meta_store_key(fp, pdigest), meta, design, None),
+            (
+                "netlist",
+                netlist_store_key(fp),
+                netlist_payload(netlist),
+                design,
+                {"fingerprint": fp},
+            ),
+        ]
     )
-    return store.publish_many(rows)

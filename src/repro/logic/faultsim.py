@@ -216,10 +216,9 @@ def run_golden(
     observed list is returned.  The full trace is the one fault-free
     simulation a pipeline run makes per stimulus, and only when its
     ``faultsim`` stage misses the store: the hold masks
-    (:func:`~repro.hls.system.hold_masks_from_trace`), the cone-restricted
-    fault engine's shared reference and the incremental layer's cone
-    content hashes are all read off it (callers pass it on through their
-    ``golden=`` keywords).
+    (:func:`~repro.hls.system.hold_masks_from_trace`) and the
+    cone-restricted fault engine's shared reference are read off it
+    (:func:`fault_simulate` takes it through its ``golden=`` keyword).
     """
     sim = CycleSimulator(netlist, stimulus.n_patterns)
     observed = []

@@ -221,14 +221,10 @@ class ArtifactStore:
     ) -> int:
         """Store many ``(kind, key, payload, design, meta)`` rows at once.
 
-        One writer lock and one SQLite transaction for the whole batch --
-        per-fault incremental publication writes thousands of index rows,
-        and paying the flock/fsync/commit cost per row would dominate the
-        campaign it is trying to cache.  Identical payloads still dedup
-        to a single blob, and a payload object that several rows share
-        (one fault entry under its aligned and its content key) is
-        serialized and hashed once.  Returns the number of index rows
-        written.
+        One writer lock and one SQLite transaction for the whole batch
+        (the incremental manifest and its netlist payload land together).
+        Identical payloads still dedup to a single blob.  Returns the
+        number of index rows written.
         """
         if not rows:
             return 0
@@ -236,14 +232,8 @@ class ArtifactStore:
         self._ensure_layout()
         with self.writer(lock_timeout):
             inserts = []
-            # ``rows`` keeps every payload alive, so ids stay unique here
-            blobs: dict[int, tuple[str, int]] = {}
             for kind, key, payload, design, meta in rows:
-                blob = blobs.get(id(payload))
-                if blob is None:
-                    data = canonical_json(payload).encode("utf-8")
-                    blob = blobs[id(payload)] = self._write_blob(data)
-                sha, size = blob
+                sha, size = self._write_blob(canonical_json(payload).encode("utf-8"))
                 inserts.append(
                     (key, kind, design or "", sha, size, now, wall_s,
                      canonical_json(meta or {}))

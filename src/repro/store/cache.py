@@ -52,11 +52,11 @@ Stage payload shapes (``kind`` -> canonical-JSON dict):
 * ``grading``: ``{"baseline": mc_json, "faults": {fault_key: mc_json}}``
 * ``report``: the full result report of one ``classify``/``grade`` run
   (see :func:`repro.core.report.build_result_report`)
-* ``fault-entry``: one collapsed fault's verdict + classification,
-  addressed by aligned and content keys (see
+* ``incremental-meta``: one campaign's planner manifest -- its params
+  digest, the keys of its ``faultsim`` and ``classify`` rows (which hold
+  every fault's verdict and classification), its fault universe by name
+  and the classifier-context digests (see
   :mod:`repro.incremental.faultkeys`)
-* ``incremental-meta``: per-campaign planner metadata (params digest,
-  fault universe, classifier-context digests)
 * ``netlist``: a round-trippable netlist payload
   (:func:`~repro.store.fingerprint.netlist_payload`) keyed by
   fingerprint, so ``--baseline <fingerprint>`` and ``--baseline auto``

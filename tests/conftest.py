@@ -53,17 +53,15 @@ def facet_faultsim_setup(facet_system):
 @pytest.fixture
 def fault_free_runs(monkeypatch) -> dict:
     """Counts of the pipeline's ``run_golden`` and ``TPGR.generate``
-    calls; ``traces`` holds the fault-free traces handed out."""
+    calls."""
     import repro.core.pipeline as pipeline_mod
 
-    calls = {"run_golden": 0, "generate": 0, "traces": []}
+    calls = {"run_golden": 0, "generate": 0}
     real_run_golden = pipeline_mod.run_golden
 
     def run_golden(*args, **kwargs):
         calls["run_golden"] += 1
-        trace = real_run_golden(*args, **kwargs)
-        calls["traces"].append(trace)
-        return trace
+        return real_run_golden(*args, **kwargs)
 
     class CountingTPGR(pipeline_mod.TPGR):
         def generate(self, n_patterns):

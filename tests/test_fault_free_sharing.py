@@ -1,9 +1,6 @@
 """One fault-free simulation per stimulus: the shared results must equal
 what each consumer used to compute for itself.
 
-* cone content hashes built from a memoized per-cone body equal the
-  original one-``digest``-per-fault hash, byte for byte (store keys
-  published by earlier versions keep hitting);
 * the Monte-Carlo baseline read off the golden-run counters equals a
   fault-free ``monte_carlo_power`` run field for field, and shares each
   batch group's one fault-free run with the grading kernel;
@@ -21,18 +18,6 @@ import repro.fleet.activity as activity_mod
 import repro.logic.simulator as simulator_mod
 import repro.power.montecarlo as montecarlo_mod
 from repro.cli import main
-from repro.core.pipeline import PipelineConfig, controller_fault_universe
-from repro.designs.catalog import build_rtl
-from repro.hls.system import NormalModeStimulus, build_system
-from repro.incremental.faultkeys import (
-    ConeHashMemo,
-    cone_boundary_nets,
-    cone_content_hash,
-    golden_column_digest,
-)
-from repro.logic.cones import compute_cones
-from repro.logic.faults import enumerate_faults
-from repro.logic.faultsim import run_golden
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
     monte_carlo_baseline,
@@ -41,108 +26,6 @@ from repro.power.montecarlo import (
     precompute_batches,
     shared_batches,
 )
-from repro.store.fingerprint import SCHEMA_VERSION, digest
-from repro.tpg.tpgr import TPGR
-
-#: cone content hash of facet's first collapsed controller fault under the
-#: 64-pattern pipeline stimulus (the parent implementation's value)
-PINNED_FACET_DIGEST = (
-    "2d24ab45e4d7650e1f752f95249f23e764e5425181407b0fd19e52955943df8d"
-)
-
-def _reference_cone_hash(netlist, site, cone, planes, column_cache) -> str:
-    """The one-digest-per-fault cone hash the memoized version replaced."""
-    names = netlist.net_names
-    rows = sorted(
-        [
-            netlist.gates[g].gtype.name,
-            names[netlist.gates[g].output],
-            [names[i] for i in netlist.gates[g].inputs],
-        ]
-        for g in cone.gates
-    )
-    boundary = {}
-    for net in cone_boundary_nets(netlist, cone):
-        col = column_cache.get(net)
-        if col is None:
-            col = column_cache[net] = golden_column_digest(planes, net)
-        boundary[names[net]] = col
-    return digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "site": {
-                "gate": (
-                    None
-                    if site.gate_index is None
-                    else netlist.gates[site.gate_index].name
-                ),
-                "pin": site.pin,
-                "net": names[site.net],
-                "value": site.value,
-            },
-            "gates": rows,
-            "boundary": boundary,
-        }
-    )
-
-
-def _campaign_trace(system, n_patterns: int = 64):
-    """The full golden trace of the pipeline's TPGR stimulus."""
-    config = PipelineConfig(n_patterns=n_patterns)
-    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=config.tpgr_seed)
-    data = {k: np.asarray(v) for k, v in tpgr.generate(n_patterns).items()}
-    n_cycles = system.cycles_for(config.iterations_window, config.hold_cycles)
-    stimulus = NormalModeStimulus(system, data, n_cycles)
-    observe = [net for bus in system.output_buses.values() for net in bus]
-    return run_golden(system.netlist, stimulus, observe, full=True)
-
-
-class TestConeContentHash:
-    @pytest.mark.parametrize("design", ["facet", "poly", "diffeq", "biquad"])
-    def test_every_fault_matches_the_reference(self, design):
-        system = build_system(build_rtl(design))
-        netlist = system.netlist
-        sites = [system.to_system_fault(s) for s in controller_fault_universe(system)]
-        cones = compute_cones(netlist, sites)
-        planes = _campaign_trace(system).planes
-        memo = ConeHashMemo()
-        columns: dict[int, str] = {}
-        for site in sites:
-            got = cone_content_hash(netlist, site, cones[site], planes, memo)
-            assert got == _reference_cone_hash(
-                netlist, site, cones[site], planes, columns
-            ), site
-        # the memo did its job: fewer bodies than faults
-        assert len(memo.bodies) < len(sites)
-
-    def test_pinned_digest(self, facet_system):
-        """A literal digest, so the two implementations cannot drift together."""
-        netlist = facet_system.netlist
-        site = facet_system.to_system_fault(controller_fault_universe(facet_system)[0])
-        cone = compute_cones(netlist, [site])[site]
-        planes = _campaign_trace(facet_system).planes
-        assert cone_content_hash(netlist, site, cone, planes) == PINNED_FACET_DIGEST
-
-    def test_shared_gates_distinct_nets_hash_apart(self, facet_system):
-        """Two faults with equal ``cone.gates`` but different ``cone.nets``
-        read different boundaries: one memo must not serve both."""
-        netlist = facet_system.netlist
-        faults = enumerate_faults(netlist)
-        cones = compute_cones(netlist, faults)
-        by_gates: dict = {}
-        pair = None
-        for f in faults:
-            other = by_gates.setdefault(cones[f].gates, f)
-            if cones[other].nets != cones[f].nets:
-                pair = (other, f)
-                break
-        assert pair is not None, "facet has no such fault pair"
-        planes = _campaign_trace(facet_system).planes
-        memo = ConeHashMemo()
-        got = [cone_content_hash(netlist, f, cones[f], planes, memo) for f in pair]
-        want = [_reference_cone_hash(netlist, f, cones[f], planes, {}) for f in pair]
-        assert got == want
-        assert len(memo.bodies) == 2
 
 
 class TestGoldenBatchBaseline:

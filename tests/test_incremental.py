@@ -11,12 +11,16 @@ Covers the :mod:`repro.incremental` subsystem end to end:
 * the full pipeline replay: an incremental run after a one-gate edit is
   byte-identical to a cold run of the edited design while re-simulating
   only a small dirty fraction, and rename-only edits additionally
-  transfer Monte-Carlo grading powers.
+  transfer Monte-Carlo grading powers;
+* stage-row reuse: a cold run publishes one manifest and no per-fault
+  rows, the planner reads a fixed number of rows, and a lost, corrupted
+  or stage-key-less baseline leaves the run honestly cold.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +378,134 @@ class TestIncrementalReplay:
         store = CampaignStore(root, refresh=True)
         inc = run_pipeline(edited, CONFIG, store=store, baseline=system.netlist)
         assert inc.incremental is None
+
+
+@pytest.fixture(scope="module")
+def facet_restructure(facet_system):
+    """A restructure-edited facet and its cold store-less report."""
+    edited = edit_system_controller(
+        facet_system, pick_editable_gate(facet_system, "restructure"), "restructure"
+    )
+    return edited, _classify_report(edited, run_pipeline(edited, CONFIG))
+
+
+@pytest.fixture(scope="module")
+def facet_baseline_root(facet_system, tmp_path_factory):
+    """A store holding only the cold facet campaign; tests copy it."""
+    root = tmp_path_factory.mktemp("baseline-store")
+    run_pipeline(facet_system, CONFIG, store=CampaignStore(root))
+    return root
+
+
+def _baseline_store(facet_baseline_root, tmp_path) -> tuple:
+    """A private copy of the cold facet store, free to damage, with the
+    key and payload of its one ``incremental-meta`` manifest."""
+    shutil.copytree(facet_baseline_root, tmp_path / "store")
+    store = CampaignStore(tmp_path / "store")
+    (row,) = store.artifacts.rows(kind="incremental-meta")
+    return store, row.key, store.lookup("incremental-meta", row.key)
+
+
+class TestStageRowReuse:
+    """Replay reads the baseline's own ``faultsim`` and ``classify`` rows
+    through its ``incremental-meta`` manifest; no per-fault rows exist."""
+
+    def test_cold_run_publishes_only_the_manifest_beside_its_stages(
+        self, facet_baseline_root
+    ):
+        store = CampaignStore(facet_baseline_root)
+        kinds = {
+            kind: row["artifacts"]
+            for kind, row in store.artifacts.stats()["by_kind"].items()
+        }
+        assert kinds == {
+            "faultsim": 1,
+            "classify": 1,
+            "incremental-meta": 1,
+            "netlist": 1,
+        }
+
+    def test_planner_lookups_do_not_grow_with_the_universe(
+        self, facet_system, poly_system, tmp_path, monkeypatch
+    ):
+        import repro.incremental.replay as replay_mod
+
+        real_lookup = CampaignStore.lookup
+        real_plan = replay_mod.plan_recompute
+        calls: list[str] = []
+
+        def counting_lookup(store, kind, key):
+            calls.append(kind)
+            return real_lookup(store, kind, key)
+
+        def planning(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(CampaignStore, "lookup", counting_lookup)
+                return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "plan_recompute", planning)
+        seen = {}
+        for system in (facet_system, poly_system):
+            root = tmp_path / system.rtl.name
+            run_pipeline(system, CONFIG, store=CampaignStore(root))
+            edited = edit_system_controller(
+                system, pick_editable_gate(system, "restructure"), "restructure"
+            )
+            calls.clear()
+            inc = run_pipeline(
+                edited, CONFIG, store=CampaignStore(root), baseline=system.netlist
+            )
+            seen[system.rtl.name] = (inc.incremental["reusable"], list(calls))
+        (small, small_calls), (large, large_calls) = seen.values()
+        assert 0 < small < large
+        assert small_calls == large_calls == ["incremental-meta", "faultsim", "classify"]
+
+    @pytest.mark.parametrize("kind", ["faultsim", "classify"])
+    @pytest.mark.parametrize("damage", ["delete", "corrupt"])
+    def test_lost_stage_row_runs_cold(
+        self, facet_system, facet_baseline_root, facet_restructure, tmp_path, kind, damage
+    ):
+        store, _key, meta = _baseline_store(facet_baseline_root, tmp_path)
+        row = store.artifacts.row(meta[kind])
+        blob = store.artifacts._blob_path(row.blob_sha)
+        if damage == "delete":
+            blob.unlink()
+        else:
+            blob.write_bytes(b"garbage")
+        edited, reference = facet_restructure
+        inc = run_pipeline(edited, CONFIG, store=store, baseline=facet_system.netlist)
+        # the planner read the damaged row, and the run stayed cold
+        assert [v.check for v in store.violations] == ["store-blob-corrupt"]
+        assert inc.incremental is None
+        assert inc.campaign.replayed == inc.classify_campaign.replayed == 0
+        assert _classify_report(edited, inc) == reference
+
+    def test_foreign_classifier_context_reclassifies(
+        self, facet_system, facet_baseline_root, facet_restructure, tmp_path
+    ):
+        """The manifest's digests gate classification reuse once per plan:
+        verdicts still replay, every classification is recomputed."""
+        store, key, meta = _baseline_store(facet_baseline_root, tmp_path)
+        meta["classify_ctx"] = "0" * 64
+        store.publish("incremental-meta", key, meta, design="facet")
+        edited, reference = facet_restructure
+        inc = run_pipeline(edited, CONFIG, store=store, baseline=facet_system.netlist)
+        assert inc.campaign.replayed == inc.incremental["reusable"] > 0
+        assert inc.classify_campaign.replayed == 0
+        assert _classify_report(edited, inc) == reference
+
+    def test_manifest_without_stage_keys_is_a_miss(
+        self, facet_system, facet_baseline_root, facet_restructure, tmp_path
+    ):
+        """Manifests written before they named their stage rows replay
+        nothing: the run stays honestly cold."""
+        store, key, meta = _baseline_store(facet_baseline_root, tmp_path)
+        del meta["faultsim"], meta["classify"]
+        store.publish("incremental-meta", key, meta, design="facet")
+        edited, reference = facet_restructure
+        inc = run_pipeline(edited, CONFIG, store=store, baseline=facet_system.netlist)
+        assert inc.incremental is None
+        assert _classify_report(edited, inc) == reference
 
 
 class TestResolveBaseline:

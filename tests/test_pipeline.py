@@ -235,31 +235,17 @@ class TestFaultFreeRunOnMissOnly:
         assert _outcomes(refreshed) == _outcomes(plain)
 
     def test_baseline_edit_run_shares_its_one_golden(
-        self, facet_system, tmp_path, monkeypatch, fault_free_runs
+        self, facet_system, tmp_path, fault_free_runs
     ):
         """The incremental path is a miss: it simulates the fault-free
-        machine once and hands that trace to the planner and to the
-        per-fault publication, which simulate nothing of their own."""
-        import repro.incremental.replay as replay_mod
+        machine once for the dirty faults, and the planner and the
+        manifest publication simulate nothing of their own."""
         from repro.incremental import edit_system_controller, pick_editable_gate
 
         run_pipeline(facet_system, self.CONFIG, store=CampaignStore(tmp_path))
         edited = edit_system_controller(
             facet_system, pick_editable_gate(facet_system, "restructure"), "restructure"
         )
-        handed = {}
-        for name in ("plan_recompute", "publish_incremental"):
-
-            def spy(*args, _real=getattr(replay_mod, name), _name=name, **kwargs):
-                handed[_name] = kwargs.get("golden")
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(replay_mod, name, spy)
-
-        def no_own_golden(*args, **kwargs):
-            raise AssertionError("the incremental layer simulated its own golden")
-
-        monkeypatch.setattr(replay_mod, "run_golden", no_own_golden)
         result = run_pipeline(
             edited,
             self.CONFIG,
@@ -269,6 +255,3 @@ class TestFaultFreeRunOnMissOnly:
         assert result.incremental is not None and result.campaign.replayed > 0
         # one fault-free run for the baseline's cold campaign, one for the edit
         assert (fault_free_runs["run_golden"], fault_free_runs["generate"]) == (2, 2)
-        golden = fault_free_runs["traces"][-1]
-        assert handed["plan_recompute"] is golden
-        assert handed["publish_incremental"] is golden
